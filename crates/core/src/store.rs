@@ -4,7 +4,20 @@ use crate::types::Name;
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The source of write stamps. Process-wide, never reset, and outside
+/// every `Store`: a clone, a rollback, or a restored checkpoint copies
+/// stamps but can never rewind the counter, so one stamp always names
+/// one write of one value.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    // Relaxed: the counter only has to hand out distinct numbers; it
+    // publishes no other data.
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The store `S`: a map from global variable names to values.
 ///
@@ -13,9 +26,14 @@ use std::sync::Arc;
 /// ("an actual implementation would use specialized data structures",
 /// §4.2). Iteration order is deterministic (sorted by name) so renders
 /// and tests are reproducible.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Each entry also carries a *write stamp* ([`Store::stamp`]): equal
+/// stamps for a name mean the same write, hence the same value, which
+/// lets the §5 render memo key on stamps instead of hashing values.
+/// Stamps are bookkeeping, not model: `Debug` and `==` ignore them.
+#[derive(Clone, Default)]
 pub struct Store {
-    entries: BTreeMap<Name, Value>,
+    entries: BTreeMap<Name, (Value, u64)>,
 }
 
 impl Store {
@@ -26,12 +44,19 @@ impl Store {
 
     /// Read a global (`S(g)`).
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.entries.get(name)
+        self.entries.get(name).map(|(value, _)| value)
     }
 
-    /// Write a global (`S[g ↦ v]`).
+    /// Write a global (`S[g ↦ v]`) under a fresh stamp.
     pub fn set(&mut self, name: impl AsRef<str>, value: Value) {
-        self.entries.insert(Arc::from(name.as_ref()), value);
+        self.entries
+            .insert(Arc::from(name.as_ref()), (value, fresh_stamp()));
+    }
+
+    /// The write stamp of a global: distinct for every write in the
+    /// process, kept by clones, 0 when the name is absent.
+    pub fn stamp(&self, name: &str) -> u64 {
+        self.entries.get(name).map_or(0, |&(_, stamp)| stamp)
     }
 
     /// Whether `g ∈ dom S`.
@@ -41,7 +66,7 @@ impl Store {
 
     /// Remove an entry, returning it.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.entries.remove(name)
+        self.entries.remove(name).map(|(value, _)| value)
     }
 
     /// Number of entries.
@@ -56,14 +81,38 @@ impl Store {
 
     /// Iterate entries in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&Name, &Value)> {
-        self.entries.iter()
+        self.entries.iter().map(|(name, (value, _))| (name, value))
+    }
+}
+
+/// Prints exactly what a derived `Debug` over a `BTreeMap<Name, Value>`
+/// would: corpus goldens hash this text, so stamps must not appear.
+impl fmt::Debug for Store {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Entries<'a>(&'a Store);
+        impl fmt::Debug for Entries<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Store")
+            .field("entries", &Entries(self))
+            .finish()
+    }
+}
+
+/// Compares values only: two stores holding the same model are equal
+/// whatever writes produced them.
+impl PartialEq for Store {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
 impl fmt::Display for Store {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("{")?;
-        for (i, (k, v)) in self.entries.iter().enumerate() {
+        for (i, (k, v)) in self.iter().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }
@@ -76,7 +125,10 @@ impl fmt::Display for Store {
 impl FromIterator<(Name, Value)> for Store {
     fn from_iter<T: IntoIterator<Item = (Name, Value)>>(iter: T) -> Self {
         Store {
-            entries: iter.into_iter().collect(),
+            entries: iter
+                .into_iter()
+                .map(|(name, value)| (name, (value, fresh_stamp())))
+                .collect(),
         }
     }
 }
@@ -112,5 +164,98 @@ mod tests {
         assert_eq!(s.remove("x"), Some(Value::Bool(true)));
         assert!(!s.contains("x"));
         assert!(s.is_empty());
+        assert_eq!(s.stamp("x"), 0, "absent names have stamp 0");
+    }
+
+    /// The derived `Debug` this type had before stamps existed; corpus
+    /// goldens hash `{:?}` of the store, so the output must not move.
+    mod legacy {
+        use super::*;
+
+        #[derive(Debug)]
+        #[allow(dead_code)] // read only through `Debug`
+        pub(super) struct Store {
+            pub(super) entries: BTreeMap<Name, Value>,
+        }
+    }
+
+    #[test]
+    fn debug_and_eq_ignore_stamps() {
+        let mut a = Store::new();
+        a.set("b", Value::str("two"));
+        a.set("a", Value::list(vec![Value::Number(1.0)]));
+        let legacy = legacy::Store {
+            entries: a.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+        };
+        assert_eq!(format!("{a:?}"), format!("{legacy:?}"));
+        assert_eq!(format!("{a:#?}"), format!("{legacy:#?}"));
+
+        // Same values, different writes: equal stores, distinct stamps.
+        let mut b = Store::new();
+        b.set("a", Value::list(vec![Value::Number(1.0)]));
+        b.set("b", Value::str("two"));
+        assert_eq!(a, b);
+        assert_ne!(a.stamp("a"), b.stamp("a"));
+        b.set("b", Value::str("three"));
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn clone_keeps_stamps() {
+        let mut s = Store::new();
+        s.set("g", Value::Number(1.0));
+        let copy = s.clone();
+        assert_eq!(copy.stamp("g"), s.stamp("g"));
+        assert_ne!(s.stamp("g"), 0);
+    }
+
+    #[test]
+    fn every_write_gets_a_fresh_stamp() {
+        let mut s = Store::new();
+        s.set("g", Value::Number(1.0));
+        let first = s.stamp("g");
+        // Rewriting the same value is still a new write.
+        s.set("g", Value::Number(1.0));
+        let second = s.stamp("g");
+        s.set("g", Value::Number(2.0));
+        let third = s.stamp("g");
+        assert!(first < second && second < third, "{first} {second} {third}");
+        s.remove("g");
+        s.set("g", Value::Number(1.0));
+        assert!(s.stamp("g") > third);
+    }
+
+    #[test]
+    fn independent_stores_never_share_a_stamp() {
+        let mut a = Store::new();
+        let mut b: Store = [(Name::from("g"), Value::Number(1.0))]
+            .into_iter()
+            .collect();
+        a.set("g", Value::Number(1.0));
+        assert_ne!(a.stamp("g"), b.stamp("g"));
+        // Across threads too: the counter is process-wide.
+        let stamps: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut s = Store::new();
+                        (0..100)
+                            .map(|i| {
+                                s.set("g", Value::Number(f64::from(i)));
+                                s.stamp("g")
+                            })
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("stamping thread"))
+                .collect()
+        });
+        let unique: std::collections::BTreeSet<u64> = stamps.iter().copied().collect();
+        assert_eq!(unique.len(), stamps.len());
+        b.set("g", Value::Number(1.0));
+        assert!(!unique.contains(&b.stamp("g")));
     }
 }

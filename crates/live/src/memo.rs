@@ -5,10 +5,16 @@
 //!
 //! [`MemoCache`] implements that optimization as a [`RenderHook`]: each
 //! `boxed` statement's subtree is cached under a key derived from the
-//! statement identity, the visible local environment, the values of all
-//! globals the statement's body can read, and the code version. On the
-//! next render, subtrees whose inputs are unchanged are spliced in
-//! without re-evaluating the body.
+//! statement identity, the visible local environment, the code version,
+//! and the [write stamps](Store::stamp) of the globals the statement's
+//! body can read. On the next render, subtrees whose inputs are
+//! unchanged are spliced in without re-evaluating the body.
+//!
+//! Keying on stamps rather than global *values* keeps a key O(|locals|):
+//! a 120-row list is not re-hashed by each of its 120 row boxes. A stamp
+//! names one write, so equal stamps imply equal values; the converse
+//! does not hold (rewriting an equal value misses), which costs a
+//! re-render, never a wrong frame.
 //!
 //! Soundness relies on the paper's own discipline: render code cannot
 //! write globals, so a `boxed` body is a *function* of its inputs. The
@@ -436,7 +442,16 @@ pub struct MemoCache {
     // cache and damage diff downstream rely on to skip work.
     current: HashMap<u64, (Arc<BoxNode>, Value)>,
     previous: HashMap<u64, (Arc<BoxNode>, Value)>,
-    store_snapshot: Store,
+    /// Indexed by statement id: for cacheable statements, a digest of
+    /// the read set's write stamps as of this render. Render code cannot
+    /// write globals, so one digest per statement holds for the whole
+    /// render.
+    read_digests: Vec<Option<u64>>,
+    /// Keys of `boxed` bodies being evaluated, innermost last: a miss in
+    /// `enter_boxed` pushes, the matching `after_boxed` pops, so a key is
+    /// computed once per instance. Cacheable bodies cannot reassign the
+    /// captured locals, so the key is still valid after the body ran.
+    open_keys: Vec<(BoxSourceId, Option<u64>)>,
     version: u64,
     stats: MemoStats,
 }
@@ -475,38 +490,49 @@ impl MemoCache {
         self.stats = MemoStats::default();
     }
 
-    /// Start a render pass: rotate generations and snapshot the store
-    /// (keys hash global values as of this render).
+    /// Start a render pass: rotate generations and digest each cacheable
+    /// statement's read set from the store's write stamps.
     pub fn begin_render(&mut self, store: &Store, version: u64) {
         if version != self.version {
             self.current.clear();
             self.previous.clear();
             self.version = version;
         } else {
-            self.previous = std::mem::take(&mut self.current);
+            // Swap, then clear: the evicted generation's map is reused,
+            // capacity and all, instead of regrowing from empty.
+            std::mem::swap(&mut self.previous, &mut self.current);
+            self.current.clear();
         }
-        self.store_snapshot = store.clone();
+        self.open_keys.clear();
+        self.read_digests.clear();
+        for (id, read_set) in &self.deps.by_box {
+            if !read_set.cacheable {
+                continue;
+            }
+            let mut hasher = DefaultHasher::new();
+            for g in &read_set.globals {
+                store.stamp(g).hash(&mut hasher);
+            }
+            let slot = id.0 as usize;
+            if self.read_digests.len() <= slot {
+                self.read_digests.resize(slot + 1, None);
+            }
+            self.read_digests[slot] = Some(hasher.finish());
+        }
     }
 
+    /// `None` for statements that are uncacheable (or unknown to the
+    /// analysis).
     fn key(&self, id: BoxSourceId, locals: &[(Name, Value)]) -> Option<u64> {
-        let read_set = self.deps.read_set(id)?;
-        if !read_set.cacheable {
-            return None;
-        }
+        let digest = (*self.read_digests.get(id.0 as usize)?)?;
         let mut hasher = DefaultHasher::new();
         id.0.hash(&mut hasher);
         self.version.hash(&mut hasher);
+        digest.hash(&mut hasher);
         locals.len().hash(&mut hasher);
         for (n, v) in locals {
             n.hash(&mut hasher);
             hash_value(v, &mut hasher);
-        }
-        for g in &read_set.globals {
-            g.hash(&mut hasher);
-            match self.store_snapshot.get(g) {
-                Some(v) => hash_value(v, &mut hasher),
-                None => 0u8.hash(&mut hasher),
-            }
         }
         Some(hasher.finish())
     }
@@ -520,6 +546,7 @@ impl RenderHook for MemoCache {
     ) -> Option<(Arc<BoxNode>, Value)> {
         let Some(key) = self.key(id, locals) else {
             self.stats.uncacheable += 1;
+            self.open_keys.push((id, None));
             return None;
         };
         if let Some((node, value)) = self.current.get(&key) {
@@ -532,19 +559,24 @@ impl RenderHook for MemoCache {
             self.current.insert(key, entry);
             return Some(out);
         }
+        self.open_keys.push((id, Some(key)));
         None
     }
 
     fn after_boxed(
         &mut self,
         id: BoxSourceId,
-        locals: &[(Name, Value)],
+        _locals: &[(Name, Value)],
         node: &Arc<BoxNode>,
         value: &Value,
     ) {
-        if let Some(key) = self.key(id, locals) {
-            self.stats.misses += 1;
-            self.current.insert(key, (Arc::clone(node), value.clone()));
+        // A mismatched id would mean an unpaired call; skipping the
+        // insert is always sound.
+        if let Some((entered, Some(key))) = self.open_keys.pop() {
+            if entered == id {
+                self.stats.misses += 1;
+                self.current.insert(key, (Arc::clone(node), value.clone()));
+            }
         }
     }
 }

@@ -215,6 +215,11 @@ pub struct LiveSession {
     /// delta across the settle); stamped into
     /// [`FrameStats::eval_compile_us`].
     last_compile_us: u64,
+    /// Settle time (and its compile slice) accumulated by every
+    /// [`LiveSession::refresh`] since the last [`LiveSession::live_view`]:
+    /// a tap settles inside `tap_path`, before the frame is drawn.
+    unframed_eval_us: u64,
+    unframed_compile_us: u64,
     /// Pre-transaction checkpoint while a fleet UPDATE awaits its
     /// promote/revert decision. At most one — a session runs at most one
     /// fleet transaction at a time.
@@ -327,6 +332,8 @@ impl LiveSession {
             clock,
             last_eval_us: 0,
             last_compile_us: 0,
+            unframed_eval_us: 0,
+            unframed_compile_us: 0,
             fleet_checkpoint: None,
             pending_txs: BTreeMap::new(),
             next_tx: 1,
@@ -452,6 +459,18 @@ impl LiveSession {
     /// (recorded in the [`FaultLog`]), the display degrades to the last
     /// good tree. This never fails — a session is always settleable.
     pub fn refresh(&mut self) {
+        let start = self.clock.now_us();
+        let compile_before = self.system.vm_stats().compile_us;
+        self.settle();
+        self.unframed_eval_us += self.clock.now_us().saturating_sub(start);
+        self.unframed_compile_us += self
+            .system
+            .vm_stats()
+            .compile_us
+            .saturating_sub(compile_before);
+    }
+
+    fn settle(&mut self) {
         if self.memo.is_none() {
             // Each faulting event is consumed (its transition rolled
             // back), so the loop strictly drains the queue.
@@ -970,15 +989,9 @@ impl LiveSession {
     /// faulting program yields the last good view; a session with no
     /// good view at all yields a placeholder naming the fault.
     pub fn live_view(&mut self) -> String {
-        let eval_start = self.clock.now_us();
-        let compile_before = self.system.vm_stats().compile_us;
         self.refresh();
-        let eval_us = self.clock.now_us().saturating_sub(eval_start);
-        let compile_us = self
-            .system
-            .vm_stats()
-            .compile_us
-            .saturating_sub(compile_before);
+        let eval_us = std::mem::take(&mut self.unframed_eval_us);
+        let compile_us = std::mem::take(&mut self.unframed_compile_us);
         let generation = self.system.display_generation();
         match self.system.display().content() {
             // The pipeline reuses everything the display left unchanged:
@@ -989,8 +1002,8 @@ impl LiveSession {
                 let text = self.pipeline.render(generation, root);
                 if self.pipeline.stats().frames > frames_before {
                     // A frame was actually rendered (not a view-memo
-                    // hit): stamp the settle time and feed the stage
-                    // timings into the histograms.
+                    // hit): stamp the settle time since the last view
+                    // and feed the stage timings into the histograms.
                     self.last_eval_us = eval_us;
                     self.last_compile_us = compile_us;
                     if let Some(metrics) = &self.metrics {
@@ -1121,6 +1134,29 @@ page start() {
         assert!(s.system().is_stable());
         assert!(s.fault_log().is_empty());
         assert_eq!(s.fault_banner(), None);
+    }
+
+    #[test]
+    fn eval_us_covers_the_settle_inside_a_tap() {
+        // Every clock read advances STEP µs, so each timed settle
+        // measures at least STEP.
+        const STEP: u64 = 7;
+        let registry = Registry::with_clock(alive_obs::ManualClock::with_auto_step(STEP).shared());
+        let mut s =
+            LiveSession::observed(APP, SystemConfig::default(), false, &registry).expect("starts");
+        s.live_view();
+        s.tap_path(&[0]).expect("tap");
+        assert_eq!(s.live_view(), "count is 11\n");
+        // `tap_path` settles before and after the tap (the handler and
+        // the re-render run there), and `live_view` settles once more:
+        // the frame's eval time spans all three, not just the last.
+        let stats = s.frame_stats();
+        assert!(stats.eval_us >= 3 * STEP, "{stats:?}");
+        assert_eq!(
+            stats.eval_exec_us + stats.eval_compile_us,
+            stats.eval_us,
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -82,12 +82,19 @@ impl Scheduler {
     /// the ready-queue high-water gauge).
     pub(crate) fn enqueue(&self, id: u64) -> usize {
         let shard = (id as usize) % self.shards.len();
-        lock(&self.shards[shard]).push_back(id);
-        // `pending` must be visible before `sleepers` is read: a parker
-        // that misses this increment is guaranteed to be seen here (or
-        // to re-check pending after publishing itself) — SeqCst on both
-        // sides makes the two orderings impossible to miss together.
-        let len = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
+        // Count under the shard lock, as `try_claim` does: otherwise a
+        // claimer can pop this id and decrement before the increment
+        // lands, and `pending` underflows.
+        let len = {
+            let mut queue = lock(&self.shards[shard]);
+            queue.push_back(id);
+            // `pending` must be visible before `sleepers` is read: a
+            // parker that misses this increment is guaranteed to be seen
+            // here (or to re-check pending after publishing itself) —
+            // SeqCst on both sides makes the two orderings impossible to
+            // miss together.
+            self.pending.fetch_add(1, Ordering::SeqCst) + 1
+        };
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             // Taking the sleep lock orders this notify against the
             // parker: it either runs before the parker's final check
@@ -108,8 +115,9 @@ impl Scheduler {
         let home = worker % n;
         for offset in 0..n {
             let shard = (home + offset) % n;
-            let popped = lock(&self.shards[shard]).pop_front();
-            if let Some(id) = popped {
+            let mut queue = lock(&self.shards[shard]);
+            if let Some(id) = queue.pop_front() {
+                // Under the lock, pairing with the increment in `enqueue`.
                 self.pending.fetch_sub(1, Ordering::SeqCst);
                 return Some(Claim {
                     id,
@@ -228,6 +236,65 @@ mod tests {
         // the worker must claim it.
         sched.enqueue(42);
         assert_eq!(worker.join().expect("worker exits"), 42);
+    }
+
+    #[test]
+    fn pending_count_balances_under_concurrent_enqueue_and_claim() {
+        use std::sync::Barrier;
+        const THREADS: usize = 4;
+        const PER_THREAD: u64 = 2_000;
+        let sched = Scheduler::new(THREADS);
+        let start = Barrier::new(2 * THREADS);
+        let producers_done = AtomicUsize::new(0);
+        let claimed = AtomicUsize::new(0);
+        let total = THREADS * PER_THREAD as usize;
+        std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for t in 0..THREADS {
+                let (sched, start, producers_done, claimed) =
+                    (&sched, &start, &producers_done, &claimed);
+                handles.push(scope.spawn(move || {
+                    // Counts the producer out even if it panics, so the
+                    // claimers stop and the failure surfaces at join.
+                    struct Done<'a>(&'a AtomicUsize);
+                    impl Drop for Done<'_> {
+                        fn drop(&mut self) {
+                            self.0.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    let _done = Done(producers_done);
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        let len = sched.enqueue(t as u64 * PER_THREAD + i);
+                        // An underflowed counter reads as a huge queue.
+                        assert!(len <= total, "pending underflowed: {len}");
+                    }
+                }));
+                handles.push(scope.spawn(move || {
+                    start.wait();
+                    loop {
+                        if sched.try_claim(t).is_some() {
+                            claimed.fetch_add(1, Ordering::SeqCst);
+                        } else if producers_done.load(Ordering::SeqCst) == THREADS {
+                            // Every id is queued; one more scan drains
+                            // whatever the steal pass raced past.
+                            while sched.try_claim(t).is_some() {
+                                claimed.fetch_add(1, Ordering::SeqCst);
+                            }
+                            return;
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    }
+                }));
+            }
+            for handle in handles {
+                handle.join().expect("stress thread");
+            }
+        });
+        assert_eq!(claimed.load(Ordering::SeqCst), total);
+        assert_eq!(sched.pending.load(Ordering::SeqCst), 0);
+        assert_eq!(sched.try_claim(0), None);
     }
 
     #[test]
