@@ -1,23 +1,29 @@
 //! `alive-repl` — an interactive live programming console.
 //!
-//! Drives a [`alive_live::RecordingSession`] from stdin, so it works
-//! interactively and scripted (`alive-repl < script`). The split-screen
-//! experience of the paper's Figure 2 is approximated by `:view`
-//! (live view) and `:src` (code view), with `:where` / `:find`
-//! implementing the bidirectional navigation.
+//! Drives a [`LiveSession`] from stdin, so it works interactively and
+//! scripted (`alive-repl < script`). The split-screen experience of the
+//! paper's Figure 2 is approximated by `:view` (live view) and `:src`
+//! (code view), with `:where` / `:find` implementing the bidirectional
+//! navigation.
 //!
 //! Every state-changing interaction goes through the session protocol
 //! ([`SessionCommand`] → [`SessionEffect`]): the repl is one observer
 //! among many a host could attach, with no privileged side channel.
+//! Protocol commands are typed in their wire form behind a colon
+//! (`:tap 1 0`, `:poke 0 0 -- 99`) and parsed by [`parse_commands`].
+//! Each command sent is recorded in a [`SessionTrace`], so `:trace`
+//! prints a replayable session: what was typed, minus the colons.
 //!
 //! ```text
 //! $ cargo run -p alive-apps --bin alive-repl
 //! alive> :help
 //! ```
 
+use alive_core::system::SystemConfig;
 use alive_live::{
-    box_source_at, boxes_for_cursor, format_frame_stats, format_metrics_snapshot, span_for_box,
-    FrameSnapshot, RecordingSession, Registry, SessionCommand, SessionEffect, TxPhase, UndoOutcome,
+    box_source_at, boxes_for_cursor, format_frame_stats, format_metrics_snapshot, parse_commands,
+    span_for_box, FrameSnapshot, LiveSession, Registry, SessionCommand, SessionEffect,
+    SessionError, SessionTrace, TxPhase, UndoOutcome,
 };
 use alive_ui::{layout, render_to_ansi};
 use std::io::{self, BufRead, Write};
@@ -32,7 +38,7 @@ commands:
   :poke <path...> <leaf> -- <value>  ask for a rendered value to become
                         <value>; answers with ranked candidate repairs
   :repair <n>           apply candidate <n> of the last :poke offer
-  :attr <path...> <name> -- <expr>   set a box attribute (margin,
+  :attredit <path...> <name> -- <expr>   set a box attribute (margin,
                         background, ...) to an expression, in code
   :edit                 replace the source; end input with a single `.`
   :undo                 undo the most recent applied edit
@@ -50,7 +56,9 @@ commands:
   :restore <file>       restore a model snapshot against the current code
   :demo <name>          load a demo: counter | calculator | mortgage | shopping | life
   :help                 this text
-  :quit                 exit";
+  :quit                 exit
+Any other single-line protocol command works in its wire form behind a
+colon, e.g. `:tap-at 3 1`, `:txopen`, `:txcommit 1`.";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -65,13 +73,14 @@ fn main() {
     // One registry for the whole repl run: `:metrics` reports over it,
     // and `:demo` swaps the program while the counters keep counting.
     let registry = Registry::new();
-    let mut session = match RecordingSession::observed(&initial, &registry) {
+    let mut session = match start(&initial, &registry) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot start: {e}");
             std::process::exit(1);
         }
     };
+    let mut trace = SessionTrace::new(initial);
     println!("its-alive REPL — :help for commands");
     show_view(&mut session);
 
@@ -82,11 +91,15 @@ fn main() {
         io::stdout().flush().ok();
         let Some(Ok(line)) = lines.next() else { break };
         let line = line.trim();
-        match dispatch(&mut session, &registry, line, &mut lines) {
+        match dispatch(&mut session, &mut trace, &registry, line, &mut lines) {
             Flow::Continue => {}
             Flow::Quit => break,
         }
     }
+}
+
+fn start(source: &str, registry: &Registry) -> Result<LiveSession, SessionError> {
+    LiveSession::observed(source, SystemConfig::default(), false, registry)
 }
 
 enum Flow {
@@ -95,7 +108,8 @@ enum Flow {
 }
 
 fn dispatch(
-    session: &mut RecordingSession,
+    session: &mut LiveSession,
+    trace: &mut SessionTrace,
     registry: &Registry,
     line: &str,
     lines: &mut dyn Iterator<Item = io::Result<String>>,
@@ -110,33 +124,8 @@ fn dispatch(
         ":help" | ":h" => println!("{HELP}"),
         ":view" | ":v" => show_view(session),
         ":src" => {
-            for effect in session.apply(SessionCommand::Source) {
-                if let SessionEffect::Source(src) = effect {
-                    for (i, l) in src.lines().enumerate() {
-                        println!("{:>4} | {l}", i + 1);
-                    }
-                }
-            }
-        }
-        ":tap" => match parse_path(rest) {
-            Some(path) => emit(session.apply(SessionCommand::TapPath(path)), "tap failed"),
-            None => println!("usage: :tap <i> [<j> ...]"),
-        },
-        ":back" => emit(session.apply(SessionCommand::Back), "back failed"),
-        ":editbox" => {
-            let Some((path_part, text)) = rest.split_once(" -- ") else {
-                println!("usage: :editbox <path...> -- <text>");
-                return Flow::Continue;
-            };
-            match parse_path(path_part) {
-                Some(path) => emit(
-                    session.apply(SessionCommand::EditBox {
-                        path,
-                        text: text.to_string(),
-                    }),
-                    "edit failed",
-                ),
-                None => println!("bad path"),
+            for (i, l) in session.source().lines().enumerate() {
+                println!("{:>4} | {l}", i + 1);
             }
         }
         ":edit" => {
@@ -151,61 +140,10 @@ fn dispatch(
                 src.push('\n');
             }
             emit(
-                session.apply(SessionCommand::EditSource(src)),
+                trace.record(session, SessionCommand::EditSource(src)),
                 "edit failed",
             );
         }
-        ":poke" => {
-            let Some((head, value)) = rest.split_once(" -- ") else {
-                println!("usage: :poke <path...> <leaf> -- <value>");
-                return Flow::Continue;
-            };
-            match parse_path(head) {
-                Some(mut nums) if !nums.is_empty() => {
-                    let leaf = nums.pop().unwrap_or(0);
-                    emit(
-                        session.apply(SessionCommand::ManipulateAt {
-                            path: nums,
-                            leaf,
-                            value: value.to_string(),
-                        }),
-                        "poke failed",
-                    );
-                }
-                _ => println!("usage: :poke <path...> <leaf> -- <value>"),
-            }
-        }
-        ":repair" => match rest.parse::<usize>() {
-            Ok(n) => emit(
-                session.apply(SessionCommand::ApplyRepair(n)),
-                "repair failed",
-            ),
-            Err(_) => println!("usage: :repair <n>"),
-        },
-        ":attr" => {
-            let Some((head, value)) = rest.split_once(" -- ") else {
-                println!("usage: :attr <path...> <name> -- <expr>");
-                return Flow::Continue;
-            };
-            let mut tokens: Vec<&str> = head.split_whitespace().collect();
-            let Some(attr) = tokens.pop() else {
-                println!("usage: :attr <path...> <name> -- <expr>");
-                return Flow::Continue;
-            };
-            match parse_path_allow_empty(&tokens.join(" ")) {
-                Some(path) => emit(
-                    session.apply(SessionCommand::AttrEdit {
-                        path,
-                        attr: attr.to_string(),
-                        value: value.to_string(),
-                    }),
-                    "attr failed",
-                ),
-                None => println!("bad path"),
-            }
-        }
-        ":undo" => emit(session.apply(SessionCommand::Undo), "undo failed"),
-        ":redo" => emit(session.apply(SessionCommand::Redo), "redo failed"),
         ":fig2" => {
             let selection = match parse_path(rest) {
                 Some(path) => alive_live::Selection::Box(path),
@@ -217,20 +155,16 @@ fn dispatch(
                 ansi: false,
                 zoom: 1,
             };
-            print!(
-                "{}",
-                alive_live::split_view(session.session_view_mut(), &selection, options)
-            );
+            print!("{}", alive_live::split_view(session, &selection, options));
         }
         ":where" => match parse_path(rest) {
             Some(path) => {
-                let system = session.session().system();
+                let system = session.system();
                 match system.display().content() {
                     Some(root) => match span_for_box(system.program(), root, &path) {
                         Some(span) => {
-                            let src = session.session().source();
                             println!("--- boxed statement for {path:?} ---");
-                            println!("{}", span.slice(src));
+                            println!("{}", span.slice(session.source()));
                         }
                         None => println!("no boxed statement for {path:?}"),
                     },
@@ -248,14 +182,13 @@ fn dispatch(
                 println!("usage: :find <line>:<col>");
                 return Flow::Continue;
             };
-            let src = session.session().source().to_string();
-            let map = alive_syntax::SourceMap::new(&src);
+            let map = alive_syntax::SourceMap::new(session.source());
             let Some(line_span) = map.line_span(l) else {
                 println!("no line {l}");
                 return Flow::Continue;
             };
             let cursor = line_span.start + c.saturating_sub(1);
-            let system = session.session().system();
+            let system = session.system();
             match system.display().content() {
                 Some(root) => {
                     let id = box_source_at(system.program(), cursor);
@@ -266,7 +199,7 @@ fn dispatch(
             }
         }
         ":stack" => {
-            let system = session.session().system();
+            let system = session.system();
             println!("page stack (bottom first):");
             for (name, arg) in system.page_stack() {
                 println!("  {name}({arg})");
@@ -279,10 +212,7 @@ fn dispatch(
                 system.version()
             );
         }
-        ":stats" => emit(session.apply(SessionCommand::Stats), "stats failed"),
-        ":examples" => emit(session.apply(SessionCommand::Examples), "examples failed"),
-        ":metrics" => emit(session.apply(SessionCommand::Metrics), "metrics failed"),
-        ":trace" => print!("{}", session.trace().serialize()),
+        ":trace" => print!("{}", trace.serialize()),
         ":save" => {
             for effect in session.apply(SessionCommand::Snapshot) {
                 match effect {
@@ -297,7 +227,7 @@ fn dispatch(
         }
         ":restore" => match std::fs::read_to_string(rest) {
             Ok(snapshot) => emit(
-                session.apply(SessionCommand::Restore(snapshot)),
+                trace.record(session, SessionCommand::Restore(snapshot)),
                 "restore failed",
             ),
             Err(e) => println!("cannot read {rest}: {e}"),
@@ -316,15 +246,31 @@ fn dispatch(
                     return Flow::Continue;
                 }
             };
-            match RecordingSession::observed(&src, registry) {
+            match start(&src, registry) {
                 Ok(new_session) => {
                     *session = new_session;
+                    *trace = SessionTrace::new(src);
                     show_view(session);
                 }
                 Err(e) => println!("demo failed: {e}"),
             }
         }
-        other => println!("unknown command `{other}` — :help"),
+        _ => {
+            // Everything else is a protocol command in its wire form.
+            let Some(wire) = line.strip_prefix(':') else {
+                println!("unknown command `{cmd}` — :help");
+                return Flow::Continue;
+            };
+            let fail_ctx = format!("{} failed", cmd.trim_start_matches(':'));
+            match parse_commands(wire) {
+                Ok(commands) => {
+                    for command in commands {
+                        emit(trace.record(session, command), &fail_ctx);
+                    }
+                }
+                Err(e) => println!("{fail_ctx}: {}", e.message),
+            }
+        }
     }
     Flow::Continue
 }
@@ -333,10 +279,6 @@ fn parse_path(args: &str) -> Option<Vec<usize>> {
     if args.trim().is_empty() {
         return None;
     }
-    parse_path_allow_empty(args)
-}
-
-fn parse_path_allow_empty(args: &str) -> Option<Vec<usize>> {
     args.split_whitespace().map(|p| p.parse().ok()).collect()
 }
 
@@ -431,7 +373,9 @@ fn emit(effects: Vec<SessionEffect>, fail_ctx: &str) {
     }
 }
 
-fn show_view(session: &mut RecordingSession) {
+/// Render the current frame. Viewing changes nothing, so it is not
+/// recorded in the trace.
+fn show_view(session: &mut LiveSession) {
     for effect in session.apply(SessionCommand::Frame) {
         if let SessionEffect::Frame(frame) = effect {
             render_frame(&frame);

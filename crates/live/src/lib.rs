@@ -85,12 +85,11 @@ pub use alive_obs::{ManualClock, MetricsSnapshot, Registry};
 pub use session::{
     EditOutcome, FleetUpdateOutcome, LiveSession, SessionError, TxError, UndoOutcome,
 };
-pub use trace::{RecordingSession, SessionTrace, TraceEvent};
+pub use trace::SessionTrace;
 
 // A live session must be able to live behind a host's per-session
 // mailbox and be picked up by whichever worker thread drains it next.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<LiveSession>();
-    assert_send::<RecordingSession>();
 };

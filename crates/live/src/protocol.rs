@@ -588,9 +588,9 @@ fn push_block(out: &mut String, keyword: &str, text: &str) {
 }
 
 impl SessionCommand {
-    /// Serialize to the line-oriented wire format (same family as the
-    /// `#alive-trace v1` format: one line per command, multi-line
-    /// payloads as length-prefixed blocks).
+    /// Serialize to the line-oriented wire format: one line per
+    /// command, multi-line payloads as length-prefixed blocks. Session
+    /// traces ([`crate::SessionTrace`]) are written in this format.
     pub fn serialize(&self) -> String {
         let mut out = String::new();
         match self {
@@ -711,9 +711,18 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
             }
             Ok((after[..len].to_string(), len))
         };
+        // Keywords without arguments refuse trailing text rather than
+        // silently dropping it.
+        let bare = |command: SessionCommand| {
+            if args.is_empty() {
+                Ok(command)
+            } else {
+                Err(err(format!("`{keyword}` takes no arguments, got `{args}`")))
+            }
+        };
         let mut consumed_payload = 0usize;
         let command = match keyword {
-            "frame" => SessionCommand::Frame,
+            "frame" => bare(SessionCommand::Frame)?,
             "tap-at" => {
                 let mut parts = args.split_whitespace();
                 let parse_coord = |part: Option<&str>| {
@@ -728,7 +737,7 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
                 SessionCommand::TapAt { x, y }
             }
             "tap" => SessionCommand::TapPath(parse_usize_path(args).map_err(&err)?),
-            "back" => SessionCommand::Back,
+            "back" => bare(SessionCommand::Back)?,
             "editbox" => {
                 let (path_part, text) = args
                     .split_once(" -- ")
@@ -743,19 +752,19 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
                 consumed_payload = len;
                 SessionCommand::EditSource(payload)
             }
-            "undo" => SessionCommand::Undo,
-            "redo" => SessionCommand::Redo,
-            "source" => SessionCommand::Source,
-            "stats" => SessionCommand::Stats,
-            "metrics" => SessionCommand::Metrics,
-            "examples" => SessionCommand::Examples,
-            "snapshot" => SessionCommand::Snapshot,
+            "undo" => bare(SessionCommand::Undo)?,
+            "redo" => bare(SessionCommand::Redo)?,
+            "source" => bare(SessionCommand::Source)?,
+            "stats" => bare(SessionCommand::Stats)?,
+            "metrics" => bare(SessionCommand::Metrics)?,
+            "examples" => bare(SessionCommand::Examples)?,
+            "snapshot" => bare(SessionCommand::Snapshot)?,
             "restore" => {
                 let (payload, len) = take_block(after)?;
                 consumed_payload = len;
                 SessionCommand::Restore(payload)
             }
-            "txopen" => SessionCommand::TxOpen,
+            "txopen" => bare(SessionCommand::TxOpen)?,
             "txedit" => {
                 let mut parts = args.split_whitespace();
                 let mut next_u64 = |what: &str| {
@@ -1256,7 +1265,15 @@ page start() {
         assert!(parse_commands("repair many\n").is_err());
         assert!(parse_commands("attredit 0 margin 4\n").is_err()); // no separator
         assert!(parse_commands("attredit q margin -- 4\n").is_err()); // bad path
-                                                                      // Comments and blank lines are fine.
+        for keyword in [
+            "frame", "back", "undo", "redo", "source", "stats", "metrics", "examples", "snapshot",
+            "txopen",
+        ] {
+            // Trailing arguments are refused, never silently dropped.
+            let err = parse_commands(&format!("{keyword} 3\n")).expect_err(keyword);
+            assert!(err.message.contains(keyword), "{err}");
+        }
+        // Comments and blank lines are fine.
         let parsed = parse_commands("# a comment\n\nframe\n").expect("parses");
         assert_eq!(parsed, vec![SessionCommand::Frame]);
     }

@@ -1,67 +1,50 @@
 //! Session traces: record a live programming session — interactions
 //! *and* code edits — and replay it deterministically.
 //!
-//! The paper's §1 discusses trace-based approaches to liveness and
-//! §4's model makes determinism easy to state: given the same initial
-//! source and the same event sequence, the system reaches the same
-//! state. Traces turn that property into a tool — reproducible bug
-//! reports, golden-session tests, and the benches' scripted users.
-//!
-//! Traces serialize to a plain-text format (no external dependencies):
+//! The paper's §1 discusses trace-based approaches to liveness, and
+//! §4's model makes determinism easy to state: the same initial source
+//! and the same commands reach the same state. A trace is exactly that
+//! pair — the initial source plus every [`SessionCommand`]
+//! [`LiveSession::apply`] received — written in the protocol's own wire
+//! format after a header and a length-prefixed source block:
 //!
 //! ```text
-//! #alive-trace v1
+//! #alive-trace v2
 //! source 123
 //! <123 bytes of source>
 //! tap 1 0
-//! back
-//! editbox 2 0 -- 15
-//! editsource 140
-//! <140 bytes of source>
+//! poke 0 0 -- 99
+//! repair 0
+//! ```
+//!
+//! ```
+//! use alive_live::{LiveSession, SessionCommand, SessionTrace};
+//!
+//! let src = "global n : number = 0
+//!     page start() { render { boxed { post n; on tap { n := n + 1; } } } }";
+//! let mut session = LiveSession::new(src)?;
+//! let mut trace = SessionTrace::new(src);
+//! trace.record(&mut session, SessionCommand::TapPath(vec![0]));
+//! trace.record(&mut session, SessionCommand::TapPath(vec![0]));
+//!
+//! let mut replayed = SessionTrace::parse(&trace.serialize())?.replay()?;
+//! assert_eq!(replayed.live_view(), "2\n");
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::session::{EditOutcome, LiveSession, SessionError};
-use std::fmt;
+use crate::protocol::{parse_commands, ProtocolParseError, SessionCommand, SessionEffect};
+use crate::session::{LiveSession, SessionError};
 
-/// One recorded step of a session.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// Tap the box at a path.
-    Tap(Vec<usize>),
-    /// Press back.
-    Back,
-    /// Edit the text of the box at a path.
-    EditBox(Vec<usize>, String),
-    /// Replace the whole program source.
-    EditSource(String),
-}
+const HEADER: &str = "#alive-trace v2";
 
-/// A recorded session: initial source plus events in order.
-///
-/// ```
-/// use alive_live::{RecordingSession, SessionTrace};
-///
-/// let src = "global n : number = 0
-///     page start() {
-///         render { boxed { post n; on tap { n := n + 1; } } }
-///     }";
-/// let mut recording = RecordingSession::new(src)?;
-/// recording.tap_path(&[0])?;
-/// recording.tap_path(&[0])?;
-/// let (_, trace) = recording.into_parts();
-///
-/// // The serialized trace replays deterministically.
-/// let parsed = SessionTrace::parse(&trace.serialize())?;
-/// let mut replayed = parsed.replay()?;
-/// assert_eq!(replayed.live_view(), "2\n");
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
+/// A recorded session: the initial source plus every command applied
+/// to it, in order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionTrace {
     /// The program the session started from.
     pub initial_source: String,
-    /// The recorded events.
-    pub events: Vec<TraceEvent>,
+    /// The commands, exactly as [`LiveSession::apply`] received them.
+    pub commands: Vec<SessionCommand>,
 }
 
 impl SessionTrace {
@@ -69,450 +52,144 @@ impl SessionTrace {
     pub fn new(initial_source: impl Into<String>) -> Self {
         SessionTrace {
             initial_source: initial_source.into(),
-            events: Vec::new(),
+            commands: Vec::new(),
         }
     }
 
-    /// Replay the trace from scratch, returning the resulting session.
-    /// Rejected source edits during replay are fine (they were rejected
-    /// when recorded, too); failed interactions abort the replay.
+    /// Record `command`, then apply it to `session`. Every command is
+    /// recorded, refused ones and queries included: `apply` is total
+    /// and deterministic, so replaying the whole stream reproduces the
+    /// session.
+    pub fn record(
+        &mut self,
+        session: &mut LiveSession,
+        command: SessionCommand,
+    ) -> Vec<SessionEffect> {
+        self.commands.push(command.clone());
+        session.apply(command)
+    }
+
+    /// Apply every command to a fresh session on the initial source.
     ///
     /// # Errors
     ///
-    /// [`SessionError`] if the initial program does not compile or an
-    /// interaction no longer applies.
+    /// [`SessionError`] if the initial program does not compile.
     pub fn replay(&self) -> Result<LiveSession, SessionError> {
         let mut session = LiveSession::new(&self.initial_source)?;
-        for event in &self.events {
-            match event {
-                TraceEvent::Tap(path) => session.tap_path(path)?,
-                TraceEvent::Back => session.back()?,
-                TraceEvent::EditBox(path, text) => session.edit_box(path, text)?,
-                TraceEvent::EditSource(src) => {
-                    // Rejection or quarantine during replay is fine: it
-                    // happened identically when recorded.
-                    session.edit_source(src);
-                }
-            }
+        for command in &self.commands {
+            session.apply(command.clone());
         }
         Ok(session)
     }
 
-    /// Replay only the first `steps` events — time travel: inspect the
-    /// session as it was after any prefix of the recorded history.
-    /// `steps` beyond the trace length replays everything.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionTrace::replay`].
-    pub fn replay_prefix(&self, steps: usize) -> Result<LiveSession, SessionError> {
-        let prefix = SessionTrace {
-            initial_source: self.initial_source.clone(),
-            events: self.events.iter().take(steps).cloned().collect(),
-        };
-        prefix.replay()
-    }
-
-    /// Serialize to the plain-text trace format.
+    /// The header, the initial source as a `source <len>` block, then
+    /// each command in wire form.
     pub fn serialize(&self) -> String {
-        let mut out = String::new();
-        out.push_str("#alive-trace v1\n");
-        out.push_str(&format!("source {}\n", self.initial_source.len()));
-        out.push_str(&self.initial_source);
-        out.push('\n');
-        for event in &self.events {
-            match event {
-                TraceEvent::Tap(path) => {
-                    out.push_str("tap");
-                    for p in path {
-                        out.push_str(&format!(" {p}"));
-                    }
-                    out.push('\n');
-                }
-                TraceEvent::Back => out.push_str("back\n"),
-                TraceEvent::EditBox(path, text) => {
-                    out.push_str("editbox");
-                    for p in path {
-                        out.push_str(&format!(" {p}"));
-                    }
-                    out.push_str(" -- ");
-                    out.push_str(&text.replace('\n', "\\n"));
-                    out.push('\n');
-                }
-                TraceEvent::EditSource(src) => {
-                    out.push_str(&format!("editsource {}\n", src.len()));
-                    out.push_str(src);
-                    out.push('\n');
-                }
-            }
+        let source = &self.initial_source;
+        let mut out = format!("{HEADER}\nsource {}\n{source}\n", source.len());
+        for command in &self.commands {
+            out.push_str(&command.serialize());
         }
         out
     }
 
-    /// Parse the plain-text trace format.
+    /// Parse the serialized form.
     ///
     /// # Errors
     ///
-    /// [`TraceParseError`] describing the malformed line.
-    pub fn parse(text: &str) -> Result<SessionTrace, TraceParseError> {
-        let mut rest = text;
-        let mut line_no = 0usize;
-        let mut next_line = |rest: &mut &str| -> Option<String> {
-            if rest.is_empty() {
-                return None;
-            }
-            line_no += 1;
-            match rest.find('\n') {
-                Some(i) => {
-                    let line = rest[..i].to_string();
-                    *rest = &rest[i + 1..];
-                    Some(line)
-                }
-                None => {
-                    let line = rest.to_string();
-                    *rest = "";
-                    Some(line)
-                }
-            }
+    /// [`ProtocolParseError`] with the line number in the whole trace.
+    pub fn parse(text: &str) -> Result<SessionTrace, ProtocolParseError> {
+        let err = |line: usize, message: &str| ProtocolParseError {
+            line,
+            message: message.to_string(),
         };
-        let take_block = |rest: &mut &str, len: usize| -> Result<String, TraceParseError> {
-            if rest.len() < len {
-                return Err(TraceParseError::new(0, "length-prefixed block truncated"));
-            }
-            let block = rest[..len].to_string();
-            *rest = &rest[len..];
-            // Consume the trailing newline after the block.
-            if let Some(stripped) = rest.strip_prefix('\n') {
-                *rest = stripped;
-            }
-            Ok(block)
-        };
-
-        let header = next_line(&mut rest).ok_or_else(|| TraceParseError::new(1, "empty trace"))?;
-        if header.trim() != "#alive-trace v1" {
-            return Err(TraceParseError::new(1, "missing `#alive-trace v1` header"));
+        let (header, rest) = text.split_once('\n').unwrap_or((text, ""));
+        if header.trim_end() != HEADER {
+            return Err(err(1, "missing `#alive-trace v2` header"));
         }
-        let source_line = next_line(&mut rest)
-            .ok_or_else(|| TraceParseError::new(2, "missing `source <len>` line"))?;
+        let (source_line, rest) = rest.split_once('\n').unwrap_or((rest, ""));
         let len: usize = source_line
             .strip_prefix("source ")
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or_else(|| TraceParseError::new(2, "malformed `source <len>` line"))?;
-        let initial_source = take_block(&mut rest, len)?;
-
-        let mut events = Vec::new();
-        let mut ln = 2usize;
-        while let Some(line) = next_line(&mut rest) {
-            ln += 1;
-            let line = line.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(args) = line.strip_prefix("tap") {
-                let path = parse_path(args)
-                    .ok_or_else(|| TraceParseError::new(ln, "malformed tap path"))?;
-                events.push(TraceEvent::Tap(path));
-            } else if line == "back" {
-                events.push(TraceEvent::Back);
-            } else if let Some(args) = line.strip_prefix("editbox") {
-                let (path_part, text) = args
-                    .split_once(" -- ")
-                    .ok_or_else(|| TraceParseError::new(ln, "editbox needs ` -- <text>`"))?;
-                let path = parse_path(path_part)
-                    .ok_or_else(|| TraceParseError::new(ln, "malformed editbox path"))?;
-                events.push(TraceEvent::EditBox(path, text.replace("\\n", "\n")));
-            } else if let Some(arg) = line.strip_prefix("editsource ") {
-                let len: usize = arg
-                    .trim()
-                    .parse()
-                    .map_err(|_| TraceParseError::new(ln, "malformed editsource length"))?;
-                let src = take_block(&mut rest, len)?;
-                events.push(TraceEvent::EditSource(src));
-            } else {
-                return Err(TraceParseError::new(ln, format!("unknown event `{line}`")));
-            }
-        }
+            .and_then(|n| n.trim().parse().ok())
+            .ok_or_else(|| err(2, "malformed `source <len>` line"))?;
+        let (Some(source), Some(rest)) = (rest.get(..len), rest.get(len..)) else {
+            return Err(err(3, "source block truncated"));
+        };
+        // The header, the length line, and the block with its newline.
+        let offset = 3 + source.matches('\n').count();
+        let commands = parse_commands(rest.strip_prefix('\n').unwrap_or(rest))
+            .map_err(|e| err(e.line + offset, &e.message))?;
         Ok(SessionTrace {
-            initial_source,
-            events,
+            initial_source: source.to_string(),
+            commands,
         })
-    }
-}
-
-fn parse_path(args: &str) -> Option<Vec<usize>> {
-    args.split_whitespace()
-        .map(|p| p.parse::<usize>().ok())
-        .collect()
-}
-
-/// A malformed trace file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceParseError {
-    /// 1-based line where parsing failed (0 if unknown).
-    pub line: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl TraceParseError {
-    fn new(line: usize, message: impl Into<String>) -> Self {
-        TraceParseError {
-            line,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace parse error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-/// A live session that records everything it is asked to do.
-#[derive(Debug)]
-pub struct RecordingSession {
-    session: LiveSession,
-    trace: SessionTrace,
-}
-
-impl RecordingSession {
-    /// Start a recording session.
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveSession::new`].
-    pub fn new(source: &str) -> Result<Self, SessionError> {
-        Ok(RecordingSession {
-            session: LiveSession::new(source)?,
-            trace: SessionTrace::new(source),
-        })
-    }
-
-    /// Start a recording session whose metrics resolve from `registry`
-    /// (default config, no memo) — see [`LiveSession::observed`].
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveSession::new`].
-    pub fn observed(source: &str, registry: &alive_obs::Registry) -> Result<Self, SessionError> {
-        Ok(RecordingSession {
-            session: LiveSession::observed(
-                source,
-                alive_core::system::SystemConfig::default(),
-                false,
-                registry,
-            )?,
-            trace: SessionTrace::new(source),
-        })
-    }
-
-    /// The underlying session (read-only; mutations must go through the
-    /// recording wrappers or they would escape the trace).
-    pub fn session(&self) -> &LiveSession {
-        &self.session
-    }
-
-    /// Mutable access *for view rendering only* (e.g. the Figure 2
-    /// split view needs `&mut` to settle pending renders). Rendering is
-    /// not a trace event; do not use this to mutate the model.
-    pub fn session_view_mut(&mut self) -> &mut LiveSession {
-        &mut self.session
-    }
-
-    /// The trace so far.
-    pub fn trace(&self) -> &SessionTrace {
-        &self.trace
-    }
-
-    /// Finish recording and return both parts.
-    pub fn into_parts(self) -> (LiveSession, SessionTrace) {
-        (self.session, self.trace)
-    }
-
-    /// Recorded [`LiveSession::tap_path`].
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveSession::tap_path`].
-    pub fn tap_path(&mut self, path: &[usize]) -> Result<(), SessionError> {
-        self.session.tap_path(path)?;
-        self.trace.events.push(TraceEvent::Tap(path.to_vec()));
-        Ok(())
-    }
-
-    /// Recorded [`LiveSession::back`].
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveSession::back`].
-    pub fn back(&mut self) -> Result<(), SessionError> {
-        self.session.back()?;
-        self.trace.events.push(TraceEvent::Back);
-        Ok(())
-    }
-
-    /// Recorded [`LiveSession::edit_box`].
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveSession::edit_box`].
-    pub fn edit_box(&mut self, path: &[usize], text: &str) -> Result<(), SessionError> {
-        self.session.edit_box(path, text)?;
-        self.trace
-            .events
-            .push(TraceEvent::EditBox(path.to_vec(), text.to_string()));
-        Ok(())
-    }
-
-    /// Recorded [`LiveSession::edit_source`]. Never fails; rejected and
-    /// quarantined edits are recorded too (replay reproduces them).
-    pub fn edit_source(&mut self, new_source: &str) -> EditOutcome {
-        let outcome = self.session.edit_source(new_source);
-        self.trace
-            .events
-            .push(TraceEvent::EditSource(new_source.to_string()));
-        outcome
-    }
-
-    /// The live view of the underlying session (total; see
-    /// [`LiveSession::live_view`]).
-    pub fn live_view(&mut self) -> String {
-        self.session.live_view()
-    }
-
-    /// Apply a protocol command, recording the replayable ones in the
-    /// trace (taps, back, box edits, source edits — the same event set
-    /// [`SessionTrace`] serializes; undo/redo are recorded as the
-    /// source edit they perform, queries are not recorded).
-    pub fn apply(
-        &mut self,
-        command: crate::protocol::SessionCommand,
-    ) -> Vec<crate::protocol::SessionEffect> {
-        use crate::protocol::{SessionCommand, SessionEffect};
-        match &command {
-            SessionCommand::TapPath(path) => {
-                self.trace.events.push(TraceEvent::Tap(path.clone()));
-            }
-            SessionCommand::Back => self.trace.events.push(TraceEvent::Back),
-            SessionCommand::EditBox { path, text } => self
-                .trace
-                .events
-                .push(TraceEvent::EditBox(path.clone(), text.clone())),
-            SessionCommand::EditSource(src) => {
-                self.trace.events.push(TraceEvent::EditSource(src.clone()));
-            }
-            _ => {}
-        }
-        let effects = self.session.apply(command);
-        // Undo/redo mutate the source like an edit; record the source
-        // they landed on so a replay reproduces the same history.
-        if let Some(SessionEffect::Undo { outcome, .. }) = effects.first() {
-            if outcome.is_applied() {
-                self.trace
-                    .events
-                    .push(TraceEvent::EditSource(self.session.source().to_string()));
-            }
-        }
-        effects
-    }
-
-    /// Restore a model snapshot (see [`alive_core::persist`]). Snapshot
-    /// restoration is its own persistence channel and is *not* recorded
-    /// in the trace.
-    ///
-    /// # Errors
-    ///
-    /// [`alive_core::persist::PersistError`] on malformed snapshots.
-    pub fn restore_snapshot(
-        &mut self,
-        snapshot: &str,
-    ) -> Result<alive_core::persist::LoadReport, alive_core::persist::PersistError> {
-        self.session.system_mut().restore(snapshot)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alive_apps::mortgage;
+    use SessionEffect as E;
 
-    fn record_mortgage_session() -> (LiveSession, SessionTrace) {
-        let src = mortgage::mortgage_src(4);
-        let mut rec = RecordingSession::new(&src).expect("starts");
-        rec.tap_path(&[1, 1]).expect("open detail");
-        rec.edit_box(&[2, 0], "15").expect("edit term");
-        assert!(rec
-            .edit_source(&mortgage::apply_improvement_i2(&src))
-            .is_applied());
-        rec.back().expect("back");
-        rec.into_parts()
+    const APP: &str = r#"global count : number = 0
+global note : string = "hi"
+page start() {
+    render {
+        boxed { post "count is " ++ count; on tap { count := count + 1; } }
+        boxed { post note; on edited(text : string) { note := text; } }
+        boxed { post "open"; on tap { push detail(count); } }
     }
+}
+page detail(n : number) { render { boxed { post "detail " ++ n; } } }
+"#;
 
     #[test]
-    fn replay_reproduces_the_session_exactly() {
-        let (mut original, trace) = record_mortgage_session();
-        let mut replayed = trace.replay().expect("replays");
-        assert_eq!(original.live_view(), replayed.live_view());
-        assert_eq!(original.system().store(), replayed.system().store());
-        assert_eq!(original.source(), replayed.source());
-    }
-
-    #[test]
-    fn replay_prefix_time_travels() {
-        let (_, trace) = record_mortgage_session();
-        // Step 0: fresh session on the start page.
-        let mut t0 = trace.replay_prefix(0).expect("replays");
-        assert_eq!(t0.system().current_page().map(|(n, _)| n), Some("start"));
-        // Step 1: after the tap, on the detail page.
-        let mut t1 = trace.replay_prefix(1).expect("replays");
-        assert_eq!(t1.system().current_page().map(|(n, _)| n), Some("detail"));
-        // Step 2: term edited.
-        let t2 = trace.replay_prefix(2).expect("replays");
-        assert_eq!(
-            t2.system().store().get("term"),
-            Some(&alive_core::Value::Number(15.0))
+    fn every_state_changing_command_replays() {
+        let edit = SessionCommand::EditSource(APP.replace("count is", "total is"));
+        let restore = SessionCommand::Restore("#alive-store v1\ncount := 7\n".into());
+        // The restore comes early so that it does not mask the taps.
+        let wire = format!(
+            "tap 0\n{}tap-at 0 0\neditbox 1 -- two\\nlines \\\\ here\ntap 2\nback\n{}\
+             poke 0 0 -- n = 8\nrepair 0\nattredit 0 margin -- 2\n\
+             txopen\ntxedit 1 1\n0 0 -- // staged\\n\ntxcommit 1\nundo\nundo\nredo\n",
+            restore.serialize(),
+            edit.serialize(),
         );
-        // Prefix beyond the end == full replay.
-        let mut full = trace.replay_prefix(999).expect("replays");
-        let mut exact = trace.replay().expect("replays");
-        assert_eq!(full.live_view(), exact.live_view());
-        let _ = (t0.live_view(), t1.live_view());
-    }
+        let mut live = LiveSession::new(APP).expect("starts");
+        let mut trace = SessionTrace::new(APP);
+        for command in parse_commands(&wire).expect("parses") {
+            let effects = trace.record(&mut live, command.clone());
+            // Each command must take effect, or the replay check is vacuous.
+            let missed = effects.iter().any(|e| match e {
+                E::Refused(_) | E::EditRejected(_) | E::EditQuarantined { .. } => true,
+                E::Tap { hit } => !hit,
+                E::Undo { outcome, .. } => !outcome.is_applied(),
+                _ => false,
+            });
+            assert!(!missed, "{command:?} did not take effect: {effects:?}");
+        }
+        assert_eq!(trace.commands.len(), 16);
 
-    #[test]
-    fn serialization_roundtrips() {
-        let (_, trace) = record_mortgage_session();
-        let text = trace.serialize();
-        let parsed = SessionTrace::parse(&text).expect("parses");
-        assert_eq!(parsed, trace);
-        // And the parsed trace still replays.
-        parsed.replay().expect("replays");
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(SessionTrace::parse("").is_err());
-        assert!(SessionTrace::parse("#alive-trace v1\nnonsense").is_err());
-        assert!(SessionTrace::parse("#alive-trace v1\nsource 99\nshort").is_err());
-        let err = SessionTrace::parse("#alive-trace v1\nsource 1\nx\nfly 1 2")
-            .expect_err("unknown event");
-        assert!(err.to_string().contains("unknown event"));
-    }
-
-    #[test]
-    fn editbox_text_with_newlines_roundtrips() {
-        let mut trace = SessionTrace::new("page start() { render { } }");
-        trace
-            .events
-            .push(TraceEvent::EditBox(vec![0, 2], "line1\nline2".into()));
         let parsed = SessionTrace::parse(&trace.serialize()).expect("parses");
         assert_eq!(parsed, trace);
+        let mut replayed = parsed.replay().expect("replays");
+        assert_eq!(live.live_view(), replayed.live_view());
+        assert_eq!(live.source(), replayed.source());
+        assert_eq!(live.system().store(), replayed.system().store());
+        assert_eq!(live.undo_depth(), replayed.undo_depth());
+    }
+
+    #[test]
+    fn parse_errors_carry_whole_trace_line_numbers() {
+        assert!(SessionTrace::parse("").is_err());
+        assert!(SessionTrace::parse("#alive-trace v1\nsource 1\nx\n").is_err());
+        let err = SessionTrace::parse("#alive-trace v2\nnonsense").expect_err("no length");
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("source <len>"), "{err}");
+        assert!(SessionTrace::parse("#alive-trace v2\nsource 99\nshort").is_err());
+        let err = SessionTrace::parse("#alive-trace v2\nsource 3\na\nb\nback\nfly 1 2")
+            .expect_err("unknown command");
+        assert_eq!(err.line, 6);
+        assert!(err.message.contains("unknown command"), "{err}");
     }
 }

@@ -13,7 +13,6 @@
 //!   linear interpolation inside the winning bucket.
 //! * [`Registry`] — named get-or-create handles, cloned `Arc`-shared;
 //!   resolve once at construction, record lock-free on the hot path.
-//! * [`SpanLog`] — bounded ring buffer of recent timed operations.
 //! * [`Clock`] — injectable time: [`MonotonicClock`] in production,
 //!   [`ManualClock`] in tests so every latency assertion is
 //!   deterministic and seed-replayable, [`NullClock`] for runs that
@@ -26,8 +25,7 @@
 //!
 //! 1. **Recording never blocks and never panics.** Hot-path ops are
 //!    relaxed atomics on pre-fetched handles; the only mutex guards the
-//!    name map (touched at construction) and the span log, both with
-//!    poison recovery.
+//!    name map (touched at construction), with poison recovery.
 //! 2. **Handles are shared, not forked, across clones.** `System` is
 //!    cloned as a transaction checkpoint; a quarantine rollback must
 //!    keep its fault counts (exactly like the `FaultLog` keeps its
@@ -46,13 +44,11 @@ mod clock;
 mod metric;
 mod registry;
 mod snapshot;
-mod span;
 
 pub use clock::{Clock, ManualClock, MonotonicClock, NullClock};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, DEFAULT_LATENCY_BOUNDS_US};
 pub use registry::Registry;
 pub use snapshot::{MetricsSnapshot, WIRE_HEADER};
-pub use span::{SpanLog, SpanRecord};
 
 // The whole point is to share these across host worker threads; make
 // "is Send + Sync" a compile error rather than a runtime surprise.
@@ -62,7 +58,6 @@ const _: () = {
     assert_send_sync::<Gauge>();
     assert_send_sync::<Histogram>();
     assert_send_sync::<Registry>();
-    assert_send_sync::<SpanLog>();
     assert_send_sync::<MetricsSnapshot>();
     assert_send_sync::<MonotonicClock>();
     assert_send_sync::<ManualClock>();

@@ -1,5 +1,5 @@
-//! The [`Registry`]: named metric handles, one shared clock, one span
-//! log, one snapshot call.
+//! The [`Registry`]: named metric handles, one shared clock, one
+//! snapshot call.
 //!
 //! A registry is cheap to clone (everything inside is `Arc`-shared) and
 //! is meant to be threaded through a subsystem at construction time:
@@ -14,7 +14,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::clock::{Clock, MonotonicClock};
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::snapshot::MetricsSnapshot;
-use crate::span::SpanLog;
 
 #[derive(Debug, Default)]
 struct Tables {
@@ -29,7 +28,6 @@ struct Tables {
 pub struct Registry {
     tables: Arc<Mutex<Tables>>,
     clock: Arc<dyn Clock>,
-    spans: SpanLog,
 }
 
 impl Registry {
@@ -44,7 +42,6 @@ impl Registry {
         Registry {
             tables: Arc::new(Mutex::new(Tables::default())),
             clock,
-            spans: SpanLog::default(),
         }
     }
 
@@ -107,16 +104,6 @@ impl Registry {
         Arc::clone(&self.clock)
     }
 
-    /// The registry's bounded span log.
-    pub fn spans(&self) -> &SpanLog {
-        &self.spans
-    }
-
-    /// Time a closure against the registry clock and log it as a span.
-    pub fn span<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        self.spans.time(self.clock.as_ref(), name, f)
-    }
-
     /// A point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let tables = self.lock();
@@ -143,7 +130,6 @@ impl Default for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
 
     #[test]
     fn same_name_same_cell() {
@@ -171,15 +157,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("has_space"), 1);
         assert_eq!(snap.counter("unnamed"), 1);
-    }
-
-    #[test]
-    fn span_uses_injected_clock() {
-        let reg = Registry::with_clock(Arc::new(ManualClock::with_auto_step(3)));
-        reg.span("work", || ());
-        let records = reg.spans().records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].duration_us, 3);
     }
 
     #[test]

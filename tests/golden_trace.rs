@@ -5,25 +5,41 @@
 //! as a replay divergence here.
 
 use its_alive::apps::mortgage;
-use its_alive::live::{RecordingSession, SessionTrace};
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect, SessionTrace};
 
 const GOLDEN_PATH: &str = "tests/data/mortgage_session.trace";
 
 /// Re-record the golden trace (run with
 /// `cargo test --test golden_trace -- --ignored bless`).
-fn record() -> (RecordingSession, SessionTrace) {
+fn record() -> (LiveSession, SessionTrace) {
     let src = mortgage::mortgage_src(5);
-    let mut rec = RecordingSession::new(&src).expect("starts");
-    rec.tap_path(&[1, 1]).expect("open second listing");
-    rec.edit_box(&[2, 0], "15").expect("term := 15");
-    rec.edit_source(&mortgage::apply_improvement_i2(&src));
-    let with_i2 = rec.session().source().to_string();
-    rec.edit_source(&mortgage::apply_improvement_i3(&with_i2));
-    rec.back().expect("back to listings");
-    let with_i3 = rec.session().source().to_string();
-    rec.edit_source(&mortgage::apply_improvement_i1(&with_i3));
-    let trace = rec.trace().clone();
-    (rec, trace)
+    let mut session = LiveSession::new(&src).expect("starts");
+    let mut trace = SessionTrace::new(&src);
+    let mut send = |session: &mut LiveSession, command: SessionCommand| {
+        let effects = trace.record(session, command);
+        assert!(
+            !matches!(effects.first(), Some(SessionEffect::Refused(_))),
+            "{effects:?}"
+        );
+    };
+    // Open the second listing and set its term to 15 years.
+    send(&mut session, SessionCommand::TapPath(vec![1, 1]));
+    send(
+        &mut session,
+        SessionCommand::EditBox {
+            path: vec![2, 0],
+            text: "15".to_string(),
+        },
+    );
+    let with_i2 = mortgage::apply_improvement_i2(&src);
+    send(&mut session, SessionCommand::EditSource(with_i2));
+    let with_i3 = mortgage::apply_improvement_i3(session.source());
+    send(&mut session, SessionCommand::EditSource(with_i3));
+    // Back to the listings, where I1's margins show.
+    send(&mut session, SessionCommand::Back);
+    let with_i1 = mortgage::apply_improvement_i1(session.source());
+    send(&mut session, SessionCommand::EditSource(with_i1));
+    (session, trace)
 }
 
 #[test]
@@ -56,10 +72,7 @@ fn golden_trace_replays_to_the_same_session() {
         replayed.live_view(),
         "replay diverged from the recording"
     );
-    assert_eq!(
-        recorded.session().system().store(),
-        replayed.system().store()
-    );
+    assert_eq!(recorded.system().store(), replayed.system().store());
 
     // The final state is the paper's: back on the listings page, with
     // the improved margins, the model keeping term = 15.
