@@ -107,6 +107,13 @@ pub struct Evaluator<'a> {
 /// §5 box-tree reuse optimization ("reuse box tree elements that have
 /// not changed").
 pub trait RenderHook {
+    /// Called by [`crate::system::System`] before each RENDER it
+    /// evaluates through this hook, with the store and code version the
+    /// frame renders against. Does nothing by default, so a wrapper
+    /// around a cache that its owner already prepared adds no second
+    /// preparation.
+    fn begin_render(&mut self, _store: &Store, _version: u64) {}
+
     /// Called when entering `boxed e`. Returning `Some((node, value))`
     /// skips evaluating the body and splices the cached subtree in —
     /// an O(1) pointer copy, since children are `Arc`-shared.

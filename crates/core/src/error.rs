@@ -58,6 +58,10 @@ pub enum RuntimeError {
     /// A construct outside the substitution kernel reached the faithful
     /// small-step machine (local assignment).
     NotInKernel(&'static str),
+    /// The program is beyond what the bytecode VM can compile (e.g. a
+    /// signature with more parameters than its 16-bit register file).
+    /// Every transition of such a program faults with this error.
+    VmLimit(crate::vm::CompileError),
     /// An evaluator invariant was broken (unreachable; reported as a
     /// typed error instead of aborting the process).
     Internal(&'static str),
@@ -90,6 +94,9 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::NotInKernel(what) => {
                 write!(f, "`{what}` is outside the substitution kernel")
+            }
+            RuntimeError::VmLimit(limit) => {
+                write!(f, "program exceeds a bytecode VM limit: {limit}")
             }
             RuntimeError::Internal(what) => {
                 write!(f, "internal evaluator invariant broken: {what}")

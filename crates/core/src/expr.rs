@@ -201,9 +201,11 @@ impl Expr {
         }
     }
 
-    /// Visit this expression and all sub-expressions, outside-in.
-    pub fn walk(&self, visit: &mut dyn FnMut(&Expr)) {
-        visit(self);
+    /// Visit the direct sub-expressions of this expression in
+    /// evaluation order, lambda bodies included. Every traversal of the
+    /// core tree ([`Expr::walk`], free-local and read-set analyses)
+    /// builds on this one enumeration.
+    pub fn for_each_child<'a>(&'a self, visit: &mut dyn FnMut(&'a Expr)) {
         match &self.kind {
             ExprKind::Num(_)
             | ExprKind::Str(_)
@@ -215,10 +217,8 @@ impl Expr {
             | ExprKind::PrimRef(_)
             | ExprKind::WidgetRead(_)
             | ExprKind::PopPage => {}
-            ExprKind::Tuple(es) | ExprKind::ListLit(es) => {
-                for e in es {
-                    e.walk(visit);
-                }
+            ExprKind::Tuple(es) | ExprKind::ListLit(es) | ExprKind::PushPage(_, es) => {
+                es.iter().for_each(visit);
             }
             ExprKind::Proj(e, _)
             | ExprKind::Unary(_, e)
@@ -227,46 +227,45 @@ impl Expr {
             | ExprKind::WidgetWrite(_, e)
             | ExprKind::Boxed(_, e)
             | ExprKind::Post(e)
-            | ExprKind::SetAttr(_, e) => e.walk(visit),
-            ExprKind::Remember { init, body, .. } => {
-                init.walk(visit);
-                body.walk(visit);
-            }
+            | ExprKind::SetAttr(_, e) => visit(e),
             ExprKind::Call(callee, args) => {
-                callee.walk(visit);
-                for a in args {
-                    a.walk(visit);
-                }
+                visit(callee);
+                args.iter().for_each(visit);
             }
-            ExprKind::PushPage(_, args) => {
-                for a in args {
-                    a.walk(visit);
-                }
+            ExprKind::Lambda(lam) => visit(&lam.body),
+            ExprKind::Let {
+                value: a, body: b, ..
             }
-            ExprKind::Lambda(lam) => lam.body.walk(visit),
-            ExprKind::Let { value, body, .. } => {
-                value.walk(visit);
-                body.walk(visit);
+            | ExprKind::Remember {
+                init: a, body: b, ..
             }
-            ExprKind::Seq(a, b) | ExprKind::While(a, b) | ExprKind::Binary(_, a, b) => {
-                a.walk(visit);
-                b.walk(visit);
+            | ExprKind::Foreach {
+                list: a, body: b, ..
             }
-            ExprKind::If(c, t, e) => {
-                c.walk(visit);
-                t.walk(visit);
-                e.walk(visit);
+            | ExprKind::Seq(a, b)
+            | ExprKind::While(a, b)
+            | ExprKind::Binary(_, a, b) => {
+                visit(a);
+                visit(b);
             }
-            ExprKind::ForRange { lo, hi, body, .. } => {
-                lo.walk(visit);
-                hi.walk(visit);
-                body.walk(visit);
-            }
-            ExprKind::Foreach { list, body, .. } => {
-                list.walk(visit);
-                body.walk(visit);
+            ExprKind::If(a, b, c)
+            | ExprKind::ForRange {
+                lo: a,
+                hi: b,
+                body: c,
+                ..
+            } => {
+                visit(a);
+                visit(b);
+                visit(c);
             }
         }
+    }
+
+    /// Visit this expression and all sub-expressions, outside-in.
+    pub fn walk(&self, visit: &mut dyn FnMut(&Expr)) {
+        visit(self);
+        self.for_each_child(&mut |child| child.walk(visit));
     }
 
     /// Count all nodes in the expression tree (a size metric for benches).

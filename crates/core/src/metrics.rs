@@ -58,9 +58,6 @@ pub mod names {
     pub const DISPLAY_SETS: &str = "system.display_sets";
     /// Transitions executed on the bytecode VM.
     pub const VM_RUNS: &str = "eval.vm.runs";
-    /// Transitions that fell back to the tree walker while the VM
-    /// engine was selected (uncompilable program, foreign closure).
-    pub const VM_FALLBACKS: &str = "eval.vm.fallbacks";
     /// VM dispatches that reused the already-compiled bytecode.
     pub const VM_CACHE_HITS: &str = "eval.vm.cache_hits";
     /// Bytecode compiles performed (once per program version).
@@ -97,7 +94,6 @@ pub struct SystemMetrics {
     overflow_containments: Counter,
     display_sets: Counter,
     vm_runs: Counter,
-    vm_fallbacks: Counter,
     vm_cache_hits: Counter,
     vm_compiles: Counter,
     vm_compile_us: Counter,
@@ -129,7 +125,6 @@ impl SystemMetrics {
             overflow_containments: registry.counter(names::OVERFLOW_CONTAINMENTS),
             display_sets: registry.counter(names::DISPLAY_SETS),
             vm_runs: registry.counter(names::VM_RUNS),
-            vm_fallbacks: registry.counter(names::VM_FALLBACKS),
             vm_cache_hits: registry.counter(names::VM_CACHE_HITS),
             vm_compiles: registry.counter(names::VM_COMPILES),
             vm_compile_us: registry.counter(names::VM_COMPILE_US),
@@ -201,12 +196,6 @@ impl SystemMetrics {
         self.vm_run_instructions.record(stats.instructions);
         self.vm_arena_bytes
             .observe_max(i64::try_from(stats.arena_bytes).unwrap_or(i64::MAX));
-    }
-
-    /// Record one fallback to the tree walker while the VM engine was
-    /// selected.
-    pub(crate) fn record_vm_fallback(&self) {
-        self.vm_fallbacks.inc();
     }
 
     /// Record one reuse of already-compiled bytecode.

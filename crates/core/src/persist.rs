@@ -5,16 +5,16 @@
 //! The store is serialized as *literal expressions of the language
 //! itself*: each global becomes a line `g := <value literal>`, and
 //! loading parses the literal with the ordinary expression parser,
-//! lowers it, evaluates it (it is closed and pure), and type-checks it
-//! against the current program — so a snapshot taken under old code is
-//! subjected to exactly the Fig. 12 fix-up discipline when restored
-//! under new code: ill-typed entries are dropped, not crashed on.
+//! folds it into a value (no evaluator runs: a literal is closed and
+//! pure), and type-checks it against the current program — so a
+//! snapshot taken under old code is subjected to exactly the Fig. 12
+//! fix-up discipline when restored under new code: ill-typed entries are
+//! dropped, not crashed on.
 //!
 //! Only →-free values exist in the store (T-C-GLOBAL), so every value
 //! has a literal form.
 
 use crate::bigstep;
-use crate::lower::lower_program;
 use crate::program::Program;
 use crate::store::Store;
 use crate::value::{Color, Value};
@@ -251,58 +251,46 @@ pub fn load_store(program: &Program, text: &str) -> Result<(Store, LoadReport), 
     Ok((store, report))
 }
 
-/// Parse a value literal (closed pure expression) back into a value:
-/// parse with the ordinary expression parser, lower the literal forms,
-/// and evaluate purely against an empty program.
+/// Parse a value literal back into a value: parse with the ordinary
+/// expression parser, then fold the literal forms straight into a
+/// [`Value`].
 fn parse_literal(src: &str) -> Result<Value, String> {
     let expr = alive_syntax::parse_expr(src).map_err(|d| d.to_string())?;
-    let core_expr = lower_expr_standalone(&expr)?;
-    let empty = lower_program(&alive_syntax::ast::Program::default()).program;
-    let store = Store::new();
-    let (value, _) =
-        bigstep::run_pure(&empty, &store, 0, 1_000_000, &core_expr).map_err(|e| e.to_string())?;
-    Ok(value)
+    literal_value(&expr)
 }
 
-/// Lower a literal expression without a surrounding program: only
-/// literal forms are accepted.
-fn lower_expr_standalone(expr: &alive_syntax::ast::Expr) -> Result<crate::expr::Expr, String> {
-    use crate::expr::{Expr, ExprKind as C};
+/// Fold a literal expression into its value. Only the forms
+/// [`value_to_literal`] writes are accepted — plain literals, tuples,
+/// lists, named colors, negation, and the `(0 / 0)`-style special
+/// numbers, whose operators evaluate as in the language.
+fn literal_value(expr: &alive_syntax::ast::Expr) -> Result<Value, String> {
     use alive_syntax::ast::{ExprKind as S, UnOp};
-    let span = expr.span;
-    let kind = match &expr.kind {
-        S::Number(n) => C::Num(*n),
-        S::Str(s) => C::Str(std::sync::Arc::from(s.as_str())),
-        S::Bool(b) => C::Bool(*b),
-        S::Tuple(es) => C::Tuple(
-            es.iter()
-                .map(lower_expr_standalone)
-                .collect::<Result<_, _>>()?,
-        ),
-        S::ListLit(es) => C::ListLit(
-            es.iter()
-                .map(lower_expr_standalone)
-                .collect::<Result<_, _>>()?,
-        ),
+    let elems = |es: &[alive_syntax::ast::Expr]| -> Result<Vec<Value>, String> {
+        es.iter().map(literal_value).collect()
+    };
+    Ok(match &expr.kind {
+        S::Number(n) => Value::Number(*n),
+        S::Str(s) => Value::str(s),
+        S::Bool(b) => Value::Bool(*b),
+        S::Tuple(es) => Value::tuple(elems(es)?),
+        S::ListLit(es) => Value::list(elems(es)?),
         S::Qualified { ns, name } if ns.text == "colors" => match Color::by_name(&name.text) {
-            Some(c) => C::ColorLit(c),
+            Some(c) => Value::Color(c),
             None => return Err(format!("unknown color `{}`", name.text)),
         },
         S::Unary {
             op: UnOp::Neg,
             expr,
-        } => C::Unary(
-            alive_syntax::ast::UnOp::Neg,
-            Box::new(lower_expr_standalone(expr)?),
-        ),
-        S::Binary { op, lhs, rhs } => C::Binary(
-            *op,
-            Box::new(lower_expr_standalone(lhs)?),
-            Box::new(lower_expr_standalone(rhs)?),
-        ),
+        } => match literal_value(expr)? {
+            Value::Number(n) => Value::Number(-n),
+            other => return Err(format!("expected number, found {}", other.display_text())),
+        },
+        S::Binary { op, lhs, rhs } => {
+            bigstep::apply_binop(*op, &literal_value(lhs)?, &literal_value(rhs)?)
+                .map_err(|e| e.to_string())?
+        }
         other => return Err(format!("not a value literal: {other:?}")),
-    };
-    Ok(Expr::new(kind, span))
+    })
 }
 
 #[cfg(test)]

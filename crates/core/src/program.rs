@@ -104,10 +104,9 @@ pub struct Program {
     /// Span of each `remember` statement, indexed by
     /// [`crate::expr::RememberId`].
     pub remember_spans: Vec<Span>,
-    /// Lazily compiled bytecode for this program version (`None` once
-    /// initialized means the program is outside the VM subset and runs
-    /// on the tree walker). Every mutator resets this cache.
-    vm_cache: std::sync::OnceLock<Option<Arc<crate::vm::VmProgram>>>,
+    /// Lazily compiled bytecode for this program version, or the VM
+    /// limit that refused it. Every mutator resets this cache.
+    vm_cache: std::sync::OnceLock<Result<Arc<crate::vm::VmProgram>, crate::vm::CompileError>>,
 }
 
 impl Program {
@@ -234,13 +233,21 @@ impl Program {
 
     /// The program compiled to bytecode, compiling on first use and
     /// caching the result for the lifetime of this program version
-    /// (mutators invalidate). `None` means the program is outside the
-    /// VM subset and must run on the tree walker — which preserves
-    /// semantics exactly, since the VM is only ever an optimization.
-    pub fn vm(&self) -> Option<Arc<crate::vm::VmProgram>> {
+    /// (mutators invalidate).
+    ///
+    /// # Errors
+    ///
+    /// The [`crate::vm::CompileError`] naming the VM limit the program
+    /// exceeds; a `Vm`-engine system faults every transition with it.
+    pub fn try_vm(&self) -> Result<Arc<crate::vm::VmProgram>, crate::vm::CompileError> {
         self.vm_cache
-            .get_or_init(|| crate::vm::VmProgram::compile(self).ok().map(Arc::new))
+            .get_or_init(|| crate::vm::VmProgram::compile(self).map(Arc::new))
             .clone()
+    }
+
+    /// [`Program::try_vm`], with the refusal reason dropped.
+    pub fn vm(&self) -> Option<Arc<crate::vm::VmProgram>> {
+        self.try_vm().ok()
     }
 
     /// Whether the bytecode cache is already populated (successfully or

@@ -90,41 +90,6 @@ pub fn free_locals(expr: &Expr) -> Vec<Name> {
     }
     fn go(expr: &Expr, stack: &mut Vec<Name>, out: &mut Vec<Name>) {
         match &expr.kind {
-            ExprKind::Local(name) | ExprKind::LocalAssign(name, _) => {
-                if !bound(stack, name) && !seen(out, name) {
-                    out.push(name.clone());
-                }
-                if let ExprKind::LocalAssign(_, value) = &expr.kind {
-                    go(value, stack, out);
-                }
-            }
-            ExprKind::Num(_)
-            | ExprKind::Str(_)
-            | ExprKind::Bool(_)
-            | ExprKind::ColorLit(_)
-            | ExprKind::Global(_)
-            | ExprKind::FunRef(_)
-            | ExprKind::PrimRef(_)
-            | ExprKind::WidgetRead(_)
-            | ExprKind::PopPage => {}
-            ExprKind::Tuple(es) | ExprKind::ListLit(es) | ExprKind::PushPage(_, es) => {
-                for e in es {
-                    go(e, stack, out);
-                }
-            }
-            ExprKind::Proj(e, _)
-            | ExprKind::Unary(_, e)
-            | ExprKind::GlobalAssign(_, e)
-            | ExprKind::WidgetWrite(_, e)
-            | ExprKind::Boxed(_, e)
-            | ExprKind::Post(e)
-            | ExprKind::SetAttr(_, e) => go(e, stack, out),
-            ExprKind::Call(callee, args) => {
-                go(callee, stack, out);
-                for a in args {
-                    go(a, stack, out);
-                }
-            }
             ExprKind::Lambda(lam) => {
                 let base = stack.len();
                 stack.extend(lam.params.iter().map(|p| p.name.clone()));
@@ -132,21 +97,26 @@ pub fn free_locals(expr: &Expr) -> Vec<Name> {
                 stack.truncate(base);
             }
             ExprKind::Let {
-                name, value, body, ..
+                name,
+                value: first,
+                body,
+                ..
+            }
+            | ExprKind::Foreach {
+                var: name,
+                list: first,
+                body,
+            }
+            | ExprKind::Remember {
+                name,
+                init: first,
+                body,
+                ..
             } => {
-                go(value, stack, out);
+                go(first, stack, out);
                 stack.push(name.clone());
                 go(body, stack, out);
                 stack.pop();
-            }
-            ExprKind::Seq(a, b) | ExprKind::While(a, b) | ExprKind::Binary(_, a, b) => {
-                go(a, stack, out);
-                go(b, stack, out);
-            }
-            ExprKind::If(c, t, e) => {
-                go(c, stack, out);
-                go(t, stack, out);
-                go(e, stack, out);
             }
             ExprKind::ForRange { var, lo, hi, body } => {
                 go(lo, stack, out);
@@ -155,19 +125,13 @@ pub fn free_locals(expr: &Expr) -> Vec<Name> {
                 go(body, stack, out);
                 stack.pop();
             }
-            ExprKind::Foreach { var, list, body } => {
-                go(list, stack, out);
-                stack.push(var.clone());
-                go(body, stack, out);
-                stack.pop();
-            }
-            ExprKind::Remember {
-                name, init, body, ..
-            } => {
-                go(init, stack, out);
-                stack.push(name.clone());
-                go(body, stack, out);
-                stack.pop();
+            kind => {
+                if let ExprKind::Local(name) | ExprKind::LocalAssign(name, _) = kind {
+                    if !bound(stack, name) && !seen(out, name) {
+                        out.push(name.clone());
+                    }
+                }
+                expr.for_each_child(&mut |child| go(child, stack, out));
             }
         }
     }

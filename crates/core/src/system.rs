@@ -79,12 +79,14 @@ impl fmt::Display for ActionError {
 
 impl std::error::Error for ActionError {}
 
-/// Which engine evaluates INIT/HANDLER/RENDER transitions.
+/// Which engine evaluates INIT/HANDLER/RENDER transitions and live
+/// examples.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EvalEngine {
-    /// The register-based bytecode VM ([`crate::vm`]), with automatic
-    /// per-transition fallback to the tree walker for anything outside
-    /// the VM subset. The default: same semantics, much faster.
+    /// The register-based bytecode VM ([`crate::vm`]) — the production
+    /// engine and the default. It is the only engine such a system runs:
+    /// a program beyond the VM's limits faults every transition with
+    /// [`RuntimeError::VmLimit`] instead of switching engines.
     #[default]
     Vm,
     /// The bigstep tree walker only ([`crate::bigstep`]) — the
@@ -97,8 +99,9 @@ pub enum EvalEngine {
 pub struct SystemConfig {
     /// Step budget per transition (models divergence detection).
     pub fuel: u64,
-    /// Safety bound for [`System::run_to_stable`] (an event cascade
-    /// longer than this is reported as divergence).
+    /// Safety bound on the transitions one input sets off, counted
+    /// across the faults contained along the way: a longer event
+    /// cascade is reported as divergence by [`System::run_to_stable`].
     pub max_transitions: u64,
     /// Which evaluation engine runs transitions.
     pub engine: EvalEngine,
@@ -120,9 +123,6 @@ impl Default for SystemConfig {
 pub struct VmStats {
     /// Transitions executed on the VM.
     pub runs: u64,
-    /// Transitions that fell back to the tree walker while the VM
-    /// engine was selected.
-    pub fallbacks: u64,
     /// VM dispatches that reused already-compiled bytecode.
     pub cache_hits: u64,
     /// Bytecode compiles performed (once per program version; shared
@@ -171,8 +171,12 @@ pub struct System {
     /// Pooled VM register/arena storage, reused across transitions.
     /// Clones start with a fresh pool (capacity is a cache, not state).
     scratch: crate::vm::Scratch,
-    /// Cumulative VM accounting (runs, fallbacks, compiles, …).
+    /// Cumulative VM accounting (runs, compiles, instructions, …).
     vm_stats: VmStats,
+    /// Transitions performed since the last input (tap, edit, back,
+    /// update, restore) or contained overflow — the cascade
+    /// [`SystemConfig::max_transitions`] bounds.
+    cascade: u64,
 }
 
 /// Lock an injector, recovering from poisoning: injector state is a
@@ -216,6 +220,7 @@ impl System {
             metrics: None,
             scratch: crate::vm::Scratch::new(),
             vm_stats: VmStats::default(),
+            cascade: 0,
         }
     }
 
@@ -245,8 +250,10 @@ impl System {
         self.metrics.as_ref()
     }
 
-    /// Count one performed transition, when metrics are installed.
-    fn record_transition(&self, kind: StepKind) {
+    /// Count one performed transition toward the current cascade, and
+    /// in the metrics when installed.
+    fn record_transition(&mut self, kind: StepKind) {
+        self.cascade += 1;
         if let Some(metrics) = &self.metrics {
             metrics.record_transition(kind);
         }
@@ -257,16 +264,18 @@ impl System {
         self.config
     }
 
-    /// Cumulative bytecode-VM accounting (runs, fallbacks, compile and
-    /// instruction counts) for this system.
+    /// Cumulative bytecode-VM accounting (runs, compile and instruction
+    /// counts) for this system.
     pub fn vm_stats(&self) -> VmStats {
         self.vm_stats
     }
 
-    /// The compiled bytecode for the current program, when the VM
-    /// engine is selected and the program is inside the VM subset.
-    /// Books the compile or cache hit it observes.
-    fn vm_program(&mut self) -> Option<Arc<crate::vm::VmProgram>> {
+    /// The compiled bytecode for the current program, or the
+    /// [`RuntimeError::VmLimit`] the calling transition faults with when
+    /// the program exceeds what the VM compiles. `None` on the
+    /// [`EvalEngine::Bigstep`] engine. Books the compile or cache hit it
+    /// observes.
+    fn vm_program(&mut self) -> Option<Result<Arc<crate::vm::VmProgram>, RuntimeError>> {
         if self.config.engine != EvalEngine::Vm {
             return None;
         }
@@ -275,33 +284,48 @@ impl System {
             Some(metrics) if !cached => metrics.now_us(),
             _ => 0,
         };
-        let vmp = self.program.vm();
-        if let Some(vmp) = &vmp {
-            if cached {
-                self.vm_stats.cache_hits += 1;
-                if let Some(metrics) = &self.metrics {
-                    metrics.record_vm_cache_hit();
-                }
-            } else {
-                self.vm_stats.compiles += 1;
-                // Time the compile on the registry clock when one is
-                // installed (deterministic in golden tests); otherwise
-                // use the compiler's own wall-clock measure.
-                let compile_us = match &self.metrics {
-                    Some(metrics) => metrics.now_us().saturating_sub(started_us),
-                    None => vmp.compile_us(),
-                };
-                self.vm_stats.compile_us += compile_us;
-                if let Some(metrics) = &self.metrics {
-                    metrics.record_vm_compile(compile_us, vmp.symbol_count());
-                }
+        let vmp = match self.program.try_vm() {
+            Ok(vmp) => vmp,
+            Err(limit) => return Some(Err(RuntimeError::VmLimit(limit))),
+        };
+        if cached {
+            self.vm_stats.cache_hits += 1;
+            if let Some(metrics) = &self.metrics {
+                metrics.record_vm_cache_hit();
+            }
+        } else {
+            self.vm_stats.compiles += 1;
+            // Time the compile on the registry clock when one is
+            // installed (deterministic in golden tests); otherwise use
+            // the compiler's own wall-clock measure.
+            let compile_us = match &self.metrics {
+                Some(metrics) => metrics.now_us().saturating_sub(started_us),
+                None => vmp.compile_us(),
+            };
+            self.vm_stats.compile_us += compile_us;
+            if let Some(metrics) = &self.metrics {
+                metrics.record_vm_compile(compile_us, vmp.symbol_count());
             }
         }
-        vmp
+        Some(Ok(vmp))
     }
 
-    /// Book one transition executed on the VM.
-    fn note_vm_run(&mut self, stats: crate::vm::RunStats) {
+    /// Book one VM transition and unpack its outcome. `None` — an entry
+    /// the compiled program lacks, which checked programs never produce
+    /// — is refused as a runtime error, to be contained like any other.
+    fn book_vm_run<T>(
+        &mut self,
+        run: Option<crate::vm::VmRun<T>>,
+    ) -> (Result<T, RuntimeError>, Cost) {
+        let Some(run) = run else {
+            return (
+                Err(RuntimeError::Internal(
+                    "vm: entry outside the compiled program",
+                )),
+                Cost::default(),
+            );
+        };
+        let stats = run.stats;
         self.vm_stats.runs += 1;
         self.vm_stats.instructions += stats.instructions;
         if stats.arena_bytes > self.vm_stats.arena_bytes {
@@ -310,18 +334,7 @@ impl System {
         if let Some(metrics) = &self.metrics {
             metrics.record_vm_run(stats);
         }
-    }
-
-    /// Book one fallback to the tree walker (only meaningful while the
-    /// VM engine is selected).
-    fn note_vm_fallback(&mut self) {
-        if self.config.engine != EvalEngine::Vm {
-            return;
-        }
-        self.vm_stats.fallbacks += 1;
-        if let Some(metrics) = &self.metrics {
-            metrics.record_vm_fallback();
-        }
+        (run.result, run.cost)
     }
 
     /// The current code `C`.
@@ -471,6 +484,14 @@ impl System {
     /// fuel, partial primitives). The machine survives: state is as it
     /// was before the transition and further transitions stay enabled.
     pub fn step(&mut self) -> Result<StepKind, Fault> {
+        self.step_with(None)
+    }
+
+    /// [`System::step`], with a RENDER evaluated through `hook`.
+    fn step_with(
+        &mut self,
+        hook: Option<&mut (dyn bigstep::RenderHook + '_)>,
+    ) -> Result<StepKind, Fault> {
         // (STARTUP)
         if self.page_stack.is_empty() && self.queue.is_empty() {
             self.set_display(Display::Invalid);
@@ -494,42 +515,37 @@ impl System {
             let (kind, page, result, cost, fuel) = match event {
                 Event::Exec(thunk, args) => {
                     let fuel = self.transition_fuel(TransitionKind::Handler);
-                    let vmp = self.vm_program();
                     let injector = self.injector.clone();
                     let mut guard = injector.as_deref().map(lock_injector);
-                    let vm_run = vmp.and_then(|vmp| {
-                        crate::vm::transition_thunk(
-                            &vmp,
-                            &mut self.scratch,
-                            &mut self.store,
-                            &mut self.queue,
-                            self.version,
-                            fuel,
-                            &thunk,
-                            &args,
-                            Some(&mut self.widgets),
-                            guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-                        )
-                    });
-                    let (result, cost) = match vm_run {
-                        Some(run) => {
-                            self.note_vm_run(run.stats);
-                            (run.result, run.cost)
-                        }
-                        None => {
-                            self.note_vm_fallback();
-                            bigstep::transition_thunk(
-                                &self.program,
+                    let faults = guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector);
+                    let (result, cost) = match self.vm_program() {
+                        Some(Ok(vmp)) => {
+                            let run = crate::vm::transition_thunk(
+                                &vmp,
+                                &mut self.scratch,
                                 &mut self.store,
                                 &mut self.queue,
                                 self.version,
                                 fuel,
                                 &thunk,
-                                args,
+                                &args,
                                 Some(&mut self.widgets),
-                                guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-                            )
+                                faults,
+                            );
+                            self.book_vm_run(run)
                         }
+                        Some(Err(limit)) => (Err(limit), Cost::default()),
+                        None => bigstep::transition_thunk(
+                            &self.program,
+                            &mut self.store,
+                            &mut self.queue,
+                            self.version,
+                            fuel,
+                            &thunk,
+                            args,
+                            Some(&mut self.widgets),
+                            faults,
+                        ),
                     };
                     let page = self.page_stack.last().map(|(n, _)| n.clone());
                     (StepKind::Thunk, page, result.map(|_| ()), cost, fuel)
@@ -546,42 +562,37 @@ impl System {
                             Cost::default(),
                         ),
                         Some((bindings, init)) => {
-                            let vmp = self.vm_program();
                             let injector = self.injector.clone();
                             let mut guard = injector.as_deref().map(lock_injector);
-                            let vm_run = vmp.and_then(|vmp| {
-                                crate::vm::transition_page_init(
-                                    &vmp,
-                                    &mut self.scratch,
-                                    &mut self.store,
-                                    &mut self.queue,
-                                    self.version,
-                                    fuel,
-                                    &page_name,
-                                    &bindings,
-                                    Some(&mut self.widgets),
-                                    guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-                                )
-                            });
-                            match vm_run {
-                                Some(run) => {
-                                    self.note_vm_run(run.stats);
-                                    (run.result, run.cost)
-                                }
-                                None => {
-                                    self.note_vm_fallback();
-                                    bigstep::transition_state(
-                                        &self.program,
+                            let faults = guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector);
+                            match self.vm_program() {
+                                Some(Ok(vmp)) => {
+                                    let run = crate::vm::transition_page_init(
+                                        &vmp,
+                                        &mut self.scratch,
                                         &mut self.store,
                                         &mut self.queue,
                                         self.version,
                                         fuel,
-                                        bindings,
-                                        &init,
+                                        &page_name,
+                                        &bindings,
                                         Some(&mut self.widgets),
-                                        guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-                                    )
+                                        faults,
+                                    );
+                                    self.book_vm_run(run)
                                 }
+                                Some(Err(limit)) => (Err(limit), Cost::default()),
+                                None => bigstep::transition_state(
+                                    &self.program,
+                                    &mut self.store,
+                                    &mut self.queue,
+                                    self.version,
+                                    fuel,
+                                    bindings,
+                                    &init,
+                                    Some(&mut self.widgets),
+                                    faults,
+                                ),
                             }
                         }
                     };
@@ -633,7 +644,7 @@ impl System {
         if matches!(self.display, Display::Invalid) {
             if let Some((page_name, _)) = self.page_stack.last() {
                 let page_name = page_name.clone();
-                return match self.render_transition(None) {
+                return match self.render_transition(hook) {
                     Ok(()) => {
                         self.record_transition(StepKind::Render);
                         Ok(StepKind::Render)
@@ -655,7 +666,7 @@ impl System {
     /// display is left untouched for the caller to degrade).
     fn render_transition(
         &mut self,
-        hook: Option<&mut dyn bigstep::RenderHook>,
+        mut hook: Option<&mut (dyn bigstep::RenderHook + '_)>,
     ) -> Result<(), (RuntimeError, Cost, u64)> {
         let Some((page_name, arg)) = self.page_stack.last().cloned() else {
             return Err((
@@ -664,6 +675,9 @@ impl System {
                 0,
             ));
         };
+        if let Some(hook) = hook.as_deref_mut() {
+            hook.begin_render(&self.store, self.version);
+        }
         let fuel = self.transition_fuel(TransitionKind::Render);
         let Some(page) = self.program.page(&page_name) else {
             return Err((RuntimeError::UnknownPage(page_name), Cost::default(), fuel));
@@ -675,43 +689,37 @@ impl System {
         // the `remember` slots need snapshotting.
         let widgets_checkpoint = self.widgets.clone();
         self.widgets.begin_render();
-        let vmp = self.vm_program();
         let injector = self.injector.clone();
         let mut guard = injector.as_deref().map(lock_injector);
-        let mut hook = hook;
-        let vm_run = vmp.and_then(|vmp| {
-            crate::vm::transition_page_render(
-                &vmp,
-                &mut self.scratch,
-                &self.store,
-                self.version,
-                fuel,
-                &page_name,
-                &bindings,
-                hook.as_deref_mut(),
-                Some(&mut self.widgets),
-                guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-            )
-        });
-        let (result, cost) = match vm_run {
-            Some(run) => {
-                self.note_vm_run(run.stats);
-                (run.result, run.cost)
-            }
-            None => {
-                self.note_vm_fallback();
-                bigstep::transition_render(
-                    &self.program,
+        let faults = guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector);
+        let (result, cost) = match self.vm_program() {
+            Some(Ok(vmp)) => {
+                let run = crate::vm::transition_page_render(
+                    &vmp,
+                    &mut self.scratch,
                     &self.store,
                     self.version,
                     fuel,
-                    bindings,
-                    &render,
+                    &page_name,
+                    &bindings,
                     hook,
                     Some(&mut self.widgets),
-                    guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector),
-                )
+                    faults,
+                );
+                self.book_vm_run(run)
             }
+            Some(Err(limit)) => (Err(limit), Cost::default()),
+            None => bigstep::transition_render(
+                &self.program,
+                &self.store,
+                self.version,
+                fuel,
+                bindings,
+                &render,
+                hook,
+                Some(&mut self.widgets),
+                faults,
+            ),
         };
         drop(guard);
         self.cost.absorb(cost);
@@ -736,14 +744,30 @@ impl System {
     ///
     /// Any [`Fault`] from a transition, or — if the event cascade
     /// exceeds [`SystemConfig::max_transitions`] (e.g. pages that push
-    /// pages forever) — a [`FaultKind::CascadeOverflow`] fault. On
-    /// overflow the runaway queue is dropped so the machine stays
-    /// usable: the next `run_to_stable` renders whatever the stack
-    /// holds.
+    /// pages forever) — a [`FaultKind::CascadeOverflow`] fault. The
+    /// cascade is counted from the last input, not per call: a caller
+    /// that settles on after each contained fault still meets the
+    /// bound. On overflow the runaway queue is dropped so the machine
+    /// stays usable: the next `run_to_stable` renders whatever the
+    /// stack holds.
     pub fn run_to_stable(&mut self) -> Result<Vec<StepKind>, Fault> {
+        self.run_to_stable_with(None)
+    }
+
+    /// [`System::run_to_stable`], with every RENDER evaluated through
+    /// `hook` (the §5 reuse cache), which is told of each one first via
+    /// [`bigstep::RenderHook::begin_render`].
+    ///
+    /// # Errors
+    ///
+    /// See [`System::run_to_stable`].
+    pub fn run_to_stable_with(
+        &mut self,
+        mut hook: Option<&mut (dyn bigstep::RenderHook + '_)>,
+    ) -> Result<Vec<StepKind>, Fault> {
         let mut kinds = Vec::new();
-        for _ in 0..self.config.max_transitions {
-            let kind = self.step()?;
+        while self.cascade < self.config.max_transitions {
+            let kind = self.step_with(hook.as_deref_mut())?;
             if kind == StepKind::Stable {
                 return Ok(kinds);
             }
@@ -762,6 +786,7 @@ impl System {
     /// enforce the same bound while stepping the system themselves.
     pub fn contain_overflow(&mut self) -> Fault {
         self.queue.clear();
+        self.cascade = 0;
         self.degrade_display();
         if let Some(metrics) = &self.metrics {
             metrics.record_overflow_containment();
@@ -787,7 +812,7 @@ impl System {
     /// box has no `ontap` handler.
     pub fn tap(&mut self, path: &[usize]) -> Result<(), ActionError> {
         let handler = self.interaction_handler(path, Attr::OnTap)?;
-        self.set_display(Display::Invalid);
+        self.accept_input();
         self.queue.enqueue(Event::Exec(handler, vec![]));
         Ok(())
     }
@@ -800,10 +825,17 @@ impl System {
     /// See [`System::tap`].
     pub fn edit_box(&mut self, path: &[usize], text: &str) -> Result<(), ActionError> {
         let handler = self.interaction_handler(path, Attr::OnEdit)?;
-        self.set_display(Display::Invalid);
+        self.accept_input();
         self.queue
             .enqueue(Event::Exec(handler, vec![Value::str(text)]));
         Ok(())
+    }
+
+    /// Take an input from outside: invalidate the display and start a
+    /// new cascade with a fresh [`SystemConfig::max_transitions`] budget.
+    fn accept_input(&mut self) {
+        self.cascade = 0;
+        self.set_display(Display::Invalid);
     }
 
     fn interaction_handler(&self, path: &[usize], attr: Attr) -> Result<Value, ActionError> {
@@ -831,7 +863,7 @@ impl System {
     /// (BACK) — the user presses the back button: enqueue `[pop]` and
     /// invalidate the display.
     pub fn back(&mut self) {
-        self.set_display(Display::Invalid);
+        self.accept_input();
         self.queue.enqueue(Event::Pop);
     }
 
@@ -926,7 +958,7 @@ impl System {
         self.program = new_program;
         self.store = store;
         self.page_stack = page_stack;
-        self.set_display(Display::Invalid);
+        self.accept_input();
         self.queue.clear();
         // View state dies with the view's code (§4.2 discipline applied
         // to the `remember` extension) — and so does the last good tree:
@@ -935,6 +967,48 @@ impl System {
         self.last_good = None;
         self.version += 1;
         report
+    }
+
+    /// Evaluate live example `index` — its body, or with `expect` its
+    /// `expect` clause — purely against the current model, on this
+    /// system's engine. Books nothing: a probe is not a transition.
+    ///
+    /// Returns `None` when the program has no such example or clause;
+    /// otherwise the value or the runtime error it raised
+    /// ([`RuntimeError::VmLimit`] for a program beyond the VM).
+    pub fn eval_example(
+        &mut self,
+        index: usize,
+        expect: bool,
+    ) -> Option<Result<Value, RuntimeError>> {
+        let def = self.program.examples().get(index)?;
+        let expr = if expect {
+            def.expect.as_deref()?
+        } else {
+            &def.body
+        };
+        let fuel = self.config.fuel;
+        Some(match self.config.engine {
+            EvalEngine::Vm => match self.program.try_vm() {
+                Ok(vmp) => {
+                    crate::vm::run_example(
+                        &vmp,
+                        &mut self.scratch,
+                        &self.store,
+                        self.version,
+                        fuel,
+                        index,
+                        expect,
+                    )?
+                    .result
+                }
+                Err(limit) => Err(RuntimeError::VmLimit(limit)),
+            },
+            EvalEngine::Bigstep => {
+                bigstep::run_pure(&self.program, &self.store, self.version, fuel, expr)
+                    .map(|(value, _)| value)
+            }
+        })
     }
 
     /// Snapshot the model (store) as persistent text — the "persistent
@@ -963,12 +1037,13 @@ impl System {
     ) -> Result<crate::persist::LoadReport, crate::persist::PersistError> {
         let (store, report) = crate::persist::load_store(&self.program, snapshot)?;
         self.store = store;
-        self.set_display(Display::Invalid);
+        self.accept_input();
         Ok(report)
     }
 
     /// Perform the RENDER transition with a [`bigstep::RenderHook`]
-    /// intercepting `boxed` evaluation — the §5 reuse optimization.
+    /// intercepting `boxed` evaluation — the §5 reuse optimization —
+    /// after calling its [`bigstep::RenderHook::begin_render`].
     /// Does nothing (returns `false`) if the display is not `⊥`, the
     /// queue is non-empty, or the page stack is empty (i.e. RENDER is
     /// not the enabled transition).
@@ -1022,7 +1097,7 @@ impl System {
     #[doc(hidden)]
     pub fn debug_set_pages(&mut self, pages: Vec<(Name, Value)>) {
         self.page_stack = pages;
-        self.set_display(Display::Invalid);
+        self.accept_input();
     }
 
     /// Convenience: the rendered box tree, rendering first if needed.
@@ -1096,6 +1171,89 @@ mod tests {
 
     fn counter_system() -> System {
         System::new(compile(COUNTER).expect("compiles"))
+    }
+
+    #[test]
+    fn hooked_renders_begin_once_each() {
+        /// Counts `begin_render` calls and `boxed` entries; caches nothing.
+        #[derive(Default)]
+        struct Counting {
+            begins: Vec<u64>,
+            boxes: usize,
+        }
+        impl bigstep::RenderHook for Counting {
+            fn begin_render(&mut self, _store: &Store, version: u64) {
+                self.begins.push(version);
+            }
+            fn enter_boxed(
+                &mut self,
+                _id: crate::expr::BoxSourceId,
+                _locals: &[(Name, Value)],
+            ) -> Option<(Arc<BoxNode>, Value)> {
+                self.boxes += 1;
+                None
+            }
+            fn after_boxed(
+                &mut self,
+                _id: crate::expr::BoxSourceId,
+                _locals: &[(Name, Value)],
+                _node: &Arc<BoxNode>,
+                _value: &Value,
+            ) {
+            }
+        }
+        let mut sys = counter_system();
+        let mut hook = Counting::default();
+        let kinds = sys.run_to_stable_with(Some(&mut hook)).expect("runs");
+        assert_eq!(kinds.last(), Some(&StepKind::Render));
+        assert_eq!(hook.begins, vec![0]);
+        assert!(hook.boxes > 0, "the render went through the hook");
+        sys.tap(&[0]).expect("tap");
+        sys.run_to_stable_with(Some(&mut hook))
+            .expect("handles tap");
+        assert_eq!(hook.begins, vec![0, 0], "one begin per RENDER");
+        // Hook-free settles never call it.
+        sys.tap(&[0]).expect("tap");
+        sys.run_to_stable().expect("handles tap");
+        assert_eq!(hook.begins.len(), 2);
+    }
+
+    #[test]
+    fn wide_literals_run_on_the_vm_like_bigstep() {
+        // 600 elements span three register batches. The last element of
+        // the list reads the local the literal is assigned to, so it
+        // must still see the old value.
+        let zeros = vec!["0"; 599].join(", ");
+        let src = format!(
+            "global out : list number = []
+            page start() {{
+                init {{ let xs = [7]; xs := [{zeros}, list.length(xs)]; out := xs; }}
+                render {{ boxed {{ post list.length(out); post list.nth(out, 599); post ({zeros}, 5).600; }} }}
+            }}"
+        );
+        let program = compile(&src).expect("compiles");
+        let mut vm = System::new(program.clone());
+        let mut walker = System::with_config(
+            program,
+            SystemConfig {
+                engine: EvalEngine::Bigstep,
+                ..SystemConfig::default()
+            },
+        );
+        vm.run_to_stable().expect("vm runs");
+        walker.run_to_stable().expect("bigstep runs");
+        let frame = vm.rendered().expect("vm frame").clone();
+        assert_eq!(&frame, walker.rendered().expect("bigstep frame"));
+        let leaves: Vec<&Value> = frame.descendant(&[0]).expect("box").leaves().collect();
+        assert_eq!(
+            leaves,
+            [
+                &Value::Number(600.0),
+                &Value::Number(1.0),
+                &Value::Number(5.0)
+            ]
+        );
+        assert!(vm.vm_stats().runs > 0);
     }
 
     #[test]
@@ -1369,6 +1527,62 @@ mod tests {
         assert!(sys.queue().is_empty());
         sys.run_to_stable().expect("machine survives the overflow");
         assert!(sys.is_stable());
+    }
+
+    #[test]
+    fn the_cascade_budget_spans_faults_and_renews_per_input() {
+        let src = "
+            global xs : list number = []
+            page start() {
+                render {
+                    boxed { post \"hop\"; on tap { push hop(0); } }
+                    boxed { post \"spin\"; on tap { push spin(0); } }
+                }
+            }
+            page hop(n : number) {
+                init { pop; if n < 10 { push hop(n + 1); } }
+                render { }
+            }
+            page spin(n : number) {
+                init {
+                    pop;
+                    if n < 10 { push spin(n + 1); } else { push broken(); push spin(0); }
+                }
+                render { }
+            }
+            page broken() {
+                init { xs := [list.nth(xs, 3)]; }
+                render { }
+            }";
+        let mut sys = System::with_config(
+            compile(src).expect("compiles"),
+            SystemConfig {
+                max_transitions: 50,
+                ..SystemConfig::default()
+            },
+        );
+        sys.run_to_stable().expect("starts");
+        // A hop tap sets off 24 transitions: three taps stay within a
+        // 50-transition budget because each input starts a new cascade.
+        for _ in 0..3 {
+            sys.tap(&[0]).expect("tap hop");
+            sys.run_to_stable().expect("a hop cascade fits the budget");
+        }
+        // A spin cascade faults every 23 transitions and refills the
+        // queue: settling on after each fault still overflows.
+        sys.tap(&[1]).expect("tap spin");
+        let mut kinds = Vec::new();
+        while let Err(fault) = sys.run_to_stable() {
+            kinds.push(fault.kind);
+            if fault.kind == FaultKind::CascadeOverflow {
+                break;
+            }
+        }
+        assert_eq!(
+            kinds,
+            [FaultKind::Init, FaultKind::Init, FaultKind::CascadeOverflow]
+        );
+        sys.run_to_stable().expect("machine survives the overflow");
     }
 
     #[test]

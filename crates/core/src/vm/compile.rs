@@ -8,11 +8,15 @@
 //! resolve innermost-last — so closure capture lists and render-hook
 //! locals come out byte-identical to the tree walker's `capture_env`.
 //!
-//! Any construct the compiler cannot prove it can reproduce exactly
-//! (unresolvable names in programs that bypassed the type checker,
-//! capacity overflows) aborts the whole compile with [`CompileError`];
-//! the caller then runs the program on bigstep, so semantics are
-//! preserved by falling back, never by approximating.
+//! Tuple and list literals of any width compile: one wider than
+//! [`LITERAL_BATCH`] registers is built batch by batch (`MakeTuple` /
+//! `MakeList` per batch, then one `Flatten`). What the compiler still
+//! cannot express exactly — a signature or frame beyond the 16-bit
+//! register file, or an unresolvable name in a program that bypassed
+//! the type checker — aborts the whole compile with [`CompileError`].
+//! The system then refuses every transition of that program with a
+//! contained [`crate::error::RuntimeError::VmLimit`] fault; it never
+//! approximates and never switches engines.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -29,9 +33,9 @@ use super::{
     Chunk, ExampleSlot, GlobalSlot, GuardOp, Instr, LambdaInfo, PageEntry, ProvSpec, Reg, VmProgram,
 };
 
-/// Why a program is outside the VM subset. Never user-visible: the
-/// engine falls back to the tree walker, which reports the authoritative
-/// runtime error (or runs the program fine).
+/// Why a program is beyond what the VM can compile. User-visible as
+/// the [`crate::error::RuntimeError::VmLimit`] fault every transition of
+/// such a program reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileError {
     /// What the compiler could not express.
@@ -56,8 +60,8 @@ impl CompileError {
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.name {
-            Some(n) => write!(f, "vm compile: {} ({n})", self.reason),
-            None => write!(f, "vm compile: {}", self.reason),
+            Some(n) => write!(f, "{} (`{n}`)", self.reason),
+            None => f.write_str(self.reason),
         }
     }
 }
@@ -66,6 +70,11 @@ impl std::error::Error for CompileError {}
 
 /// Jump-target placeholder patched by `FnCompiler::patch`.
 const PENDING: u32 = u32::MAX;
+
+/// Most elements one `MakeTuple`/`MakeList` reads: a wider literal is
+/// built in batches of this many registers, so its width never hits the
+/// 16-bit register file.
+const LITERAL_BATCH: usize = 256;
 
 /// Hash key for the small constant-dedup cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,9 +191,9 @@ fn compile_chunk(
     Ok(idx)
 }
 
-fn param_binds(params: &[ParamSig]) -> Result<Vec<(Name, Reg)>, CompileError> {
+fn param_binds(owner: &Name, params: &[ParamSig]) -> Result<Vec<(Name, Reg)>, CompileError> {
     if params.len() > u16::MAX as usize {
-        return Err(CompileError::plain("too many parameters"));
+        return Err(CompileError::named("more than 65535 parameters", owner));
     }
     Ok(params
         .iter()
@@ -419,37 +428,21 @@ impl FnCompiler<'_, '_> {
                 if elems.is_empty() {
                     return self.emit_unit(dst);
                 }
-                let w = self.save();
-                let base = self.alloc_n(elems.len())?;
-                for (i, el) in elems.iter().enumerate() {
-                    self.emit(el, Some(base + i as u16))?;
-                }
-                let d = self.sink(dst)?;
-                self.push(Instr::MakeTuple {
-                    dst: d,
+                self.emit_literal(elems, dst, |dst, base, len| Instr::MakeTuple {
+                    dst,
                     base,
-                    len: elems.len() as u16,
-                });
-                self.restore(w);
-                Ok(())
+                    len,
+                })
             }
             ExprKind::ListLit(elems) => {
                 if elems.is_empty() {
                     return self.emit_const(dst, Value::list(Vec::new()));
                 }
-                let w = self.save();
-                let base = self.alloc_n(elems.len())?;
-                for (i, el) in elems.iter().enumerate() {
-                    self.emit(el, Some(base + i as u16))?;
-                }
-                let d = self.sink(dst)?;
-                self.push(Instr::MakeList {
-                    dst: d,
+                self.emit_literal(elems, dst, |dst, base, len| Instr::MakeList {
+                    dst,
                     base,
-                    len: elems.len() as u16,
-                });
-                self.restore(w);
-                Ok(())
+                    len,
+                })
             }
             ExprKind::Proj(base_e, index) => {
                 let w = self.save();
@@ -800,6 +793,46 @@ impl FnCompiler<'_, '_> {
         }
     }
 
+    /// Build a non-empty tuple or list literal with `make`. One that
+    /// fits a [`LITERAL_BATCH`] is made straight from its element
+    /// registers. A wider one is made batch by batch into temporaries,
+    /// which one `Flatten` joins into `dst`: every element is copied at
+    /// most twice, whatever the width.
+    fn emit_literal(
+        &mut self,
+        elems: &[Expr],
+        dst: Option<Reg>,
+        make: fn(Reg, Reg, u16) -> Instr,
+    ) -> Result<(), CompileError> {
+        let w = self.save();
+        let wide = elems.len() > LITERAL_BATCH;
+        let parts = if wide {
+            elems.len().div_ceil(LITERAL_BATCH)
+        } else {
+            elems.len()
+        };
+        let base = self.alloc_n(parts)?;
+        if wide {
+            for (i, batch) in elems.chunks(LITERAL_BATCH).enumerate() {
+                self.emit_literal(batch, Some(base + i as u16), make)?;
+            }
+        } else {
+            for (i, el) in elems.iter().enumerate() {
+                self.emit(el, Some(base + i as u16))?;
+            }
+        }
+        let d = self.sink(dst)?;
+        // `alloc_n` bounds `parts` by the register file.
+        let len = parts as u16;
+        self.push(if wide {
+            Instr::Flatten { dst: d, base, len }
+        } else {
+            make(d, base, len)
+        });
+        self.restore(w);
+        Ok(())
+    }
+
     fn emit_call(
         &mut self,
         callee: &Expr,
@@ -989,7 +1022,7 @@ pub(crate) fn compile_program(p: &Program) -> Result<VmProgram, CompileError> {
         }
     }
     for f in p.funs() {
-        let binds = param_binds(&f.params)?;
+        let binds = param_binds(&f.name, &f.params)?;
         let chunk = compile_chunk(&mut b, binds, 0, f.params.len(), &f.body)?;
         if let Some(&l) = b.fun_lambda.get(&f.name) {
             if let Some(info) = b.lambdas.get_mut(l as usize) {
@@ -1019,14 +1052,14 @@ pub(crate) fn compile_program(p: &Program) -> Result<VmProgram, CompileError> {
     for pg in p.pages() {
         let init_chunk = compile_chunk(
             &mut b,
-            param_binds(&pg.params)?,
+            param_binds(&pg.name, &pg.params)?,
             0,
             pg.params.len(),
             &pg.init,
         )?;
         let render_chunk = compile_chunk(
             &mut b,
-            param_binds(&pg.params)?,
+            param_binds(&pg.name, &pg.params)?,
             0,
             pg.params.len(),
             &pg.render,

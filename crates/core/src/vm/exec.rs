@@ -10,10 +10,11 @@
 //! injection for differential testing uses `before_prim`, never fuel
 //! throttling.
 //!
-//! The entry points return `Option`: `None` means "this transition is
-//! outside the VM subset" (unknown page, a foreign closure from another
-//! program version) and is decided *before any state is touched*, so
-//! the caller can rerun the same transition on bigstep.
+//! The entry points return `Option`: `None` means "this entry does not
+//! exist in the compiled program" (an unknown page, a closure from
+//! another program version) and is decided *before any state is
+//! touched*. Checked programs never produce it; the system contains it
+//! as a fault like any other runtime error.
 
 use std::sync::Arc;
 
@@ -244,6 +245,21 @@ impl<'a> Vm<'a> {
                         .slice(base + b as usize, len as usize)?
                         .to_vec();
                     self.scratch.set(base + dst as usize, Value::list(vs))?;
+                }
+                Instr::Flatten { dst, base: b, len } => {
+                    let parts = self.scratch.slice(base + b as usize, len as usize)?;
+                    let mut joined = Vec::new();
+                    for part in parts {
+                        match part {
+                            Value::Tuple(vs) | Value::List(vs) => joined.extend(vs.iter().cloned()),
+                            _ => return Err(BAD_CODE),
+                        }
+                    }
+                    let v = match parts.first() {
+                        Some(Value::Tuple(_)) => Value::tuple(joined),
+                        _ => Value::list(joined),
+                    };
+                    self.scratch.set(base + dst as usize, v)?;
                 }
                 Instr::Proj { dst, src, index } => {
                     let v = match self.scratch.get(base + src as usize)? {

@@ -23,16 +23,17 @@
 //!
 //! # Relationship to the oracles
 //!
-//! The VM is an *optimization*, never a semantic fork: for every
+//! The VM is the production engine, never a semantic fork: for every
 //! transition it must produce the same `Result`, the same store/queue/
-//! widget effects, and byte-identical rendered frames as
-//! [`crate::bigstep`], which in turn is cross-checked against the
-//! substitution machine in [`crate::smallstep`]. Anything the compiler
-//! cannot prove it can reproduce exactly — unresolvable names, foreign
-//! closures from another program version — falls back to bigstep at the
-//! transition boundary instead of approximating (see
-//! [`crate::system::EvalEngine`]). `tests/vm_differential.rs` holds the
-//! three-way differential walk.
+//! widget effects, and byte-identical rendered frames as the reference
+//! engine [`crate::bigstep`], which in turn is cross-checked against the
+//! substitution machine in [`crate::smallstep`].
+//! `tests/vm_differential.rs` holds the three-way differential walk. A
+//! system on the VM engine runs nothing else: a program beyond the
+//! compiler's limits faults each transition with
+//! [`crate::error::RuntimeError::VmLimit`], and a closure from another
+//! program version faults the call that meets it (see
+//! [`crate::system::EvalEngine`]).
 
 mod arena;
 mod compile;
@@ -80,6 +81,9 @@ pub(crate) enum Instr {
     MakeTuple { dst: Reg, base: Reg, len: u16 },
     /// `dst = [r[base], …, r[base+len-1]]`.
     MakeList { dst: Reg, base: Reg, len: u16 },
+    /// `dst = r[base] ++ … ++ r[base+len-1]`: join the batch tuples or
+    /// lists of a wide literal into one of the same kind.
+    Flatten { dst: Reg, base: Reg, len: u16 },
     /// `dst = src.index` (1-based tuple projection).
     Proj { dst: Reg, src: Reg, index: u32 },
     /// `dst = r[callee](r[base] … r[base+argc-1])`.
@@ -275,14 +279,13 @@ pub struct VmProgram {
 }
 
 impl VmProgram {
-    /// Compile `program` to bytecode. Errors mean "this program (or one
-    /// construct in it) is outside the VM subset" — the caller falls
-    /// back to the tree walker, it is never a user-visible failure.
+    /// Compile `program` to bytecode.
     ///
     /// # Errors
     ///
-    /// [`CompileError`] on unresolvable names (programs that bypassed
-    /// the type checker) or compiler capacity limits.
+    /// [`CompileError`] on compiler capacity limits (a signature or
+    /// frame beyond the 16-bit register file) or unresolvable names
+    /// (programs that bypassed the type checker).
     pub fn compile(program: &Program) -> Result<VmProgram, CompileError> {
         let start = std::time::Instant::now();
         let mut vmp = compile::compile_program(program)?;

@@ -10,19 +10,14 @@
 //!
 //! Probes evaluate against the *running model* (the store), so an
 //! example over a global shows the live value, not the initial one.
-//! Evaluation goes through the session's configured engine — the
-//! bytecode VM when the program compiled into the VM subset, the
-//! bigstep tree walker otherwise — and the two must agree byte-for-byte
-//! (held by `tests/` alongside the vm differential suite).
+//! The system evaluates them ([`System::eval_example`]) on the engine
+//! its transitions run on, so a probe computes exactly what the running
+//! code would; the VM and the reference bigstep engine agree byte for
+//! byte (`tests/example_probes.rs`).
 
-use alive_core::bigstep;
-use alive_core::error::RuntimeError;
-use alive_core::store::Store;
-use alive_core::system::{EvalEngine, System};
-use alive_core::value::Value;
-use alive_core::vm::{self, Scratch};
-use alive_core::Program;
+use alive_core::system::System;
 use std::fmt;
+use std::sync::Arc;
 
 /// The status of one probe after evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,28 +88,20 @@ pub struct ExampleStats {
 pub(crate) struct ExampleCache {
     key: Option<(u64, u64)>,
     probes: Vec<ExampleProbe>,
-    scratch: Scratch,
     pub(crate) stats: ExampleStats,
 }
 
 impl ExampleCache {
     /// Evaluate every example of the system's program, reusing the
     /// cached result when neither code nor model changed.
-    pub(crate) fn probes(&mut self, system: &System) -> Vec<ExampleProbe> {
+    pub(crate) fn probes(&mut self, system: &mut System) -> Vec<ExampleProbe> {
         let key = (system.version(), system.display_generation());
         if self.key == Some(key) {
             self.stats.hits += 1;
             return self.probes.clone();
         }
         self.stats.computes += 1;
-        self.probes = evaluate_examples(
-            system.program(),
-            system.store(),
-            system.version(),
-            system.config().fuel,
-            system.config().engine,
-            &mut self.scratch,
-        );
+        self.probes = evaluate_examples(system);
         self.key = Some(key);
         self.probes.clone()
     }
@@ -126,90 +113,35 @@ impl ExampleCache {
     }
 }
 
-/// Evaluate one pure example expression through the chosen engine.
-/// `expect` selects the example's `expect` clause instead of its body.
-#[allow(clippy::too_many_arguments)]
-fn eval_probe_expr(
-    program: &Program,
-    store: &Store,
-    version: u64,
-    fuel: u64,
-    engine: EvalEngine,
-    scratch: &mut Scratch,
-    index: usize,
-    expect: bool,
-) -> Result<Value, RuntimeError> {
-    if engine == EvalEngine::Vm {
-        if let Some(vmp) = program.vm() {
-            if let Some(run) = vm::run_example(&vmp, scratch, store, version, fuel, index, expect) {
-                return run.result;
-            }
-        }
-    }
-    let def = &program.examples()[index];
-    let expr = if expect {
-        def.expect.as_ref().unwrap_or(&def.body)
-    } else {
-        &def.body
-    };
-    bigstep::run_pure(program, store, version, fuel, expr).map(|(v, _)| v)
-}
-
-/// Evaluate every example in `program` against `store`.
-pub(crate) fn evaluate_examples(
-    program: &Program,
-    store: &Store,
-    version: u64,
-    fuel: u64,
-    engine: EvalEngine,
-    scratch: &mut Scratch,
-) -> Vec<ExampleProbe> {
+/// Evaluate every example of the system's program against its model.
+fn evaluate_examples(system: &mut System) -> Vec<ExampleProbe> {
+    let program = Arc::clone(system.program_shared());
     let mut out = Vec::with_capacity(program.examples().len());
     for (index, def) in program.examples().iter().enumerate() {
-        let name = def.name.to_string();
-        let body = eval_probe_expr(program, store, version, fuel, engine, scratch, index, false);
-        let probe = match body {
-            Err(e) => ExampleProbe {
-                name,
-                value: e.to_string(),
-                status: ProbeStatus::Fault,
-            },
-            Ok(value) => {
-                let rendered = value.display_text();
-                match &def.expect {
-                    None => ExampleProbe {
-                        name,
-                        value: rendered,
-                        status: ProbeStatus::Value,
-                    },
-                    Some(_) => {
-                        let expect_val = eval_probe_expr(
-                            program, store, version, fuel, engine, scratch, index, true,
-                        );
-                        match expect_val {
-                            Err(e) => ExampleProbe {
-                                name,
-                                value: e.to_string(),
-                                status: ProbeStatus::Fault,
-                            },
-                            Ok(expected) if expected == value => ExampleProbe {
-                                name,
-                                value: rendered,
-                                status: ProbeStatus::Pass,
-                            },
-                            Ok(expected) => ExampleProbe {
-                                name,
-                                value: rendered,
-                                status: ProbeStatus::Fail {
-                                    expected: expected.display_text(),
-                                },
-                            },
-                        }
-                    }
-                }
-            }
+        let Some(body) = system.eval_example(index, false) else {
+            continue;
         };
-        out.push(probe);
+        let probe = body.and_then(|value| {
+            let status = match system.eval_example(index, true) {
+                None => ProbeStatus::Value,
+                Some(expected) => match expected? {
+                    expected if expected == value => ProbeStatus::Pass,
+                    expected => ProbeStatus::Fail {
+                        expected: expected.display_text(),
+                    },
+                },
+            };
+            Ok(ExampleProbe {
+                name: def.name.to_string(),
+                value: value.display_text(),
+                status,
+            })
+        });
+        out.push(probe.unwrap_or_else(|e| ExampleProbe {
+            name: def.name.to_string(),
+            value: e.to_string(),
+            status: ProbeStatus::Fault,
+        }));
     }
     out
 }

@@ -153,69 +153,9 @@ fn collect_reads(
         }
         _ => {}
     }
-    for child in direct_children(expr) {
+    expr.for_each_child(&mut |child| {
         collect_reads(child, fun_reads, globals, dynamic, widgets);
-    }
-}
-
-/// The direct sub-expressions of an expression (not descending into
-/// lambda bodies — callers decide that).
-fn direct_children(expr: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    match &expr.kind {
-        ExprKind::Num(_)
-        | ExprKind::Str(_)
-        | ExprKind::Bool(_)
-        | ExprKind::ColorLit(_)
-        | ExprKind::Local(_)
-        | ExprKind::Global(_)
-        | ExprKind::FunRef(_)
-        | ExprKind::PrimRef(_)
-        | ExprKind::PopPage
-        | ExprKind::Lambda(_) => {}
-        ExprKind::Tuple(es) | ExprKind::ListLit(es) => out.extend(es.iter()),
-        ExprKind::Proj(e, _)
-        | ExprKind::Unary(_, e)
-        | ExprKind::LocalAssign(_, e)
-        | ExprKind::GlobalAssign(_, e)
-        | ExprKind::WidgetWrite(_, e)
-        | ExprKind::Boxed(_, e)
-        | ExprKind::Post(e)
-        | ExprKind::SetAttr(_, e) => out.push(e),
-        ExprKind::WidgetRead(_) => {}
-        ExprKind::Remember { init, body, .. } => {
-            out.push(init);
-            out.push(body);
-        }
-        ExprKind::Call(f, args) => {
-            out.push(f);
-            out.extend(args.iter());
-        }
-        ExprKind::PushPage(_, args) => out.extend(args.iter()),
-        ExprKind::Let { value, body, .. } => {
-            out.push(value);
-            out.push(body);
-        }
-        ExprKind::Seq(a, b) | ExprKind::While(a, b) | ExprKind::Binary(_, a, b) => {
-            out.push(a);
-            out.push(b);
-        }
-        ExprKind::If(c, t, e) => {
-            out.push(c);
-            out.push(t);
-            out.push(e);
-        }
-        ExprKind::ForRange { lo, hi, body, .. } => {
-            out.push(lo);
-            out.push(hi);
-            out.push(body);
-        }
-        ExprKind::Foreach { list, body, .. } => {
-            out.push(list);
-            out.push(body);
-        }
-    }
-    out
+    });
 }
 
 /// Find all `boxed` statements and compute their read sets, tracking
@@ -250,115 +190,40 @@ fn assigns_outer_local(body: &Expr) -> bool {
         match &expr.kind {
             ExprKind::LocalAssign(name, value) => !bound.contains(name) || go(value, bound),
             ExprKind::Let {
-                name, value, body, ..
-            } => {
-                if go(value, bound) {
-                    return true;
-                }
-                let fresh = bound.insert(name.clone());
-                let hit = go(body, bound);
-                if fresh {
-                    bound.remove(name);
-                }
-                hit
+                name,
+                value: first,
+                body,
+                ..
+            }
+            | ExprKind::Foreach {
+                var: name,
+                list: first,
+                body,
+            } => go(first, bound) || scoped(name, body, bound),
+            ExprKind::ForRange { var, lo, hi, body } => {
+                go(lo, bound) || go(hi, bound) || scoped(var, body, bound)
             }
             ExprKind::Lambda(lam) => {
                 let mut inner = bound.clone();
                 inner.extend(lam.params.iter().map(|p| p.name.clone()));
                 go(&lam.body, &mut inner)
             }
-            ExprKind::ForRange { var, lo, hi, body } => {
-                if go(lo, bound) || go(hi, bound) {
-                    return true;
-                }
-                let fresh = bound.insert(var.clone());
-                let hit = go(body, bound);
-                if fresh {
-                    bound.remove(var);
-                }
-                hit
-            }
-            ExprKind::Foreach { var, list, body } => {
-                if go(list, bound) {
-                    return true;
-                }
-                let fresh = bound.insert(var.clone());
-                let hit = go(body, bound);
-                if fresh {
-                    bound.remove(var);
-                }
-                hit
-            }
             _ => {
-                // Generic traversal over children.
                 let mut hit = false;
-                let mut children = Vec::new();
-                collect_children(expr, &mut children);
-                for child in children {
-                    if go(child, bound) {
-                        hit = true;
-                        break;
-                    }
-                }
+                expr.for_each_child(&mut |child| hit = hit || go(child, bound));
                 hit
             }
         }
     }
 
-    fn collect_children<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
-        match &expr.kind {
-            ExprKind::Num(_)
-            | ExprKind::Str(_)
-            | ExprKind::Bool(_)
-            | ExprKind::ColorLit(_)
-            | ExprKind::Local(_)
-            | ExprKind::Global(_)
-            | ExprKind::FunRef(_)
-            | ExprKind::PrimRef(_)
-            | ExprKind::PopPage => {}
-            ExprKind::Tuple(es) | ExprKind::ListLit(es) => out.extend(es.iter()),
-            ExprKind::Proj(e, _)
-            | ExprKind::Unary(_, e)
-            | ExprKind::GlobalAssign(_, e)
-            | ExprKind::WidgetWrite(_, e)
-            | ExprKind::Boxed(_, e)
-            | ExprKind::Post(e)
-            | ExprKind::SetAttr(_, e) => out.push(e),
-            ExprKind::WidgetRead(_) => {}
-            ExprKind::Remember { init, body, .. } => {
-                out.push(init);
-                out.push(body);
-            }
-            ExprKind::LocalAssign(_, e) => out.push(e),
-            ExprKind::Call(f, args) => {
-                out.push(f);
-                out.extend(args.iter());
-            }
-            ExprKind::PushPage(_, args) => out.extend(args.iter()),
-            ExprKind::Lambda(lam) => out.push(&lam.body),
-            ExprKind::Let { value, body, .. } => {
-                out.push(value);
-                out.push(body);
-            }
-            ExprKind::Seq(a, b) | ExprKind::While(a, b) | ExprKind::Binary(_, a, b) => {
-                out.push(a);
-                out.push(b);
-            }
-            ExprKind::If(c, t, e) => {
-                out.push(c);
-                out.push(t);
-                out.push(e);
-            }
-            ExprKind::ForRange { lo, hi, body, .. } => {
-                out.push(lo);
-                out.push(hi);
-                out.push(body);
-            }
-            ExprKind::Foreach { list, body, .. } => {
-                out.push(list);
-                out.push(body);
-            }
+    /// `go` over `body` with `name` bound for its duration only.
+    fn scoped(name: &Name, body: &Expr, bound: &mut HashSet<Name>) -> bool {
+        let fresh = bound.insert(name.clone());
+        let hit = go(body, bound);
+        if fresh {
+            bound.remove(name);
         }
+        hit
     }
 
     go(body, &mut HashSet::new())
@@ -539,6 +404,10 @@ impl MemoCache {
 }
 
 impl RenderHook for MemoCache {
+    fn begin_render(&mut self, store: &Store, version: u64) {
+        MemoCache::begin_render(self, store, version);
+    }
+
     fn enter_boxed(
         &mut self,
         id: BoxSourceId,

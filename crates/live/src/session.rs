@@ -28,11 +28,12 @@ use crate::memo::{MemoCache, MemoStats};
 use crate::metrics::SessionMetrics;
 use crate::pipeline::{FramePipeline, FrameStats};
 use crate::protocol::SessionCommand;
+use alive_core::bigstep::RenderHook;
 use alive_core::boxtree::{BoxNode, Display};
 use alive_core::fixup::FixupReport;
 use alive_core::metrics::SystemMetrics;
-use alive_core::system::{ActionError, StepKind, System, SystemConfig};
-use alive_core::{compile, Fault, IncrementalCompiler, Program};
+use alive_core::system::{ActionError, System, SystemConfig};
+use alive_core::{compile, Fault, FaultKind, IncrementalCompiler, Program};
 use alive_obs::{Clock, MetricsSnapshot, MonotonicClock, Registry};
 use alive_syntax::{apply_edits, Diagnostics, EditError, TextEdit};
 use alive_ui::Point;
@@ -434,7 +435,7 @@ impl LiveSession {
     /// re-evaluation the probes promise costs nothing while the program
     /// and model stand still.
     pub fn examples(&mut self) -> Vec<crate::examples::ExampleProbe> {
-        self.examples.probes(&self.system)
+        self.examples.probes(&mut self.system)
     }
 
     /// Probe-cache counters: recomputations vs cache hits across
@@ -471,76 +472,28 @@ impl LiveSession {
     }
 
     fn settle(&mut self) {
-        if self.memo.is_none() {
-            // Each faulting event is consumed (its transition rolled
-            // back), so the loop strictly drains the queue.
-            loop {
-                match self.system.run_to_stable() {
-                    Ok(_) => return,
-                    Err(fault) => {
-                        self.faults.record(fault);
-                        // `⊥` after a fault means there is no good tree
-                        // to fall back to; retrying RENDER would fault
-                        // forever.
-                        if matches!(self.system.display(), Display::Invalid) {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        // Memo path: drive step-by-step so every RENDER goes through
-        // the cache, with the same cascade bound as `run_to_stable`.
-        let budget = self.system.config().max_transitions;
-        let mut steps = 0u64;
-        let mut contained_overflow = false;
+        let mut overflowed = false;
+        // Each pass ends stable or in one contained fault. The system
+        // counts the cascade across passes, so one that refills the
+        // queue between faults still overflows.
         loop {
-            let render_pending = matches!(self.system.display(), Display::Invalid)
-                && self.system.queue().is_empty()
-                && !self.system.page_stack().is_empty();
-            if render_pending {
-                if let Some(memo) = self.memo.as_mut() {
-                    memo.begin_render(self.system.store(), self.system.version());
-                    match self.system.render_with_hook(memo) {
-                        Ok(true) => continue,
-                        Ok(false) => {}
-                        Err(fault) => {
-                            self.faults.record(fault);
-                            if matches!(self.system.display(), Display::Invalid) {
-                                return;
-                            }
-                            continue;
-                        }
-                    }
+            let hook = self.memo.as_mut().map(|memo| memo as &mut dyn RenderHook);
+            let Err(fault) = self.system.run_to_stable_with(hook) else {
+                return;
+            };
+            let overflow = fault.kind == FaultKind::CascadeOverflow;
+            self.faults.record(fault);
+            if overflow {
+                // Settle on so the containment tail renders; a second
+                // overflow means STARTUP restarted the cascade.
+                if overflowed {
+                    return;
                 }
-            }
-            match self.system.step() {
-                Ok(StepKind::Stable) => return,
-                Ok(_) => {
-                    steps += 1;
-                    if steps > budget {
-                        // Runaway event cascade: contain it exactly like
-                        // `run_to_stable` (drop the queue, degrade the
-                        // display, log the overflow), then keep draining
-                        // through this loop so any containment tail
-                        // render still goes through the cache hook
-                        // instead of falling off the fast path.
-                        if contained_overflow {
-                            // A second overflow means STARTUP restarted
-                            // the cascade; give up settling this call.
-                            return;
-                        }
-                        contained_overflow = true;
-                        steps = 0;
-                        self.faults.record(self.system.contain_overflow());
-                    }
-                }
-                Err(fault) => {
-                    self.faults.record(fault);
-                    if matches!(self.system.display(), Display::Invalid) {
-                        return;
-                    }
-                }
+                overflowed = true;
+            } else if matches!(self.system.display(), Display::Invalid) {
+                // `⊥` after a fault: no good tree to fall back to, and
+                // retrying RENDER would fault forever.
+                return;
             }
         }
     }
@@ -1374,10 +1327,11 @@ page start() {
     }
 
     #[test]
-    fn memo_overflow_tail_renders_through_the_cache() {
+    fn overflow_tail_renders_memo_or_not() {
         // The init cascade pushes forever; containment must drop the
-        // queue and the *tail* render must still go through the memo
-        // hook rather than falling off the fast path.
+        // queue and the *tail* render must still land, memo on or off —
+        // and with memo on it must go through the cache hook rather
+        // than falling off the fast path.
         let loopy = r#"
 page start() {
     init { push start(); }
@@ -1388,22 +1342,100 @@ page start() {
             max_transitions: 40,
             ..SystemConfig::default()
         };
-        let mut s = LiveSession::with_options(loopy, config, true).expect("starts");
-        assert!(
-            s.fault_log()
-                .iter()
-                .any(|f| f.kind == alive_core::FaultKind::CascadeOverflow),
-            "overflow was contained and logged"
+        for memo in [false, true] {
+            let mut s = LiveSession::with_options(loopy, config, memo).expect("starts");
+            assert_eq!(
+                s.fault_log().total_by_kind(FaultKind::CascadeOverflow),
+                1,
+                "memo {memo}: overflow was contained and logged"
+            );
+            // The machine settled: the containment tail rendered the page…
+            assert!(s.system().is_stable(), "memo {memo}");
+            assert_eq!(s.live_view(), "landed\n", "memo {memo}");
+            // …and with memo on, that render went through the cache hook.
+            if memo {
+                let stats = s.memo_stats().expect("memo session");
+                assert!(
+                    stats.hits + stats.misses + stats.uncacheable > 0,
+                    "tail render must hit the RenderHook: {stats:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn faults_that_refill_the_queue_are_contained() {
+        // Each pass pushes and pops `chain` pages for just under the
+        // default cascade budget, then pushes a `broken` page whose init
+        // faults, and starts over. The budget spans the faults, so one
+        // settle contains the whole cascade, memo on or off.
+        let runaway = r#"
+global xs : list number = []
+page start() {
+    render { boxed { post "home"; on tap { push chain(0); } } }
+}
+page chain(n : number) {
+    init {
+        pop;
+        if n < 4990 { push chain(n + 1); } else { push broken(); push chain(0); }
+    }
+    render { boxed { post n; } }
+}
+page broken() {
+    init { xs := [list.nth(xs, 3)]; }
+    render { }
+}
+"#;
+        let config = SystemConfig::default();
+        let budget = config.max_transitions;
+        for memo in [false, true] {
+            let mut s = LiveSession::with_options(runaway, config, memo).expect("starts");
+            let runs = s.system().vm_stats().runs;
+            s.tap_path(&[0]).expect("tap");
+            assert!(s.system().is_stable(), "memo {memo}: settled");
+            let log = s.fault_log();
+            assert_eq!(
+                log.total_by_kind(FaultKind::CascadeOverflow),
+                1,
+                "memo {memo}"
+            );
+            assert_eq!(log.total_by_kind(FaultKind::Init), 1, "memo {memo}");
+            // A `chain` page is two transitions (push, pop) and one VM
+            // run, so one budget is about `budget / 2` runs.
+            let ran = s.system().vm_stats().runs - runs;
+            assert!(ran < budget, "memo {memo}: {ran} VM runs");
+        }
+    }
+
+    #[test]
+    fn wide_list_literal_runs_on_the_vm() {
+        let zeros = vec!["0"; 70_000].join(", ");
+        let source = format!(
+            "global xs : list number = [{zeros}]\n\
+             page start() {{ render {{ boxed {{ post list.length(xs); }} }} }}\n"
         );
-        // The machine settled: the containment tail rendered the page…
-        assert_eq!(s.live_view(), "landed\n");
-        assert!(s.system().is_stable());
-        // …and that render went through the cache hook.
-        let memo = s.memo_stats().expect("memo session");
-        assert!(
-            memo.hits + memo.misses + memo.uncacheable > 0,
-            "tail render must hit the RenderHook: {memo:?}"
+        let mut s = LiveSession::new(&source).expect("starts");
+        assert!(s.fault_log().is_empty(), "{}", s.fault_log());
+        assert!(s.system().vm_stats().runs > 0);
+        assert_eq!(s.live_view(), "70000\n");
+    }
+
+    #[test]
+    fn a_program_beyond_the_vm_starts_degraded() {
+        let params: Vec<String> = (0..65_536).map(|i| format!("p{i} : number")).collect();
+        let source = format!(
+            "fun wide({}) : number {{ 0 }}\n\
+             page start() {{ render {{ boxed {{ post \"never\"; }} }} }}\n",
+            params.join(", ")
         );
+        let s = LiveSession::new(&source).expect("compiles");
+        let faults: Vec<&Fault> = s.fault_log().iter().collect();
+        assert_eq!(faults.len(), 1, "{}", s.fault_log());
+        let alive_core::RuntimeError::VmLimit(limit) = &faults[0].error else {
+            panic!("expected a VM-limit fault: {}", faults[0]);
+        };
+        assert_eq!(limit.to_string(), "more than 65535 parameters (`wide`)");
+        assert_eq!(s.system().vm_stats().runs, 0);
     }
 
     #[test]

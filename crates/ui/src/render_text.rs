@@ -124,7 +124,7 @@ impl TextFrame {
         let size = tree.size();
         let (w, h) = (size.w.max(0) as usize, size.h.max(0) as usize);
         let mut canvas = Canvas::new(w, h);
-        draw_box(&mut canvas, &tree.root, RenderOptions::default());
+        draw_box(&mut canvas, &tree.root, RenderOptions::default(), None);
         self.cells_repainted = (w * h) as u64;
         self.stamp = vec![0; w * h];
         self.generation = 0;
@@ -168,7 +168,7 @@ impl TextFrame {
         // Redraw everything that intersects the damage, clipped to it:
         // cells outside the damage are unchanged by construction, and
         // cells inside see every overlapping draw in z-order.
-        draw_box_clipped(canvas, &tree.root, RenderOptions::default(), damage);
+        draw_box(canvas, &tree.root, RenderOptions::default(), Some(damage));
         Some(canvas.to_text())
     }
 
@@ -183,50 +183,56 @@ impl TextFrame {
     }
 }
 
-fn intersects_any(rect: Rect, damage: &[Rect]) -> bool {
-    damage.iter().any(|d| {
-        rect.left() < d.right()
-            && d.left() < rect.right()
-            && rect.top() < d.bottom()
-            && d.top() < rect.bottom()
-    })
+/// Render a layout tree to text.
+pub fn render_with_options(tree: &LayoutTree, options: RenderOptions) -> String {
+    let size = tree.size();
+    let mut canvas = Canvas::new(size.w.max(0) as usize, size.h.max(0) as usize);
+    draw_box(&mut canvas, &tree.root, options, None);
+    canvas.to_text()
 }
 
-fn put_clipped(canvas: &mut Canvas, damage: &[Rect], x: i32, y: i32, ch: char) {
-    if damage.iter().any(|d| d.contains(Point::new(x, y))) {
-        canvas.put(x, y, ch);
-    }
-}
-
-fn draw_box_clipped(
-    canvas: &mut Canvas,
-    node: &LayoutBox,
-    options: RenderOptions,
-    damage: &[Rect],
-) {
+/// Paint `node` and its descendants in z-order: shading, then frame,
+/// then text and children. With `clip`, only cells inside one of the
+/// damage rectangles are written and draws that miss them all are
+/// skipped; `None` paints every cell.
+fn draw_box(canvas: &mut Canvas, node: &LayoutBox, options: RenderOptions, clip: Option<&[Rect]>) {
+    let touches = |area: Rect| {
+        clip.is_none_or(|damage| {
+            damage.iter().any(|d| {
+                area.left() < d.right()
+                    && d.left() < area.right()
+                    && area.top() < d.bottom()
+                    && d.top() < area.bottom()
+            })
+        })
+    };
+    let put = |canvas: &mut Canvas, x: i32, y: i32, ch: char| {
+        if clip.is_none_or(|damage| damage.iter().any(|d| d.contains(Point::new(x, y)))) {
+            canvas.put(x, y, ch);
+        }
+    };
     let rect = node.rect;
-    if intersects_any(rect, damage) {
+    if touches(rect) {
         if node.style.background.is_some() {
             for y in rect.top()..rect.bottom() {
                 for x in rect.left()..rect.right() {
-                    put_clipped(canvas, damage, x, y, options.shade);
+                    put(canvas, x, y, options.shade);
                 }
             }
         }
         if (node.style.border > 0 || options.outline_all_boxes) && !rect.size.is_empty() {
             let (l, t, r, b) = (rect.left(), rect.top(), rect.right() - 1, rect.bottom() - 1);
             for x in l..=r {
-                put_clipped(canvas, damage, x, t, '-');
-                put_clipped(canvas, damage, x, b, '-');
+                put(canvas, x, t, '-');
+                put(canvas, x, b, '-');
             }
             for y in t..=b {
-                put_clipped(canvas, damage, l, y, '|');
-                put_clipped(canvas, damage, r, y, '|');
+                put(canvas, l, y, '|');
+                put(canvas, r, y, '|');
             }
-            put_clipped(canvas, damage, l, t, '+');
-            put_clipped(canvas, damage, r, t, '+');
-            put_clipped(canvas, damage, l, b, '+');
-            put_clipped(canvas, damage, r, b, '+');
+            for (x, y) in [(l, t), (r, t), (l, b), (r, b)] {
+                put(canvas, x, y, '+');
+            }
         }
     }
     for item in &node.items {
@@ -236,21 +242,19 @@ fn draw_box_clipped(
                 lines,
                 font_size,
             } => {
-                if !intersects_any(*rect, damage) {
+                if !touches(*rect) {
                     continue;
                 }
+                // Scaled text repeats each character into a scale×scale
+                // block, a cheap stand-in for larger fonts.
                 let scale = (*font_size).max(1);
                 for (row, line) in lines.iter().enumerate() {
                     for (col, ch) in line.chars().enumerate() {
                         for dy in 0..scale {
                             for dx in 0..scale {
-                                put_clipped(
-                                    canvas,
-                                    damage,
-                                    rect.left() + (col as i32) * scale + dx,
-                                    rect.top() + (row as i32) * scale + dy,
-                                    ch,
-                                );
+                                let x = rect.left() + (col as i32) * scale + dx;
+                                let y = rect.top() + (row as i32) * scale + dy;
+                                put(canvas, x, y, ch);
                             }
                         }
                     }
@@ -258,83 +262,7 @@ fn draw_box_clipped(
             }
             // Always recurse: children can overflow a parent whose rect
             // was clamped by a width/height override.
-            LayoutItem::Child(child) => draw_box_clipped(canvas, child, options, damage),
-        }
-    }
-}
-
-/// Render a layout tree to text.
-pub fn render_with_options(tree: &LayoutTree, options: RenderOptions) -> String {
-    let size = tree.size();
-    let mut canvas = Canvas::new(size.w.max(0) as usize, size.h.max(0) as usize);
-    draw_box(&mut canvas, &tree.root, options);
-    canvas.to_text()
-}
-
-fn draw_box(canvas: &mut Canvas, node: &LayoutBox, options: RenderOptions) {
-    let rect = node.rect;
-    if node.style.background.is_some() {
-        fill(canvas, rect, options.shade);
-    }
-    if node.style.border > 0 || options.outline_all_boxes {
-        frame(canvas, rect);
-    }
-    for item in &node.items {
-        match item {
-            LayoutItem::Text {
-                rect,
-                lines,
-                font_size,
-            } => {
-                draw_text(canvas, *rect, lines, *font_size);
-            }
-            LayoutItem::Child(child) => draw_box(canvas, child, options),
-        }
-    }
-}
-
-fn fill(canvas: &mut Canvas, rect: Rect, ch: char) {
-    for y in rect.top()..rect.bottom() {
-        for x in rect.left()..rect.right() {
-            canvas.put(x, y, ch);
-        }
-    }
-}
-
-fn frame(canvas: &mut Canvas, rect: Rect) {
-    if rect.size.is_empty() {
-        return;
-    }
-    let (l, t, r, b) = (rect.left(), rect.top(), rect.right() - 1, rect.bottom() - 1);
-    for x in l..=r {
-        canvas.put(x, t, '-');
-        canvas.put(x, b, '-');
-    }
-    for y in t..=b {
-        canvas.put(l, y, '|');
-        canvas.put(r, y, '|');
-    }
-    canvas.put(l, t, '+');
-    canvas.put(r, t, '+');
-    canvas.put(l, b, '+');
-    canvas.put(r, b, '+');
-}
-
-fn draw_text(canvas: &mut Canvas, rect: Rect, lines: &[String], font_size: i32) {
-    let scale = font_size.max(1);
-    for (row, line) in lines.iter().enumerate() {
-        for (col, ch) in line.chars().enumerate() {
-            // Scaled text repeats each character into a scale×scale block,
-            // a cheap stand-in for larger fonts.
-            for dy in 0..scale {
-                for dx in 0..scale {
-                    canvas.put(
-                        rect.left() + (col as i32) * scale + dx,
-                        rect.top() + (row as i32) * scale + dy,
-                        ch,
-                    );
-                }
-            }
+            LayoutItem::Child(child) => draw_box(canvas, child, options, clip),
         }
     }
 }
@@ -353,7 +281,7 @@ pub fn render_zoomed_out(tree: &LayoutTree, zoom: usize) -> String {
     let full = {
         let size = tree.size();
         let mut canvas = Canvas::new(size.w.max(0) as usize, size.h.max(0) as usize);
-        draw_box(&mut canvas, &tree.root, RenderOptions::default());
+        draw_box(&mut canvas, &tree.root, RenderOptions::default(), None);
         canvas
     };
     let out_w = full.width().div_ceil(zoom);
