@@ -47,7 +47,7 @@ commands:
   :where <path...>      box -> code: show the boxed statement for a box
   :find <line>:<col>    code -> boxes: which boxes does this cursor make?
   :stack                show the page stack and model store
-  :stats                frame-pipeline reuse counters (eval/layout/paint)
+  :stats                frame counters: memo reuse, stage times, view-memo hits
   :examples             evaluate the program's `example` probes against
                         the live model (expect clauses report ok/fail)
   :metrics              session metrics snapshot (counters + latency quantiles)

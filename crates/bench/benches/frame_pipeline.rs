@@ -1,98 +1,27 @@
-//! E-frame — the frame pipeline: full from-scratch layout + paint vs
-//! the incremental path (pointer-keyed layout cache, damage-driven
-//! repaint, generation-keyed view memo) on steady-state gallery and
-//! feed workloads.
+//! E-frame — the frame loop on steady-state gallery and feed workloads:
+//! one interaction plus a frame read through `LiveSession::live_view`,
+//! with the render memo off and on.
 //!
-//! Besides the wall-clock numbers, this bench counts the work each path
-//! does per frame — layout nodes measured and screen cells repainted —
-//! and cross-checks at every step that the incremental output is
-//! byte-identical to from-scratch rendering. The counters and their
-//! ratios are written to `BENCH_frame_pipeline.json` (the acceptance
-//! bars: ≥ 3× fewer nodes measured, ≥ 5× fewer cells repainted).
+//! The session lays out and paints every new display generation from
+//! scratch. Before timing, each arm walks `STEPS` interactions and
+//! checks at every step that the live view is byte-identical to
+//! `render_to_text(&layout(root))`. The timing section is written to
+//! `BENCH_frame_pipeline.json`.
 
 use alive_bench::{feed_session, feed_touch, gallery_session};
 use alive_live::LiveSession;
 use alive_testkit::Bench;
-use alive_ui::{layout, layout_incremental, render_to_text, LayoutCache};
+use alive_ui::{layout, render_to_text};
 use std::hint::black_box;
 
 const N: usize = 64;
 const STEPS: usize = 24;
 
-#[derive(Debug, Default)]
-struct Counters {
-    frames: u64,
-    nodes_full: u64,
-    nodes_incremental: u64,
-    nodes_reused: u64,
-    cells_full: u64,
-    cells_incremental: u64,
-}
+/// A workload's session builder: `(boxes, memo)`.
+type SessionOf = fn(usize, bool) -> LiveSession;
 
-impl Counters {
-    fn nodes_ratio(&self) -> f64 {
-        self.nodes_full as f64 / (self.nodes_incremental.max(1)) as f64
-    }
-
-    fn cells_ratio(&self) -> f64 {
-        self.cells_full as f64 / (self.cells_incremental.max(1)) as f64
-    }
-
-    fn to_json(&self, name: &str) -> String {
-        format!(
-            concat!(
-                "{{\"workload\":\"{}\",\"frames\":{},",
-                "\"full\":{{\"nodes_measured\":{},\"cells_repainted\":{}}},",
-                "\"incremental\":{{\"nodes_measured\":{},\"nodes_reused\":{},\"cells_repainted\":{}}},",
-                "\"nodes_measured_ratio\":{:.2},\"cells_repainted_ratio\":{:.2}}}"
-            ),
-            name,
-            self.frames,
-            self.nodes_full,
-            self.cells_full,
-            self.nodes_incremental,
-            self.nodes_reused,
-            self.cells_incremental,
-            self.nodes_ratio(),
-            self.cells_ratio(),
-        )
-    }
-}
-
-/// Drive `steps` steady-state interactions, accumulating per-frame work
-/// counters for both paths and asserting byte identity at every step.
-fn count_steady_state(
-    label: &str,
-    session: &mut LiveSession,
-    mut step_fn: impl FnMut(&mut LiveSession, usize),
-) -> Counters {
-    // Warm the pipeline: the first frame is always a full one.
-    session.live_view();
-    let mut counters = Counters::default();
-    for step in 0..STEPS {
-        step_fn(session, step);
-        let view = session.live_view();
-        let stats = session.frame_stats();
-        // What the full path would have done for this frame — and the
-        // byte-identity oracle for what the incremental path did.
-        let root = session.display_tree().expect("session has a view");
-        let mut fresh = LayoutCache::new();
-        let (tree, full_stats) = layout_incremental(&mut fresh, &root);
-        assert_eq!(
-            view,
-            render_to_text(&tree),
-            "{label}: incremental output diverged at step {step}"
-        );
-        let size = tree.size();
-        counters.frames += 1;
-        counters.nodes_full += full_stats.nodes_measured;
-        counters.nodes_incremental += stats.nodes_measured;
-        counters.nodes_reused += stats.nodes_reused;
-        counters.cells_full += size.w.max(0) as u64 * size.h.max(0) as u64;
-        counters.cells_incremental += stats.cells_repainted;
-    }
-    counters
-}
+/// One interaction on a workload session; `step` counts interactions.
+type Step = fn(&mut LiveSession, usize);
 
 /// Steady-state gallery step: tap the already-selected tile. The
 /// display is invalidated and re-rendered, but no subtree changes —
@@ -101,56 +30,44 @@ fn gallery_retap(session: &mut LiveSession, _step: usize) {
     session.tap_path(&[1]).expect("tap tile");
 }
 
+/// Walk `STEPS` interactions, asserting at every step that the live
+/// view equals a from-scratch layout + paint of the display tree.
+fn check_byte_identity(name: &str, session: &mut LiveSession, step_fn: Step) {
+    for step in 0..STEPS {
+        step_fn(session, step);
+        let view = session.live_view();
+        let root = session.display_tree().expect("session has a view");
+        assert_eq!(
+            view,
+            render_to_text(&layout(&root)),
+            "{name}: view diverged at step {step}"
+        );
+    }
+}
+
 fn main() {
     let mut bench = Bench::from_args("frame_pipeline");
-
-    // Work counters + byte-identity oracle over the steady states.
-    let gallery = count_steady_state("gallery", &mut gallery_session(N, true), gallery_retap);
-    let feed = count_steady_state("feed", &mut feed_session(N, true), feed_touch);
-
-    // Wall-clock: one steady-state interaction plus a frame read, full
-    // pipeline (no reuse anywhere) vs incremental (memo + layout cache
-    // + damage repaint).
-    let mut full_gallery = gallery_session(N, false);
-    let mut step = 0usize;
-    bench.bench(&format!("full/gallery/{N}"), || {
-        gallery_retap(&mut full_gallery, step);
-        step += 1;
-        let root = full_gallery.display_tree().expect("view");
-        black_box(render_to_text(&layout(&root)))
-    });
-    let mut inc_gallery = gallery_session(N, true);
-    let mut step = 0usize;
-    bench.bench(&format!("incremental/gallery/{N}"), || {
-        gallery_retap(&mut inc_gallery, step);
-        step += 1;
-        black_box(inc_gallery.live_view())
-    });
-
-    let mut full_feed = feed_session(N, false);
-    let mut step = 0usize;
-    bench.bench(&format!("full/feed/{N}"), || {
-        feed_touch(&mut full_feed, step);
-        step += 1;
-        let root = full_feed.display_tree().expect("view");
-        black_box(render_to_text(&layout(&root)))
-    });
-    let mut inc_feed = feed_session(N, true);
-    let mut step = 0usize;
-    bench.bench(&format!("incremental/feed/{N}"), || {
-        feed_touch(&mut inc_feed, step);
-        step += 1;
-        black_box(inc_feed.live_view())
-    });
+    let workloads: [(&str, SessionOf, Step); 2] = [
+        ("gallery", gallery_session, gallery_retap),
+        ("feed", feed_session, feed_touch),
+    ];
+    for (workload, session_of, step_fn) in workloads {
+        for memo in [false, true] {
+            let name = format!("{}/{workload}/{N}", if memo { "memo" } else { "plain" });
+            let mut session = session_of(N, memo);
+            check_byte_identity(&name, &mut session, step_fn);
+            let mut step = STEPS;
+            bench.bench(&name, || {
+                step_fn(&mut session, step);
+                step += 1;
+                black_box(session.live_view())
+            });
+        }
+    }
 
     // Emit the machine-readable report before `finish` consumes the
-    // harness: reuse counters + the timing section.
-    let report = format!(
-        "{{\"workloads\":[{},{}],\"timing\":{}}}\n",
-        gallery.to_json(&format!("gallery/{N}")),
-        feed.to_json(&format!("feed/{N}")),
-        bench.to_json(),
-    );
+    // harness.
+    let report = format!("{{\"timing\":{}}}\n", bench.to_json());
     // Anchor at the workspace root regardless of the invocation CWD.
     let out =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_frame_pipeline.json");
@@ -158,15 +75,5 @@ fn main() {
         eprintln!("cannot write {}: {e}", out.display());
         std::process::exit(1);
     }
-    eprintln!(
-        "gallery: {:.1}x fewer nodes measured, {:.1}x fewer cells repainted",
-        gallery.nodes_ratio(),
-        gallery.cells_ratio()
-    );
-    eprintln!(
-        "feed:    {:.1}x fewer nodes measured, {:.1}x fewer cells repainted",
-        feed.nodes_ratio(),
-        feed.cells_ratio()
-    );
     bench.finish();
 }

@@ -91,16 +91,6 @@ impl BoxNode {
         })
     }
 
-    /// The winning setting of attribute `a` together with its
-    /// provenance — the bidirectional-manipulation analogue of
-    /// [`BoxNode::attr`].
-    pub fn attr_with_provenance(&self, attr: Attr) -> Option<(&Value, Option<&Provenance>)> {
-        self.items.iter().rev().find_map(|item| match item {
-            BoxItem::Attr(a, v, p) if *a == attr => Some((v, p.as_ref())),
-            _ => None,
-        })
-    }
-
     /// Posted leaf values, in order.
     pub fn leaves(&self) -> impl Iterator<Item = &Value> {
         self.items.iter().filter_map(|item| match item {

@@ -35,10 +35,10 @@ pub mod names {
     pub const TRANSITIONS_RENDER: &str = "system.transitions.render";
     /// Successful UPDATE transitions (live code swaps).
     pub const UPDATES: &str = "system.updates";
-    /// The subset of [`UPDATES`] applied from a host-shared,
-    /// pre-type-checked program ([`crate::system::System::update_shared`]
-    /// — the fleet fan-out path, where the compile was paid once for the
-    /// whole fleet).
+    /// The subset of [`UPDATES`] applied from a pre-type-checked program
+    /// ([`crate::system::System::update_shared`]): every live-session
+    /// edit, whose incremental compile already type-checked it, and every
+    /// fleet update, compiled once for the whole fleet.
     pub const UPDATES_SHARED: &str = "system.updates.shared";
     /// Transactions rolled back by a contained fault.
     pub const ROLLBACKS: &str = "system.rollbacks";

@@ -49,11 +49,6 @@ impl Provenance {
         }
     }
 
-    /// Whether the value came straight from a literal.
-    pub fn is_literal(&self) -> bool {
-        matches!(self, Provenance::Literal(_))
-    }
-
     /// The captured free-local environment (empty for literals).
     pub fn env(&self) -> &[(Name, Value)] {
         match self {

@@ -294,29 +294,6 @@ pub struct Stepper<'a> {
 }
 
 impl<'a> Stepper<'a> {
-    /// A stepper over `expr` in state mode.
-    pub fn new_state(
-        program: &'a Program,
-        store: &'a mut Store,
-        queue: &'a mut EventQueue,
-        fuel: u64,
-        expr: Expr,
-    ) -> Self {
-        Stepper {
-            machine: Machine {
-                program,
-                store,
-                queue: Some(queue),
-                mode: Effect::State,
-                boxes: Vec::new(),
-                fuel,
-                steps: StepCounts::default(),
-                trace: Some(Vec::new()),
-            },
-            current: expr,
-        }
-    }
-
     /// A stepper over `expr` in pure mode.
     pub fn new_pure(program: &'a Program, store: &'a mut Store, fuel: u64, expr: Expr) -> Self {
         Stepper {

@@ -922,12 +922,12 @@ impl System {
     }
 
     /// The UPDATE transition with an *already type-checked* shared
-    /// program — the fleet fan-out path. A host that compiled (and thus
-    /// type-checked) a new version exactly once hands every subscribed
-    /// session the same `Arc<Program>`; each session re-runs only the
-    /// parts of UPDATE that genuinely depend on its own state — the
-    /// store and page-stack fix-ups — and skips the per-session
-    /// re-typecheck and the `Program` clone that [`System::update`]
+    /// program — the path of every live-session edit (the session's
+    /// incremental compile type-checked it) and of the fleet fan-out (a
+    /// host that compiled a new version exactly once hands every
+    /// subscribed session the same `Arc<Program>`). Only the parts of
+    /// UPDATE that depend on this system's state run — the store and
+    /// page-stack fix-ups — not the re-typecheck that [`System::update`]
     /// would pay. The caller vouches that `new_program` passed
     /// `check_program` (the same contract as
     /// [`System::with_shared_program`]); handing over an unchecked

@@ -320,16 +320,6 @@ impl VmProgram {
         self.syms.len()
     }
 
-    /// Number of compiled chunks (function/page/global bodies).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Total instructions across all chunks.
-    pub fn instruction_count(&self) -> usize {
-        self.chunks.iter().map(|c| c.code.len()).sum()
-    }
-
     /// The lambda index for a closure body created by this program (or
     /// by bigstep from the same program version), if any.
     pub(crate) fn lambda_for(&self, body: &Arc<Expr>) -> Option<u32> {

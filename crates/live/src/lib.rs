@@ -14,11 +14,10 @@
 //!   attribute — or a rendered *value* — from the live view; the change
 //!   is inverted through provenance into ranked candidate code edits.
 //! * **Render memoization** ([`memo`]): the §5 optimization that reuses
-//!   box subtrees whose inputs have not changed.
-//! * **Frame pipeline** ([`pipeline`]): the same reuse extended through
-//!   layout and paint — pointer-keyed incremental layout, damage-driven
-//!   partial repaint, and a generation-keyed view memo, with
-//!   [`pipeline::FrameStats`] observability.
+//!   box subtrees whose inputs have not changed. Layout and paint run
+//!   from scratch on every new display; an unchanged display is served
+//!   from a generation-keyed view memo ([`session::FrameStats`]
+//!   counts both).
 //! * **Fault containment** ([`fault_log`], [`session`]): runtime faults
 //!   degrade the session (last good view + fault banner) instead of
 //!   killing it; faulting edits are quarantined and auto-reverted.
@@ -58,7 +57,6 @@ pub mod fault_log;
 pub mod memo;
 pub mod metrics;
 pub mod navigation;
-pub mod pipeline;
 pub mod protocol;
 pub mod repair;
 pub mod session;
@@ -70,7 +68,6 @@ pub use fault_log::{FaultLog, FAULT_LOG_CAPACITY};
 pub use memo::{MemoCache, MemoStats, RenderDeps};
 pub use metrics::SessionMetrics;
 pub use navigation::{box_source_at, boxes_for_cursor, boxes_for_source, span_for_box};
-pub use pipeline::{FramePipeline, FrameStats};
 pub use protocol::{
     format_frame_stats, format_metrics_snapshot, parse_commands, FrameSnapshot, ProtocolParseError,
     SessionCommand, SessionEffect, TxPhase,
@@ -83,7 +80,7 @@ pub use repair::{
 // alive-obs dependency.
 pub use alive_obs::{ManualClock, MetricsSnapshot, Registry};
 pub use session::{
-    EditOutcome, FleetUpdateOutcome, LiveSession, SessionError, TxError, UndoOutcome,
+    EditOutcome, FleetUpdateOutcome, FrameStats, LiveSession, SessionError, TxError, UndoOutcome,
 };
 pub use trace::SessionTrace;
 

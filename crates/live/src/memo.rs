@@ -302,9 +302,7 @@ pub struct MemoStats {
 pub struct MemoCache {
     deps: RenderDeps,
     // Entries hold `Arc<BoxNode>` so a hit splices the cached subtree by
-    // pointer copy — O(1) instead of a deep clone — and the spliced
-    // subtree stays pointer-identical across frames, which the layout
-    // cache and damage diff downstream rely on to skip work.
+    // pointer copy — O(1) instead of a deep clone.
     current: HashMap<u64, (Arc<BoxNode>, Value)>,
     previous: HashMap<u64, (Arc<BoxNode>, Value)>,
     /// Indexed by statement id: for cacheable statements, a digest of

@@ -4,8 +4,8 @@
 //! Where [`alive_core::metrics::SystemMetrics`] counts what the
 //! transition machine does, [`SessionMetrics`] measures the developer
 //! experience on top of it: edit outcomes, undo/redo outcomes, and the
-//! frame pipeline's stage timings and reuse ratios — fed from
-//! [`crate::pipeline::FrameStats`] into latency histograms each time a
+//! frame pipeline's stage timings and memo reuse ratio — fed from
+//! [`crate::session::FrameStats`] into latency histograms each time a
 //! frame is actually rendered.
 //!
 //! Both metric bundles resolve from the *same* [`Registry`], so one
@@ -15,8 +15,7 @@
 use alive_obs::{Clock, Counter, Histogram, Registry};
 use std::sync::Arc;
 
-use crate::pipeline::FrameStats;
-use crate::session::{EditOutcome, UndoOutcome};
+use crate::session::{EditOutcome, FrameStats, UndoOutcome};
 
 /// Metric names recorded by [`crate::LiveSession`]. Public so tests and
 /// dashboards reference the same strings the session writes.
@@ -33,22 +32,18 @@ pub mod names {
     pub const HISTORY_QUARANTINED: &str = "session.history.quarantined";
     /// Undo/redo requests with an empty history stack.
     pub const HISTORY_NOOP: &str = "session.history.noop";
-    /// Frames actually rendered by the pipeline (view-memo misses).
+    /// Frames actually rendered (view-memo misses).
     pub const FRAMES_RENDERED: &str = "session.frames_rendered";
     /// Protocol commands applied via [`crate::LiveSession::apply`].
     pub const COMMANDS: &str = "session.commands";
     /// µs settling the system (evaluation) before each rendered frame.
     pub const FRAME_EVAL_US: &str = "frame.eval_us";
-    /// µs in incremental layout per rendered frame.
+    /// µs in layout per rendered frame.
     pub const FRAME_LAYOUT_US: &str = "frame.layout_us";
-    /// µs in damage-driven repaint per rendered frame.
+    /// µs in paint per rendered frame.
     pub const FRAME_PAINT_US: &str = "frame.paint_us";
-    /// Screen cells repainted per rendered frame.
-    pub const FRAME_CELLS_REPAINTED: &str = "frame.cells_repainted";
     /// Percent of `boxed` evaluations served by the memo per frame.
     pub const FRAME_EVAL_REUSE_PCT: &str = "frame.eval_reuse_pct";
-    /// Percent of layout nodes skipped by the measure cache per frame.
-    pub const FRAME_LAYOUT_REUSE_PCT: &str = "frame.layout_reuse_pct";
     /// Fleet UPDATEs applied to this session (host-pushed, pre-compiled).
     pub const FLEET_UPDATES: &str = "session.fleet.updates";
     /// Fleet UPDATEs reverted by the host's canary auto-rollback.
@@ -59,10 +54,6 @@ pub mod names {
 
 /// Bucket bounds for percentage-valued histograms (reuse ratios).
 const PCT_BOUNDS: &[u64] = &[10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
-
-/// Bucket bounds for per-frame repainted-cell counts: spans a banner
-/// row (~tens of cells) to a full 80×24 screen and beyond.
-const CELL_BOUNDS: &[u64] = &[16, 64, 256, 1_024, 4_096, 16_384];
 
 /// Pre-resolved handles for one live session.
 #[derive(Debug, Clone)]
@@ -82,9 +73,7 @@ pub struct SessionMetrics {
     frame_eval_us: Histogram,
     frame_layout_us: Histogram,
     frame_paint_us: Histogram,
-    frame_cells_repainted: Histogram,
     frame_eval_reuse_pct: Histogram,
-    frame_layout_reuse_pct: Histogram,
 }
 
 impl SessionMetrics {
@@ -106,12 +95,8 @@ impl SessionMetrics {
             frame_eval_us: registry.histogram(names::FRAME_EVAL_US),
             frame_layout_us: registry.histogram(names::FRAME_LAYOUT_US),
             frame_paint_us: registry.histogram(names::FRAME_PAINT_US),
-            frame_cells_repainted: registry
-                .histogram_with_bounds(names::FRAME_CELLS_REPAINTED, CELL_BOUNDS),
             frame_eval_reuse_pct: registry
                 .histogram_with_bounds(names::FRAME_EVAL_REUSE_PCT, PCT_BOUNDS),
-            frame_layout_reuse_pct: registry
-                .histogram_with_bounds(names::FRAME_LAYOUT_REUSE_PCT, PCT_BOUNDS),
         }
     }
 
@@ -170,22 +155,17 @@ impl SessionMetrics {
     }
 
     /// Feed one rendered frame's [`FrameStats`] into the histograms.
-    /// Called only when the pipeline actually rendered (view-memo hits
+    /// Called only when a frame was actually rendered (view-memo hits
     /// describe no new work).
     pub(crate) fn record_frame(&self, stats: &FrameStats) {
         self.frames_rendered.inc();
         self.frame_eval_us.record(stats.eval_us);
         self.frame_layout_us.record(stats.layout_us);
         self.frame_paint_us.record(stats.paint_us);
-        self.frame_cells_repainted.record(stats.cells_repainted);
-        // Ratios are only meaningful when the stage did any work.
+        // The ratio is only meaningful when the memo did any work.
         if stats.eval_hits + stats.eval_misses > 0 {
             self.frame_eval_reuse_pct
                 .record((stats.eval_reuse() * 100.0).round() as u64);
-        }
-        if stats.nodes_measured + stats.nodes_reused > 0 {
-            self.frame_layout_reuse_pct
-                .record((stats.layout_reuse() * 100.0).round() as u64);
         }
     }
 }

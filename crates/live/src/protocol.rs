@@ -21,9 +21,8 @@
 //! frames to a local frontend — there is no privileged side channel.
 
 use crate::examples::ExampleProbe;
-use crate::pipeline::FrameStats;
 use crate::repair::CandidateRepair;
-use crate::session::{EditOutcome, LiveSession, UndoOutcome};
+use crate::session::{EditOutcome, FrameStats, LiveSession, UndoOutcome};
 use alive_core::boxtree::BoxNode;
 use alive_core::fixup::FixupReport;
 use alive_core::persist::LoadReport;
@@ -70,8 +69,8 @@ pub enum SessionCommand {
     Redo,
     /// Ask for the current source text.
     Source,
-    /// Ask for frame-pipeline reuse statistics (settles and renders
-    /// first, so the counters describe the current frame).
+    /// Ask for frame-pipeline statistics (settles and renders first, so
+    /// the counters describe the current frame).
     Stats,
     /// Ask for a [`MetricsSnapshot`] of every metric the session (and
     /// its system) has recorded. Settles first, so the counters
@@ -488,24 +487,11 @@ pub fn format_frame_stats(stats: &FrameStats) -> String {
     format!(
         "frame pipeline (last frame):\n\
          \x20 eval reuse:   {:>5.1}%  ({} hits, {} misses)\n\
-         \x20 layout reuse: {:>5.1}%  ({} measured, {} reused)\n\
-         \x20 repaint:      {:>5.1}%  ({} of {} cells, {})\n\
          \x20 stage time:   eval {} µs (compile {} + run {}), layout {} µs, paint {} µs\n\
          \x20 lifetime:     {} frames rendered, {} view-memo hits, {} vm cache hits",
         stats.eval_reuse() * 100.0,
         stats.eval_hits,
         stats.eval_misses,
-        stats.layout_reuse() * 100.0,
-        stats.nodes_measured,
-        stats.nodes_reused,
-        stats.repaint_fraction() * 100.0,
-        stats.cells_repainted,
-        stats.cells_total,
-        if stats.partial {
-            "partial"
-        } else {
-            "full frame"
-        },
         stats.eval_us,
         stats.eval_compile_us,
         stats.eval_exec_us,

@@ -26,7 +26,6 @@
 use crate::fault_log::FaultLog;
 use crate::memo::{MemoCache, MemoStats};
 use crate::metrics::SessionMetrics;
-use crate::pipeline::{FramePipeline, FrameStats};
 use crate::protocol::SessionCommand;
 use alive_core::bigstep::RenderHook;
 use alive_core::boxtree::{BoxNode, Display};
@@ -182,6 +181,51 @@ impl std::fmt::Display for TxError {
 
 impl std::error::Error for TxError {}
 
+/// Observability counters for the frame pipeline: evaluation (memo, VM
+/// cache), layout, paint, and the generation-keyed view memo. Per-frame
+/// fields describe the *last* frame actually rendered; `frames` and
+/// `view_hits` accumulate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameStats {
+    /// Frames rendered (view-memo misses).
+    pub frames: u64,
+    /// View reads answered from the generation-keyed string memo.
+    pub view_hits: u64,
+    /// `boxed` evaluations answered from the render memo cache
+    /// (lifetime total; zero when the session runs without a memo).
+    pub eval_hits: u64,
+    /// `boxed` evaluations that ran and populated the memo cache.
+    pub eval_misses: u64,
+    /// Microseconds spent settling the system (evaluation) since the
+    /// previous view read, up to the last frame.
+    pub eval_us: u64,
+    /// The slice of [`FrameStats::eval_us`] spent compiling bytecode
+    /// (zero once the VM cache is warm).
+    pub eval_compile_us: u64,
+    /// The slice of [`FrameStats::eval_us`] spent actually executing —
+    /// `eval_us` minus the compile slice.
+    pub eval_exec_us: u64,
+    /// Lifetime VM bytecode-cache hits (dispatches that reused the
+    /// already-compiled program).
+    pub vm_cache_hits: u64,
+    /// Microseconds spent in layout last frame.
+    pub layout_us: u64,
+    /// Microseconds spent in paint last frame.
+    pub paint_us: u64,
+}
+
+impl FrameStats {
+    /// Fraction of `boxed` evaluations served by the memo cache, 0–1.
+    pub fn eval_reuse(&self) -> f64 {
+        let total = self.eval_hits + self.eval_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.eval_hits as f64 / total as f64
+        }
+    }
+}
+
 /// A live programming session: source text + running system + optional
 /// render cache.
 #[derive(Debug)]
@@ -199,26 +243,24 @@ pub struct LiveSession {
     redo_stack: Vec<String>,
     /// Contained faults, newest last, bounded.
     faults: FaultLog,
-    /// Layout + paint reuse across frames (always on: byte-identical to
-    /// from-scratch rendering by construction).
-    pipeline: FramePipeline,
+    /// The last rendered view, keyed by
+    /// [`System::display_generation`]: a read of an unchanged display
+    /// is a string clone. Every new generation is laid out and painted
+    /// from scratch.
+    view: Option<(u64, String)>,
+    /// Counters and stage timings of the frames rendered so far.
+    frame: FrameStats,
     /// Observability handles, when a registry was attached at
     /// construction ([`LiveSession::with_shared_program_observed`]).
     metrics: Option<SessionMetrics>,
     /// The clock frame timings are taken against — the registry's clock
     /// when metrics are attached, the real monotonic clock otherwise.
     clock: Arc<dyn Clock>,
-    /// µs the system spent settling (evaluation) before the last
-    /// rendered frame; stamped into [`FrameStats::eval_us`].
-    last_eval_us: u64,
-    /// The slice of [`LiveSession::last_eval_us`] the system spent
-    /// compiling bytecode (the [`alive_core::system::VmStats::compile_us`]
-    /// delta across the settle); stamped into
-    /// [`FrameStats::eval_compile_us`].
-    last_compile_us: u64,
-    /// Settle time (and its compile slice) accumulated by every
-    /// [`LiveSession::refresh`] since the last [`LiveSession::live_view`]:
-    /// a tap settles inside `tap_path`, before the frame is drawn.
+    /// Settle time (and its compile slice, the
+    /// [`alive_core::system::VmStats::compile_us`] delta) accumulated by
+    /// every [`LiveSession::refresh`] since the last
+    /// [`LiveSession::live_view`]: a tap settles inside `tap_path`,
+    /// before the frame is drawn.
     unframed_eval_us: u64,
     unframed_compile_us: u64,
     /// Pre-transaction checkpoint while a fleet UPDATE awaits its
@@ -310,12 +352,10 @@ impl LiveSession {
     ) -> Self {
         let memo = memo.then(|| MemoCache::new(&program));
         let mut system = System::with_shared_program(program, config);
-        let mut pipeline = FramePipeline::new();
         let mut clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
         let metrics = registry.map(|registry| {
             system.set_metrics(SystemMetrics::new(registry));
             clock = registry.clock();
-            pipeline.set_clock(registry.clock());
             SessionMetrics::new(registry)
         });
         let mut session = LiveSession {
@@ -328,11 +368,10 @@ impl LiveSession {
             undo_stack: Vec::new(),
             redo_stack: Vec::new(),
             faults: FaultLog::new(),
-            pipeline,
+            view: None,
+            frame: FrameStats::default(),
             metrics,
             clock,
-            last_eval_us: 0,
-            last_compile_us: 0,
             unframed_eval_us: 0,
             unframed_compile_us: 0,
             fleet_checkpoint: None,
@@ -393,14 +432,11 @@ impl LiveSession {
         self.memo.as_ref().map(MemoCache::stats)
     }
 
-    /// Frame-pipeline statistics: reuse counters for every layer of the
-    /// last [`LiveSession::live_view`] frame (evaluation, layout, paint,
-    /// view memo) plus per-stage timings.
+    /// Frame-pipeline statistics: the stage timings of the last
+    /// [`LiveSession::live_view`] frame, plus the memo, VM-cache and
+    /// view-memo reuse counters.
     pub fn frame_stats(&self) -> FrameStats {
-        let mut stats = self.pipeline.stats();
-        stats.eval_us = self.last_eval_us;
-        stats.eval_compile_us = self.last_compile_us;
-        stats.eval_exec_us = self.last_eval_us.saturating_sub(self.last_compile_us);
+        let mut stats = self.frame;
         stats.vm_cache_hits = self.system.vm_stats().cache_hits;
         if let Some(memo) = self.memo_stats() {
             stats.eval_hits = memo.hits;
@@ -595,8 +631,9 @@ impl LiveSession {
     }
 
     fn swap_source_inner(&mut self, new_source: &str) -> EditOutcome {
+        // `compile` type-checks, so UPDATE takes the pre-checked path.
         let program = match self.compiler.compile(new_source) {
-            Ok(p) => p,
+            Ok(p) => Arc::new(p),
             Err(diags) => {
                 self.updates_rejected += 1;
                 return EditOutcome::Rejected(diags);
@@ -610,12 +647,8 @@ impl LiveSession {
         // (Cloning shares the program `Arc` and the injector, so this is
         // cheap relative to an update.)
         let checkpoint = self.system.clone();
-        let report = match self.system.update(program) {
+        let report = match self.system.update_shared(program) {
             Ok(report) => report,
-            Err(ActionError::IllTyped(diags)) => {
-                self.updates_rejected += 1;
-                return EditOutcome::Rejected(diags);
-            }
             Err(other) => {
                 // After refresh() the queue is drained, so NotStable
                 // (or anything else) here is an internal surprise —
@@ -870,13 +903,9 @@ impl LiveSession {
             *memo = MemoCache::new(self.system.program());
         }
         // The view memo is display-generation-keyed and the restored
-        // system's generation rolls *backward* — a stale pipeline would
-        // serve the canary frame for a restored generation. Rebuild it.
-        let mut pipeline = FramePipeline::new();
-        if self.metrics.is_some() {
-            pipeline.set_clock(Arc::clone(&self.clock));
-        }
-        self.pipeline = pipeline;
+        // system's generation rolls *backward* — a stale memo would
+        // serve the canary frame for a restored generation. Forget it.
+        self.view = None;
         self.refresh();
         // Replay the mid-canary traffic against the restored program.
         // The checkpoint is `None` now, so nothing re-journals.
@@ -908,11 +937,6 @@ impl LiveSession {
         }
     }
 
-    /// The transaction id of the pending fleet checkpoint, if any.
-    pub fn fleet_pending(&self) -> Option<u64> {
-        self.fleet_checkpoint.as_ref().map(|c| c.tx)
-    }
-
     /// Journal a client command while a fleet checkpoint is pending (the
     /// revert path replays the journal). Bounded: past
     /// `FLEET_JOURNAL_CAPACITY` the journal stops recording and a revert
@@ -941,35 +965,44 @@ impl LiveSession {
     /// Render the current display as text — the live view. Total: a
     /// faulting program yields the last good view; a session with no
     /// good view at all yields a placeholder naming the fault.
+    ///
+    /// A read of an unchanged display generation returns the memoized
+    /// string; a new generation is laid out and painted from scratch,
+    /// byte-identical to `render_to_text(&layout(root))` by
+    /// construction.
     pub fn live_view(&mut self) -> String {
         self.refresh();
         let eval_us = std::mem::take(&mut self.unframed_eval_us);
         let compile_us = std::mem::take(&mut self.unframed_compile_us);
         let generation = self.system.display_generation();
-        match self.system.display().content() {
-            // The pipeline reuses everything the display left unchanged:
-            // an identical generation returns the memoized string; a new
-            // tree pays incremental layout + damage-driven repaint only.
-            Some(root) => {
-                let frames_before = self.pipeline.stats().frames;
-                let text = self.pipeline.render(generation, root);
-                if self.pipeline.stats().frames > frames_before {
-                    // A frame was actually rendered (not a view-memo
-                    // hit): stamp the settle time since the last view
-                    // and feed the stage timings into the histograms.
-                    self.last_eval_us = eval_us;
-                    self.last_compile_us = compile_us;
-                    if let Some(metrics) = &self.metrics {
-                        metrics.record_frame(&self.frame_stats());
-                    }
-                }
-                text
-            }
-            None => match self.faults.latest() {
+        let Some(root) = self.system.display().content() else {
+            return match self.faults.latest() {
                 Some(fault) => format!("(no view: {fault})\n"),
                 None => "(no view)\n".to_string(),
-            },
+            };
+        };
+        if let Some((drawn, text)) = &self.view {
+            if *drawn == generation {
+                self.frame.view_hits += 1;
+                return text.clone();
+            }
         }
+        let layout_start = self.clock.now_us();
+        let tree = alive_ui::layout(root);
+        let paint_start = self.clock.now_us();
+        let text = alive_ui::render_to_text(&tree);
+        let paint_end = self.clock.now_us();
+        self.frame.frames += 1;
+        self.frame.eval_us = eval_us;
+        self.frame.eval_compile_us = compile_us;
+        self.frame.eval_exec_us = eval_us.saturating_sub(compile_us);
+        self.frame.layout_us = paint_start.saturating_sub(layout_start);
+        self.frame.paint_us = paint_end.saturating_sub(paint_start);
+        if let Some(metrics) = &self.metrics {
+            metrics.record_frame(&self.frame_stats());
+        }
+        self.view = Some((generation, text.clone()));
+        text
     }
 
     /// Tap the screen at a point (hit-tested), then refresh.
@@ -1289,25 +1322,54 @@ page start() {
         assert!(s.frame_stats().view_hits >= 1, "{:?}", s.frame_stats());
 
         // Steady state: a tap changes one header row; the listing rows
-        // are memo splices, pointer-identical across frames, so layout
-        // skips them and paint touches only the damaged cells.
+        // are memo splices, so evaluation reuses them.
         s.tap_path(&[1]).expect("tap");
         let view = s.live_view();
         assert!(view.starts_with("selected 1"), "{view}");
         let stats = s.frame_stats();
         assert!(
-            stats.nodes_reused > stats.nodes_measured,
-            "most of the tree is reused: {stats:?}"
-        );
-        assert!(stats.partial, "steady-state frames repaint partially");
-        assert!(
-            stats.cells_repainted < stats.cells_total / 2,
-            "damage covers a fraction of the screen: {stats:?}"
-        );
-        assert!(
             stats.eval_hits > 0,
             "memo splices feed the reuse: {stats:?}"
         );
+    }
+
+    #[test]
+    fn a_new_frame_releases_the_previous_display() {
+        let src = r#"
+global n : number = 0
+page start() {
+    render {
+        boxed { post "n = " ++ n; on tap { n := n + 1; } }
+        boxed { post "second"; }
+    }
+}
+"#;
+        let mut s = LiveSession::new(src).expect("starts");
+        s.live_view();
+        let root = s.display_tree().expect("has a view");
+        let children: Vec<std::sync::Weak<BoxNode>> =
+            root.children_shared().map(Arc::downgrade).collect();
+        assert_eq!(children.len(), 2);
+        drop(root);
+        s.tap_path(&[0]).expect("tap");
+        assert_eq!(s.live_view(), "n = 1\nsecond\n");
+        let pinned = children.iter().filter(|c| c.upgrade().is_some()).count();
+        assert_eq!(
+            pinned, 0,
+            "{pinned} boxes of the previous frame are still pinned"
+        );
+    }
+
+    #[test]
+    fn an_applied_edit_is_type_checked_once() {
+        let registry = Registry::new();
+        let mut s =
+            LiveSession::observed(APP, SystemConfig::default(), false, &registry).expect("starts");
+        assert!(s.edit_source(&APP.replace("count is", "n =")).is_applied());
+        let counters = s.metrics_snapshot().counters;
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        assert_eq!(count(alive_core::metrics::names::UPDATES), 1);
+        assert_eq!(count(alive_core::metrics::names::UPDATES_SHARED), 1);
     }
 
     #[test]

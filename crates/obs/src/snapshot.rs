@@ -77,14 +77,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Sum of all counter values — the coarse "how much happened"
-    /// total the invariant suite reconciles host-vs-sessions with.
-    pub fn counters_total(&self) -> u64 {
-        self.counters
-            .values()
-            .fold(0u64, |a, v| a.saturating_add(*v))
-    }
-
     /// Line-oriented wire form, ending in a newline:
     ///
     /// ```text

@@ -748,12 +748,6 @@ impl SessionHost {
         }
     }
 
-    /// Start a host with default configuration (one worker per
-    /// available CPU).
-    pub fn with_default_config() -> Self {
-        SessionHost::new(HostConfig::default())
-    }
-
     /// The number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()

@@ -226,6 +226,10 @@ struct CacheEntry {
 /// long as the allocation cannot be recycled, which each entry's keeper
 /// `Arc` guarantees. Eviction is two-generation, like the render memo
 /// cache: entries not reused for one whole frame are dropped.
+///
+/// No production path uses this cache (a live session lays out every
+/// new frame with [`layout`]); it stays because the benchmark's traced
+/// loop (`benchmark/src/traced.rs`) still compiles against it.
 #[derive(Default)]
 pub struct LayoutCache {
     current: HashMap<usize, CacheEntry>,
@@ -292,6 +296,10 @@ impl LayoutCache {
 /// Output is byte-identical to [`layout`] — only the measure pass is
 /// skipped for shared subtrees; the cheap top-down place pass always
 /// runs in full. Returns the tree plus this frame's reuse counters.
+///
+/// No production path calls this (a live session lays out every new
+/// frame with [`layout`]); it stays because the benchmark's traced loop
+/// (`benchmark/src/traced.rs`) still compiles against it.
 pub fn layout_incremental(cache: &mut LayoutCache, root: &BoxNode) -> (LayoutTree, LayoutStats) {
     cache.begin_frame();
     let measured = measure_items(root, &mut |child| measure_cached(cache, child));

@@ -104,6 +104,10 @@ pub fn render_to_text(tree: &LayoutTree) -> String {
 /// instead of the whole screen. Output is byte-identical to
 /// [`render_to_text`] as long as the damage covers everything that
 /// changed (which [`crate::diff::damage_rects`] guarantees).
+///
+/// No production path paints through this (a live session paints every
+/// new frame with [`render_to_text`]); it stays because the benchmark's
+/// traced loop (`benchmark/src/traced.rs`) still compiles against it.
 #[derive(Debug, Clone, Default)]
 pub struct TextFrame {
     canvas: Option<Canvas>,
