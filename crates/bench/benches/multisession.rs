@@ -11,10 +11,8 @@
 //! workers actually benched** (an earlier revision keyed it to the
 //! `num_cpus` run, which on a 1-CPU box compared the 1-worker run to
 //! itself and reported 1.00 while the 4-worker run sat at 0.4×). The
-//! report also embeds the host's own [`MetricsSnapshot`] (wire form)
-//! and a metrics-on vs metrics-off overhead comparison at max workers:
-//! observability must cost ≤5% of p50 command latency (plus a small
-//! absolute epsilon against timer noise), or the bench fails.
+//! report also embeds the max-workers run's [`MetricsSnapshot`] (wire
+//! form).
 //!
 //! A second workload is the **load generator**: L sessions (default
 //! 10 000) driven by a small pool of client threads with a skewed
@@ -33,9 +31,10 @@
 //! A third workload is the **scenario corpus**: one hosted session per
 //! generated `alive-corpus` program (twenty distinct programs, so the
 //! host's program cache keys per-program instead of sharing one
-//! compile), each driven with a tap fan scaled to its size and
-//! `Examples` probes mixed into the stream, with the same solo-replay
-//! byte-identity oracle.
+//! compile). Each session's script is written beforehand by a solo
+//! session on the same program, which picks every tap from its last
+//! frame and mixes `Examples` probes into the stream; the hosted
+//! session's final frame must equal that solo session's.
 //!
 //! Env knobs (used by the CI smoke step):
 //! * `ALIVE_BENCH_SESSIONS` — K, default 16
@@ -44,16 +43,14 @@
 //! * `ALIVE_BENCH_LOAD_COMMANDS` — total loadgen commands, default
 //!   100 000
 
+use alive_core::boxtree::BoxNode;
+use alive_core::Attr;
 use alive_live::{LiveSession, MetricsSnapshot, SessionCommand, SessionEffect};
 use alive_serve::{names, HostConfig, HostError, SessionHost, SessionId};
 use alive_testkit::Rng;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Absolute slack (µs) for the overhead gate: below this, p50 deltas
-/// are timer granularity, not metrics cost.
-const OVERHEAD_EPSILON_US: u64 = 25;
 
 const APP_SRC: &str = r#"
 global score : number = 0
@@ -139,21 +136,10 @@ impl RunStats {
 /// Drive K sessions × M commands against a fresh host with `workers`
 /// workers: one client thread per session applying its stream
 /// synchronously (the latency of each apply is the user-visible
-/// round-trip). Asserts the byte-identity oracle before returning.
-fn run(workers: usize, k: usize, m: usize) -> RunStats {
-    run_with_metrics(workers, k, m, true).0
-}
-
-fn run_with_metrics(
-    workers: usize,
-    k: usize,
-    m: usize,
-    metrics: bool,
-) -> (RunStats, MetricsSnapshot) {
-    let host = Arc::new(SessionHost::new(HostConfig {
-        metrics,
-        ..HostConfig::with_workers(workers)
-    }));
+/// round-trip). Asserts the byte-identity oracle before returning the
+/// run's stats and the host's snapshot of the timed load.
+fn run(workers: usize, k: usize, m: usize) -> (RunStats, MetricsSnapshot) {
+    let host = Arc::new(SessionHost::new(HostConfig::with_workers(workers)));
     let ids: Vec<_> = (0..k)
         .map(|_| host.create_session(APP_SRC).expect("app compiles"))
         .collect();
@@ -464,20 +450,23 @@ fn run_loadgen(workers: usize) -> String {
 /// The corpus workload: one hosted session per generated scenario
 /// program — twenty *distinct* programs, so the host's program cache
 /// keys per-program (`programs_compiled == corpus size`, unlike the
-/// K-sessions runs that share one compile) while each session walks
-/// its own app with a tap fan scaled to its size and `Examples`
-/// probes mixed into the stream. The byte-identity oracle replays
-/// every session solo, exactly as in the homogeneous runs.
+/// K-sessions runs that share one compile). Each hosted session runs
+/// the script a solo session wrote beforehand on the same program (see
+/// [`corpus_script`]), and its final frame must equal that solo
+/// session's. Every answer is counted as `refused` if it carries a
+/// [`SessionEffect::Refused`]; scripts picked from frames never should.
 fn run_corpus(workers: usize, m: usize) -> String {
     let corpus = alive_corpus::corpus();
     let host = Arc::new(SessionHost::new(HostConfig::with_workers(workers)));
-    let sessions: Vec<(SessionId, String, usize)> = corpus
+    let sessions: Vec<(SessionId, Vec<SessionCommand>, Vec<SessionEffect>)> = corpus
         .iter()
-        .map(|entry| {
+        .enumerate()
+        .map(|(index, entry)| {
             let id = host
                 .create_session(&entry.source)
                 .expect("corpus programs compile");
-            (id, entry.source.clone(), entry.spec.size.rows() + 4)
+            let (script, solo_frame) = corpus_script(index, &entry.source, m);
+            (id, script, solo_frame)
         })
         .collect();
     assert_eq!(
@@ -490,16 +479,24 @@ fn run_corpus(workers: usize, m: usize) -> String {
     let handles: Vec<_> = sessions
         .iter()
         .enumerate()
-        .map(|(index, &(id, _, width))| {
+        .map(|(index, (id, script, _))| {
             let host = Arc::clone(&host);
+            let (id, script) = (*id, script.clone());
             std::thread::spawn(move || {
                 let mut latencies = Vec::with_capacity(m);
                 let mut probes = 0u64;
-                for command in corpus_stream(index, width, m) {
+                let mut refused = 0u64;
+                for command in script {
                     let probing = matches!(command, SessionCommand::Examples);
                     let t0 = Instant::now();
                     let effects = host.apply(id, command).expect("host serves");
                     latencies.push(t0.elapsed().as_micros() as u64);
+                    if effects
+                        .iter()
+                        .any(|e| matches!(e, SessionEffect::Refused(_)))
+                    {
+                        refused += 1;
+                    }
                     if probing {
                         let probed = effects
                             .iter()
@@ -508,30 +505,27 @@ fn run_corpus(workers: usize, m: usize) -> String {
                         probes += 1;
                     }
                 }
-                (latencies, probes)
+                (latencies, probes, refused)
             })
         })
         .collect();
     let mut latencies_us: Vec<u64> = Vec::with_capacity(sessions.len() * m);
     let mut examples_probed = 0u64;
+    let mut refused = 0u64;
     for handle in handles {
-        let (latencies, probes) = handle.join().expect("client thread");
+        let (latencies, probes, refusals) = handle.join().expect("client thread");
         latencies_us.extend(latencies);
         examples_probed += probes;
+        refused += refusals;
     }
     let seconds = started.elapsed().as_secs_f64().max(1e-9);
 
     // Byte-identity oracle over every corpus session.
-    for (index, (id, source, width)) in sessions.iter().enumerate() {
+    for (index, (id, _, solo_frame)) in sessions.iter().enumerate() {
         let hosted = host.apply(*id, SessionCommand::Frame).expect("host serves");
-        let mut solo = LiveSession::new(source).expect("solo starts");
-        for command in corpus_stream(index, *width, m) {
-            solo.apply(command);
-        }
-        let local = solo.apply(SessionCommand::Frame);
         assert_eq!(
-            hosted, local,
-            "corpus session {index}: hosted frame diverged from solo replay"
+            &hosted, solo_frame,
+            "corpus session {index}: hosted frame diverged from the solo session"
         );
     }
 
@@ -543,7 +537,7 @@ fn run_corpus(workers: usize, m: usize) -> String {
         latencies_us,
     };
     eprintln!(
-        "corpus: {} programs x {m} commands: {:.1} commands/s, p50 {} µs, p99 {} µs, {examples_probed} example probes ({:.2}s)",
+        "corpus: {} programs x {m} commands: {:.1} commands/s, p50 {} µs, p99 {} µs, {examples_probed} example probes, {refused} refused ({:.2}s)",
         sessions.len(),
         stats.commands_per_sec(),
         stats.percentile_us(0.50),
@@ -555,7 +549,7 @@ fn run_corpus(workers: usize, m: usize) -> String {
             "{{\"programs\":{},\"programs_compiled\":{},\"workers\":{},",
             "\"commands\":{},\"seconds\":{:.4},\"commands_per_sec\":{:.1},",
             "\"p50_us\":{},\"p99_us\":{},\"examples_probed\":{},",
-            "\"oracle_sessions\":{}}}"
+            "\"refused\":{},\"oracle_sessions\":{}}}"
         ),
         sessions.len(),
         host.programs_compiled(),
@@ -566,22 +560,62 @@ fn run_corpus(workers: usize, m: usize) -> String {
         stats.percentile_us(0.50),
         stats.percentile_us(0.99),
         examples_probed,
+        refused,
         sessions.len(),
     )
 }
 
-/// The deterministic per-corpus-session command stream: taps across the
-/// program's own fan, navigation, frame reads, and `Examples` probes.
-fn corpus_stream(index: usize, width: usize, m: usize) -> Vec<SessionCommand> {
+/// One corpus session's deterministic script, written by a solo session
+/// on `source` with the rule of the live-loop benchmark's `tap_step`:
+/// half the commands tap a box of the last frame that has an `ontap`
+/// handler (a frame read if none has), a tenth are `Back` while a page
+/// is pushed (a tap otherwise), a fifth are `Examples` probes and a
+/// fifth frame reads. Returns the script and the solo session's final
+/// frame.
+fn corpus_script(
+    index: usize,
+    source: &str,
+    m: usize,
+) -> (Vec<SessionCommand>, Vec<SessionEffect>) {
     let mut rng = Rng::new(0xC0_9035 ^ index as u64);
-    (0..m)
-        .map(|_| match rng.below(10) {
-            0..=4 => SessionCommand::TapPath(vec![rng.below(width)]),
-            5 => SessionCommand::Back,
+    let mut solo = LiveSession::new(source).expect("solo starts");
+    let mut tree = solo.display_tree().expect("corpus programs render");
+    let mut script = Vec::with_capacity(m);
+    for _ in 0..m {
+        let command = match rng.below(10) {
+            5 if solo.system().page_stack().len() > 1 => SessionCommand::Back,
+            0..=5 => {
+                let tappable = tappable_paths(&tree);
+                if tappable.is_empty() {
+                    SessionCommand::Frame
+                } else {
+                    SessionCommand::TapPath(rng.choose(&tappable).clone())
+                }
+            }
             6 | 7 => SessionCommand::Examples,
             _ => SessionCommand::Frame,
-        })
-        .collect()
+        };
+        for effect in solo.apply(command.clone()) {
+            if let SessionEffect::Frame(frame) = effect {
+                if let Some(frame_tree) = frame.tree {
+                    tree = frame_tree;
+                }
+            }
+        }
+        script.push(command);
+    }
+    (script, solo.apply(SessionCommand::Frame))
+}
+
+/// Paths of the boxes in `tree` that carry an `ontap` handler.
+fn tappable_paths(tree: &BoxNode) -> Vec<Vec<usize>> {
+    let mut paths = Vec::new();
+    tree.walk(&mut |path, node| {
+        if node.attr(Attr::OnTap).is_some() {
+            paths.push(path.to_vec());
+        }
+    });
+    paths
 }
 
 /// Minimal JSON string escaping for the wire snapshot (names are
@@ -621,10 +655,14 @@ fn main() {
     // Warm up file caches / first-compile costs outside the timed runs.
     drop(run(1, 2.min(k), 8.min(m)));
 
+    // `worker_counts` ascends, so the snapshot kept for the artifact is
+    // the max-workers run's.
+    let mut host_snapshot = MetricsSnapshot::default();
     let runs: Vec<RunStats> = worker_counts
         .iter()
         .map(|&workers| {
-            let stats = run(workers, k, m);
+            let (stats, snapshot) = run(workers, k, m);
+            host_snapshot = snapshot;
             eprintln!(
                 "workers={:>2}: {:>8.1} commands/s, p50 {} µs, p99 {} µs ({} commands in {:.2}s)",
                 stats.workers,
@@ -662,30 +700,8 @@ fn main() {
         );
     }
 
-    // Observability overhead gate at max workers: best-of-two p50 per
-    // arm (min absorbs one-off scheduling hiccups), metrics-on may cost
-    // at most 5% over metrics-off, modulo an absolute epsilon.
-    let p50_of = |metrics: bool| {
-        (0..2)
-            .map(|_| run_with_metrics(ncpu, k, m, metrics).0.percentile_us(0.50))
-            .min()
-            .unwrap_or(0)
-    };
-    let p50_off = p50_of(false);
-    let p50_on = p50_of(true);
-    let budget_us = (p50_off + p50_off / 20).max(p50_off + OVERHEAD_EPSILON_US);
-    eprintln!(
-        "metrics overhead at {ncpu} workers: p50 {p50_off} µs off -> {p50_on} µs on (budget {budget_us} µs)"
-    );
-    assert!(
-        p50_on <= budget_us,
-        "metrics overhead too high: p50 {p50_on} µs with metrics vs {p50_off} µs without \
-         (budget {budget_us} µs = +5% or +{OVERHEAD_EPSILON_US} µs)"
-    );
-
-    // One more instrumented pass to capture the host's own snapshot for
-    // the artifact (wire form, embedded as an escaped JSON string).
-    let (_, host_snapshot) = run_with_metrics(ncpu, k, m, true);
+    // The host's own snapshot goes into the artifact (wire form,
+    // embedded as an escaped JSON string).
     let cmd_latency = host_snapshot.histogram("host.cmd_latency_us");
     let host_p50 = cmd_latency.and_then(|h| h.p50_us()).unwrap_or(0);
     let host_p99 = cmd_latency.and_then(|h| h.p99_us()).unwrap_or(0);
@@ -700,7 +716,7 @@ fn main() {
 
     let body: Vec<String> = runs.iter().map(|r| r.to_json(k, single)).collect();
     let report = format!(
-        "{{\"sessions\":{},\"commands_per_session\":{},\"cpus\":{},\"max_workers\":{},\"speedup_at_max_workers\":{:.2},\"oracle\":\"byte-identical final frames vs solo replay\",\"runs\":[{}],\"loadgen\":{},\"corpus\":{},\"metrics_overhead\":{{\"p50_us_metrics_off\":{},\"p50_us_metrics_on\":{},\"budget_us\":{}}},\"host_metrics\":{{\"cmd_latency_p50_us\":{},\"cmd_latency_p99_us\":{},\"snapshot_wire\":\"{}\"}}}}\n",
+        "{{\"sessions\":{},\"commands_per_session\":{},\"cpus\":{},\"max_workers\":{},\"speedup_at_max_workers\":{:.2},\"oracle\":\"byte-identical final frames vs solo replay\",\"runs\":[{}],\"loadgen\":{},\"corpus\":{},\"host_metrics\":{{\"cmd_latency_p50_us\":{},\"cmd_latency_p99_us\":{},\"snapshot_wire\":\"{}\"}}}}\n",
         k,
         m,
         ncpu,
@@ -709,9 +725,6 @@ fn main() {
         body.join(","),
         load,
         corpus,
-        p50_off,
-        p50_on,
-        budget_us,
         host_p50,
         host_p99,
         json_escape(&host_snapshot.to_wire()),

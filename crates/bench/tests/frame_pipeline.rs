@@ -1,9 +1,10 @@
 //! E-frame property: a 256-step seed-replayable random walk of taps,
 //! label edits, undo/redo, injected faults, and quarantined edits over
-//! the gallery and feed workloads, asserting at every step that the
-//! incremental frame pipeline (pointer-keyed layout cache, damage-driven
-//! repaint, generation-keyed view memo) is byte-identical to a
-//! from-scratch layout + paint oracle.
+//! the gallery and feed workloads with the render memo on, asserting at
+//! every step that the session's live view (memoized render,
+//! generation-keyed view string, layout and paint of each new
+//! generation) is byte-identical to a layout + paint of its display
+//! tree computed here from scratch.
 //!
 //! Replay a failure with
 //! `ALIVE_TESTKIT_SEED=0x… cargo test -p alive-bench --test frame_pipeline`.

@@ -98,18 +98,6 @@ impl Clock for ManualClock {
     }
 }
 
-/// A clock that always reads 0 — for runs that want metric *counts*
-/// without paying for timestamps (e.g. the metrics-disabled arm of the
-/// overhead bench). All durations recorded under it are zero.
-#[derive(Debug, Default)]
-pub struct NullClock;
-
-impl Clock for NullClock {
-    fn now_us(&self) -> u64 {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

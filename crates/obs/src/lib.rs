@@ -15,8 +15,7 @@
 //!   resolve once at construction, record lock-free on the hot path.
 //! * [`Clock`] — injectable time: [`MonotonicClock`] in production,
 //!   [`ManualClock`] in tests so every latency assertion is
-//!   deterministic and seed-replayable, [`NullClock`] for runs that
-//!   want counts without timestamps.
+//!   deterministic and seed-replayable.
 //! * [`MetricsSnapshot`] — the owned, mergeable, line-format-
 //!   serializable view that crosses layer boundaries (session →
 //!   host → bench artifact).
@@ -45,7 +44,7 @@ mod metric;
 mod registry;
 mod snapshot;
 
-pub use clock::{Clock, ManualClock, MonotonicClock, NullClock};
+pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, DEFAULT_LATENCY_BOUNDS_US};
 pub use registry::Registry;
 pub use snapshot::{MetricsSnapshot, WIRE_HEADER};
@@ -61,5 +60,4 @@ const _: () = {
     assert_send_sync::<MetricsSnapshot>();
     assert_send_sync::<MonotonicClock>();
     assert_send_sync::<ManualClock>();
-    assert_send_sync::<NullClock>();
 };

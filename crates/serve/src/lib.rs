@@ -30,9 +30,10 @@
 
 #![warn(missing_docs)]
 // Same fault-containment discipline as alive-core: the host must never
-// abort the process — a panicking worker would take every session with
-// it. Failures are typed (`HostError`) or contained; locks recover from
-// poisoning (session state is either taken out of the slot or intact).
+// abort the process, and a panic costs only the session it happened in
+// (see `drain_session`). Failures are typed (`HostError`) or contained;
+// locks recover from poisoning (session state is either taken out of
+// the slot or intact).
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
@@ -52,6 +53,7 @@ use rollout::{CanaryState, ProgramStore, RolloutConfig, Transaction, TxState};
 use scheduler::Scheduler;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -120,6 +122,9 @@ pub mod names {
     pub const ROLLOUT_REVERTS: &str = "host.rollout.reverts";
     /// High-water mark of one transaction's canary-wave size.
     pub const ROLLOUT_CANARY_SESSIONS: &str = "host.rollout.canary_sessions";
+    /// Sessions dropped because serving one of their mailbox items
+    /// panicked; the worker keeps draining other sessions.
+    pub const SESSION_PANICS: &str = "host.session_panics";
 }
 
 /// Pre-resolved host-level handles. Session-level metrics live in each
@@ -148,6 +153,7 @@ struct HostMetrics {
     rollout_updates: Counter,
     rollout_reverts: Counter,
     rollout_canary_sessions: Gauge,
+    session_panics: Counter,
 }
 
 impl HostMetrics {
@@ -173,6 +179,7 @@ impl HostMetrics {
             rollout_updates: registry.counter(names::ROLLOUT_UPDATES),
             rollout_reverts: registry.counter(names::ROLLOUT_REVERTS),
             rollout_canary_sessions: registry.gauge(names::ROLLOUT_CANARY_SESSIONS),
+            session_panics: registry.counter(names::SESSION_PANICS),
             clock,
             registry,
         }
@@ -196,12 +203,6 @@ pub struct HostConfig {
     pub workers: usize,
     /// System configuration handed to every hosted session.
     pub system: SystemConfig,
-    /// Whether hosted sessions enable the §5 render memo cache.
-    pub memo: bool,
-    /// Whether the host records metrics (host-level and per-session).
-    /// Off, no [`Registry`] exists anywhere: sessions run exactly as
-    /// before this field did — the bench's baseline arm.
-    pub metrics: bool,
     /// Mailbox high-water capacity: a `submit` that would grow a
     /// session's mailbox past this depth is refused with
     /// [`HostError::Overloaded`] instead of queueing — the
@@ -218,8 +219,6 @@ impl Default for HostConfig {
         HostConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             system: SystemConfig::default(),
-            memo: false,
-            metrics: true,
             mailbox_capacity: 1024,
             rollout: RolloutConfig::default(),
         }
@@ -405,11 +404,10 @@ struct Slot {
     source: Mutex<Arc<str>>,
     /// The session's registry — the same one its `LiveSession` records
     /// into, so `SessionCommand::Metrics` and host snapshots agree.
-    /// `None` when the host runs with metrics disabled.
-    registry: Option<Registry>,
+    registry: Registry,
     /// Pre-resolved per-session handles (see [`names`]).
-    cmd_latency: Option<Histogram>,
-    mailbox_depth_hwm: Option<Gauge>,
+    cmd_latency: Histogram,
+    mailbox_depth_hwm: Gauge,
 }
 
 impl Slot {
@@ -448,18 +446,15 @@ struct HostInner {
     /// Open and decided edit transactions, by id.
     txs: Mutex<HashMap<u64, Transaction>>,
     next_tx: AtomicU64,
-    /// The host's time base for rollout observation windows — the
-    /// metrics clock when metrics are on (deterministic under
-    /// [`alive_obs::ManualClock`]), monotonic wall time otherwise.
-    clock: Arc<dyn Clock>,
     /// Sharded work-stealing run queues; replaces the old
     /// `Mutex<Receiver<u64>>` whose held-across-`recv_timeout` lock
     /// serialized every worker.
     scheduler: Scheduler,
     config: HostConfig,
     next_id: AtomicU64,
-    /// Host-level metric handles; `None` disables recording everywhere.
-    metrics: Option<HostMetrics>,
+    /// Host-level metric handles and the host's one clock, which also
+    /// times rollout observation windows.
+    metrics: HostMetrics,
     /// See [`DrainParkHook`]; `None` outside protocol tests.
     drain_park_hook: Mutex<Option<DrainParkHook>>,
 }
@@ -473,14 +468,19 @@ impl HostInner {
     /// high-water mark.
     fn enqueue_ready(&self, id: u64) {
         let len = self.scheduler.enqueue(id);
-        if let Some(metrics) = &self.metrics {
-            metrics
-                .ready_queue_hwm
-                .observe_max(i64::try_from(len).unwrap_or(i64::MAX));
-        }
+        self.metrics
+            .ready_queue_hwm
+            .observe_max(i64::try_from(len).unwrap_or(i64::MAX));
     }
 
     /// Drain one session's mailbox to empty, then park the session.
+    ///
+    /// A panic while serving one item is contained here: the session
+    /// is dropped and its slot removed, so its queued tickets answer
+    /// [`HostError::Stopped`] and later submits
+    /// [`HostError::UnknownSession`]. The slot keeps `scheduled` set,
+    /// so nothing schedules it again, and the worker goes on draining
+    /// other sessions.
     fn drain_session(&self, id: u64) {
         let Some(slot) = self.slot(id) else { return };
         let Some(mut session) = lock(&slot.session).take() else {
@@ -489,70 +489,17 @@ impl HostInner {
             slot.scheduled.store(false, Ordering::Release);
             return;
         };
-        let clock = slot.registry.as_ref().map(Registry::clock);
         loop {
             let item = lock(&slot.mailbox).pop_front();
             let Some(item) = item else { break };
-            match item {
-                WorkItem::Client(envelope) => {
-                    let started = clock.as_ref().map(|clock| clock.now_us());
-                    let effects = session.apply(envelope.command);
-                    if let (Some(latency), Some(clock), Some(started)) =
-                        (&slot.cmd_latency, &clock, started)
-                    {
-                        latency.record(clock.now_us().saturating_sub(started));
-                    }
-                    // Publish the last frame among the effects: observers
-                    // see whole settled frames, in per-session order.
-                    if let Some(frame) = effects.iter().rev().find_map(|effect| match effect {
-                        SessionEffect::Frame(frame) => Some(frame.clone()),
-                        _ => None,
-                    }) {
-                        *lock(&slot.latest) = Some(Arc::new(frame));
-                    }
-                    sync_source(&slot, &session);
-                    // The submitter may have dropped its ticket; fine.
-                    let _ = envelope.reply.send(effects);
-                }
-                WorkItem::Fleet(envelope) => {
-                    let reply = match envelope.op {
-                        FleetOp::Update {
-                            tx,
-                            base,
-                            source,
-                            program,
-                        } => {
-                            let faults_before = session.fault_log().total();
-                            let outcome = session.fleet_update(tx, &base, &source, program);
-                            let faults_after = session.fault_log().total();
-                            *lock(&slot.latest) = Some(Arc::new(session.frame_snapshot()));
-                            FleetReply::Updated {
-                                outcome,
-                                faults_before,
-                                faults_after,
-                            }
-                        }
-                        FleetOp::Revert { tx } => {
-                            let reverted = session.fleet_revert(tx);
-                            if reverted {
-                                *lock(&slot.latest) = Some(Arc::new(session.frame_snapshot()));
-                            }
-                            FleetReply::Reverted(reverted)
-                        }
-                        FleetOp::Promote { tx } => {
-                            let _ = session.fleet_promote(tx);
-                            FleetReply::Promoted
-                        }
-                        FleetOp::Probe => FleetReply::Faults(session.fault_log().total()),
-                        FleetOp::Inspect(run) => {
-                            run(&mut session);
-                            FleetReply::Inspected
-                        }
-                    };
-                    sync_source(&slot, &session);
-                    // The transaction driver may have given up; fine.
-                    let _ = envelope.reply.send(reply);
-                }
+            let served = panic::catch_unwind(AssertUnwindSafe(|| {
+                self.serve(&slot, &mut session, item);
+            }));
+            if served.is_err() {
+                self.metrics.session_panics.inc();
+                lock(&self.slots).remove(&id);
+                lock(&slot.mailbox).clear();
+                return;
             }
         }
         *lock(&slot.session) = Some(session);
@@ -572,60 +519,109 @@ impl HostInner {
             self.enqueue_ready(id);
         }
     }
+
+    /// Serve one mailbox item against the drained session and send its
+    /// reply.
+    fn serve(&self, slot: &Slot, session: &mut LiveSession, item: WorkItem) {
+        match item {
+            WorkItem::Client(envelope) => {
+                let started = self.metrics.clock.now_us();
+                let effects = session.apply(envelope.command);
+                slot.cmd_latency
+                    .record(self.metrics.clock.now_us().saturating_sub(started));
+                // Publish the last frame among the effects: observers
+                // see whole settled frames, in per-session order.
+                if let Some(frame) = effects.iter().rev().find_map(|effect| match effect {
+                    SessionEffect::Frame(frame) => Some(frame.clone()),
+                    _ => None,
+                }) {
+                    *lock(&slot.latest) = Some(Arc::new(frame));
+                }
+                sync_source(slot, session);
+                // The submitter may have dropped its ticket; fine.
+                let _ = envelope.reply.send(effects);
+            }
+            WorkItem::Fleet(envelope) => {
+                let reply = match envelope.op {
+                    FleetOp::Update {
+                        tx,
+                        base,
+                        source,
+                        program,
+                    } => {
+                        let faults_before = session.fault_log().total();
+                        let outcome = session.fleet_update(tx, &base, &source, program);
+                        let faults_after = session.fault_log().total();
+                        *lock(&slot.latest) = Some(Arc::new(session.frame_snapshot()));
+                        FleetReply::Updated {
+                            outcome,
+                            faults_before,
+                            faults_after,
+                        }
+                    }
+                    FleetOp::Revert { tx } => {
+                        let reverted = session.fleet_revert(tx);
+                        if reverted {
+                            *lock(&slot.latest) = Some(Arc::new(session.frame_snapshot()));
+                        }
+                        FleetReply::Reverted(reverted)
+                    }
+                    FleetOp::Promote { tx } => {
+                        let _ = session.fleet_promote(tx);
+                        FleetReply::Promoted
+                    }
+                    FleetOp::Probe => FleetReply::Faults(session.fault_log().total()),
+                    FleetOp::Inspect(run) => {
+                        run(session);
+                        FleetReply::Inspected
+                    }
+                };
+                sync_source(slot, session);
+                // The transaction driver may have given up; fine.
+                let _ = envelope.reply.send(reply);
+            }
+        }
+    }
 }
 
 /// The worker loop: claim (own shard, then steal), drain, park when
-/// the whole run queue is dry. With metrics on, every microsecond of
-/// the loop is attributed to exactly one of busy / steal-scan / parked
-/// using shared timestamps, so `busy + parked + steal_scan == wall`
-/// holds as an identity, not an approximation — contending for work
-/// can no longer masquerade as idleness because there is no shared
-/// receiver lock to contend on.
+/// the whole run queue is dry. Every microsecond of the loop is
+/// attributed to exactly one of busy / steal-scan / parked using shared
+/// timestamps, so `busy + parked + steal_scan == wall` holds as an
+/// identity, not an approximation — contending for work can no longer
+/// masquerade as idleness because there is no shared receiver lock to
+/// contend on.
 fn worker_loop(inner: &HostInner, worker: usize) {
-    let clock = inner.metrics.as_ref().map(|m| Arc::clone(&m.clock));
+    let metrics = &inner.metrics;
     loop {
         if inner.scheduler.is_shutdown() {
             return;
         }
-        let scan_started = clock.as_ref().map(|clock| clock.now_us());
+        let scan_started = metrics.clock.now_us();
         let claim = inner.scheduler.try_claim(worker);
-        let scan_ended = clock.as_ref().map(|clock| clock.now_us());
-        if let (Some(metrics), Some(t0), Some(t1)) = (&inner.metrics, scan_started, scan_ended) {
-            let scan_us = t1.saturating_sub(t0);
-            metrics.worker_steal_scan_us.add(scan_us);
-            metrics.worker_idle_us.add(scan_us);
-        }
+        let scan_ended = metrics.clock.now_us();
+        let scan_us = scan_ended.saturating_sub(scan_started);
+        metrics.worker_steal_scan_us.add(scan_us);
+        metrics.worker_idle_us.add(scan_us);
         match claim {
             Some(claim) => {
                 if claim.stolen {
-                    if let Some(metrics) = &inner.metrics {
-                        metrics.steals.inc();
-                    }
+                    metrics.steals.inc();
                 }
                 inner.drain_session(claim.id);
-                if let (Some(metrics), Some(clock), Some(t0), Some(t1)) =
-                    (&inner.metrics, &clock, scan_started, scan_ended)
-                {
-                    let t2 = clock.now_us();
-                    metrics.worker_busy_us.add(t2.saturating_sub(t1));
-                    metrics.worker_wall_us.add(t2.saturating_sub(t0));
-                }
+                let now = metrics.clock.now_us();
+                metrics.worker_busy_us.add(now.saturating_sub(scan_ended));
+                metrics.worker_wall_us.add(now.saturating_sub(scan_started));
             }
             None => {
                 let waited = inner.scheduler.park();
-                if let (Some(metrics), Some(clock), Some(t0), Some(t1)) =
-                    (&inner.metrics, &clock, scan_started, scan_ended)
-                {
-                    let t2 = clock.now_us();
-                    let parked_us = t2.saturating_sub(t1);
-                    metrics.worker_parked_us.add(parked_us);
-                    metrics.worker_idle_us.add(parked_us);
-                    metrics.worker_wall_us.add(t2.saturating_sub(t0));
-                }
+                let now = metrics.clock.now_us();
+                let parked_us = now.saturating_sub(scan_ended);
+                metrics.worker_parked_us.add(parked_us);
+                metrics.worker_idle_us.add(parked_us);
+                metrics.worker_wall_us.add(now.saturating_sub(scan_started));
                 if waited {
-                    if let Some(metrics) = &inner.metrics {
-                        metrics.parks.inc();
-                    }
+                    metrics.parks.inc();
                 }
             }
         }
@@ -687,45 +683,24 @@ impl fmt::Debug for SessionHost {
 
 impl SessionHost {
     /// Start a host with the given configuration (spawns the workers).
-    /// When `config.metrics` is on, metrics run against real monotonic
-    /// time; see [`SessionHost::with_clock`] for deterministic tests.
+    /// Metrics run against real monotonic time; see
+    /// [`SessionHost::with_clock`] for deterministic tests.
     pub fn new(config: HostConfig) -> Self {
-        let clock: Option<Arc<dyn Clock>> = config
-            .metrics
-            .then(|| Arc::new(MonotonicClock::new()) as Arc<dyn Clock>);
-        SessionHost::start(config, clock)
+        SessionHost::with_clock(config, Arc::new(MonotonicClock::new()))
     }
 
-    /// Start a host whose metrics (host-level and per-session) all time
-    /// against `clock` — an [`alive_obs::ManualClock`] with an auto-step
-    /// makes every duration and snapshot deterministic. Implies
-    /// `config.metrics = true`.
+    /// Start a host whose metrics (host-level and per-session) and
+    /// rollout observation windows all time against `clock` — an
+    /// [`alive_obs::ManualClock`] with an auto-step makes every duration
+    /// and snapshot deterministic.
     pub fn with_clock(config: HostConfig, clock: Arc<dyn Clock>) -> Self {
-        SessionHost::start(
-            HostConfig {
-                metrics: true,
-                ..config
-            },
-            Some(clock),
-        )
-    }
-
-    fn start(config: HostConfig, clock: Option<Arc<dyn Clock>>) -> Self {
         let workers = config.workers.max(1);
         let mailbox_capacity = config.mailbox_capacity.max(1);
-        let metrics = clock.map(HostMetrics::new);
-        // The rollout clock: share the metrics clock when there is one
-        // (deterministic under ManualClock), fall back to wall time.
-        let clock = metrics
-            .as_ref()
-            .map(|metrics| Arc::clone(&metrics.clock))
-            .unwrap_or_else(|| Arc::new(MonotonicClock::new()) as Arc<dyn Clock>);
         let inner = Arc::new(HostInner {
             slots: Mutex::new(HashMap::new()),
             store: ProgramStore::new(),
             txs: Mutex::new(HashMap::new()),
             next_tx: AtomicU64::new(1),
-            clock,
             scheduler: Scheduler::new(workers),
             config: HostConfig {
                 workers,
@@ -733,7 +708,7 @@ impl SessionHost {
                 ..config
             },
             next_id: AtomicU64::new(1),
-            metrics,
+            metrics: HostMetrics::new(clock),
             drain_park_hook: Mutex::new(None),
         });
         let handles = (0..workers)
@@ -795,15 +770,12 @@ impl SessionHost {
         let outcome = self.inner.store.lookup(source);
         match outcome.result {
             Ok(program) => {
-                if let Some(metrics) = &self.inner.metrics {
-                    // A racing same-source caller that lost the init is
-                    // a hit: it waited for the winner, it did not
-                    // compile.
-                    if outcome.compiled_here {
-                        metrics.program_cache_misses.inc();
-                    } else {
-                        metrics.program_cache_hits.inc();
-                    }
+                // A racing same-source caller that lost the init is a
+                // hit: it waited for the winner, it did not compile.
+                if outcome.compiled_here {
+                    self.inner.metrics.program_cache_misses.inc();
+                } else {
+                    self.inner.metrics.program_cache_hits.inc();
                 }
                 Ok(program)
             }
@@ -824,21 +796,15 @@ impl SessionHost {
         // Each session gets its own registry on the host's clock, so
         // per-session snapshots are independent and the host snapshot
         // is their merge — counters sum exactly across sessions.
-        let registry = self
-            .inner
-            .metrics
-            .as_ref()
-            .map(|metrics| Registry::with_clock(Arc::clone(&metrics.clock)));
+        let registry = Registry::with_clock(Arc::clone(&self.inner.metrics.clock));
         let mut session = LiveSession::with_shared_program_observed(
             source,
             program,
             self.inner.config.system,
-            self.inner.config.memo,
-            registry.as_ref(),
+            false,
+            Some(&registry),
         );
-        if let Some(metrics) = &self.inner.metrics {
-            metrics.sessions_created.inc();
-        }
+        self.inner.metrics.sessions_created.inc();
         let first = Arc::new(session.frame_snapshot());
         let id = self.inner.next_id.fetch_add(1, Ordering::AcqRel);
         let slot = Arc::new(Slot {
@@ -847,12 +813,8 @@ impl SessionHost {
             scheduled: AtomicBool::new(false),
             latest: Mutex::new(Some(first)),
             source: Mutex::new(Arc::from(source)),
-            cmd_latency: registry
-                .as_ref()
-                .map(|registry| registry.histogram(names::CMD_LATENCY_US)),
-            mailbox_depth_hwm: registry
-                .as_ref()
-                .map(|registry| registry.gauge(names::MAILBOX_DEPTH_HWM)),
+            cmd_latency: registry.histogram(names::CMD_LATENCY_US),
+            mailbox_depth_hwm: registry.gauge(names::MAILBOX_DEPTH_HWM),
             registry,
         });
         lock(&self.inner.slots).insert(id, slot);
@@ -913,18 +875,15 @@ impl SessionHost {
             let mut mailbox = lock(&slot.mailbox);
             if mailbox.len() >= self.inner.config.mailbox_capacity {
                 drop(mailbox);
-                if let Some(metrics) = &self.inner.metrics {
-                    metrics.overloads.inc();
-                }
+                self.inner.metrics.overloads.inc();
                 return Err(HostError::Overloaded {
                     session: id,
                     depth: self.inner.config.mailbox_capacity,
                 });
             }
             mailbox.push_back(WorkItem::Client(Envelope { command, reply }));
-            if let Some(gauge) = &slot.mailbox_depth_hwm {
-                gauge.observe_max(i64::try_from(mailbox.len()).unwrap_or(i64::MAX));
-            }
+            slot.mailbox_depth_hwm
+                .observe_max(i64::try_from(mailbox.len()).unwrap_or(i64::MAX));
         }
         if slot.try_schedule() {
             self.inner.enqueue_ready(id.0);
@@ -991,9 +950,7 @@ impl SessionHost {
                 state: TxState::Open,
             },
         );
-        if let Some(metrics) = &self.inner.metrics {
-            metrics.tx_opened.inc();
-        }
+        self.inner.metrics.tx_opened.inc();
         Ok(tx)
     }
 
@@ -1082,9 +1039,7 @@ impl SessionHost {
                 return Err(error);
             }
         };
-        if let Some(metrics) = &self.inner.metrics {
-            metrics.tx_committed.inc();
-        }
+        self.inner.metrics.tx_committed.inc();
         let source: Arc<str> = Arc::from(staged.as_str());
         // The fleet: every session still on the base version, in id
         // order (deterministic canary choice).
@@ -1107,11 +1062,10 @@ impl SessionHost {
         let canary_n = (fleet.len() * percent).div_ceil(100).clamp(1, fleet.len());
         let canary_ids: Vec<u64> = fleet[..canary_n].to_vec();
         let rest: Vec<u64> = fleet[canary_n..].to_vec();
-        if let Some(metrics) = &self.inner.metrics {
-            metrics
-                .rollout_canary_sessions
-                .observe_max(i64::try_from(canary_n).unwrap_or(i64::MAX));
-        }
+        self.inner
+            .metrics
+            .rollout_canary_sessions
+            .observe_max(i64::try_from(canary_n).unwrap_or(i64::MAX));
         let wave = self.update_wave(&canary_ids, tx, &base, &source, &program);
         let phase = if wave.fault_delta >= config.fault_threshold {
             self.rollback(
@@ -1144,6 +1098,7 @@ impl SessionHost {
                 program,
                 deadline_us: self
                     .inner
+                    .metrics
                     .clock
                     .now_us()
                     .saturating_add(config.observation_window_us),
@@ -1190,7 +1145,9 @@ impl SessionHost {
                     })
                 }
                 TxState::Closed(phase) => return Ok(phase.clone()),
-                TxState::Canary(canary) if self.inner.clock.now_us() < canary.deadline_us => {
+                TxState::Canary(canary)
+                    if self.inner.metrics.clock.now_us() < canary.deadline_us =>
+                {
                     return Ok(TxPhase::Canary {
                         canary: canary.canary.len(),
                         fleet: canary.fleet,
@@ -1358,9 +1315,10 @@ impl SessionHost {
                 _ => wave.skipped += 1,
             }
         }
-        if let Some(metrics) = &self.inner.metrics {
-            metrics.rollout_updates.add(wave.applied.len() as u64);
-        }
+        self.inner
+            .metrics
+            .rollout_updates
+            .add(wave.applied.len() as u64);
         wave
     }
 
@@ -1382,10 +1340,8 @@ impl SessionHost {
                 )
             })
             .count();
-        if let Some(metrics) = &self.inner.metrics {
-            metrics.rollbacks_total.inc();
-            metrics.rollout_reverts.add(reverted as u64);
-        }
+        self.inner.metrics.rollbacks_total.inc();
+        self.inner.metrics.rollout_reverts.add(reverted as u64);
         TxPhase::RolledBack { reverted, reason }
     }
 
@@ -1409,9 +1365,7 @@ impl SessionHost {
                 let _ = rx.recv();
             }
         }
-        if let Some(metrics) = &self.inner.metrics {
-            metrics.tx_promoted.inc();
-        }
+        self.inner.metrics.tx_promoted.inc();
         TxPhase::Promoted {
             updated: canary.len() + wave.applied.len(),
             skipped: skipped_so_far + wave.skipped,
@@ -1448,46 +1402,30 @@ impl SessionHost {
         result_rx.recv().map_err(|_| HostError::Stopped)
     }
 
-    /// Whether this host records metrics.
-    pub fn metrics_enabled(&self) -> bool {
-        self.inner.metrics.is_some()
-    }
-
     /// One hosted session's metrics snapshot — the same registry the
     /// session itself answers [`SessionCommand::Metrics`] from, read
-    /// without queueing a command. Empty when metrics are disabled.
+    /// without queueing a command.
     ///
     /// # Errors
     ///
     /// [`HostError::UnknownSession`] if the id is not live.
     pub fn session_metrics(&self, id: SessionId) -> Result<MetricsSnapshot, HostError> {
         let slot = self.inner.slot(id.0).ok_or(HostError::UnknownSession(id))?;
-        Ok(slot
-            .registry
-            .as_ref()
-            .map(Registry::snapshot)
-            .unwrap_or_default())
+        Ok(slot.registry.snapshot())
     }
 
     /// The host-wide snapshot: the host's own `host.*` metrics merged
     /// with every live session's snapshot. Counters add, gauges keep
     /// the maximum (high-water marks), histograms add bucket-wise — so
     /// for every session-sourced counter the host total is exactly the
-    /// sum over live sessions. Empty when metrics are disabled.
+    /// sum over live sessions.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snapshot = self
-            .inner
-            .metrics
-            .as_ref()
-            .map(|metrics| metrics.registry.snapshot())
-            .unwrap_or_default();
+        let mut snapshot = self.inner.metrics.registry.snapshot();
         // Clone the slot Arcs out so snapshotting (which takes each
         // registry's table lock) happens outside the slot-map lock.
         let slots: Vec<Arc<Slot>> = lock(&self.inner.slots).values().cloned().collect();
         for slot in slots {
-            if let Some(registry) = &slot.registry {
-                snapshot.merge(&registry.snapshot());
-            }
+            snapshot.merge(&slot.registry.snapshot());
         }
         snapshot
     }
@@ -1498,9 +1436,8 @@ impl SessionHost {
     /// broadcast — so parked workers exit immediately rather than on
     /// the next poll tick.
     ///
-    /// Returns the final host-wide metrics snapshot (empty when
-    /// metrics are off). Because every worker has joined, the snapshot
-    /// is quiesced: no torn reads, and the worker time accounting
+    /// Returns the final host-wide metrics snapshot. Because every
+    /// worker has joined, the snapshot is quiesced: no torn reads, and the worker time accounting
     /// (`host.worker_busy_us + host.worker_parked_us +
     /// host.worker_steal_scan_us == host.worker_wall_us`) holds as an
     /// exact identity.
@@ -1657,7 +1594,6 @@ page start() {
         use alive_live::ManualClock;
         let clock = Arc::new(ManualClock::with_auto_step(7));
         let host = SessionHost::with_clock(HostConfig::with_workers(2), clock);
-        assert!(host.metrics_enabled());
         let a = host.create_session(APP).expect("compiles");
         let b = host.create_session(APP).expect("compiles");
         for _ in 0..3 {
@@ -1696,21 +1632,59 @@ page start() {
         host.shutdown();
     }
 
+    /// Panic containment: a panic while one session's mailbox item is
+    /// served drops that session and nothing else. The item's own ticket
+    /// and the tickets queued behind it answer `Stopped`, later submits
+    /// answer `UnknownSession`, the panic is counted in
+    /// `host.session_panics`, and the host's only worker goes on serving
+    /// the neighbour.
     #[test]
-    fn metrics_disabled_means_empty_snapshots() {
-        let config = HostConfig {
-            metrics: false,
-            ..HostConfig::with_workers(1)
+    fn a_panicking_session_is_dropped_and_its_worker_keeps_serving() {
+        const DEADLINE: Duration = Duration::from_secs(30);
+        let host = SessionHost::new(HostConfig::with_workers(1));
+        let a = host.create_session(APP).expect("compiles");
+        let b = host.create_session(APP).expect("compiles");
+
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let inspect = scope.spawn(|| {
+                host.inspect_session(a, move |_| {
+                    let _ = entered_tx.send(());
+                    let _ = release_rx.recv();
+                    panic!("injected panic while serving session a");
+                })
+            });
+            entered
+                .recv_timeout(DEADLINE)
+                .expect("the worker runs the inspect");
+            // Queued on the same mailbox, behind the item that will panic.
+            let queued = host.submit(a, SessionCommand::Frame).expect("live");
+            release.send(()).expect("the worker waits in the inspect");
+            assert!(matches!(
+                inspect.join().expect("inspect thread"),
+                Err(HostError::Stopped)
+            ));
+            assert!(matches!(
+                queued.wait_timeout(DEADLINE),
+                Err(HostError::Stopped)
+            ));
+        });
+
+        let effects = host
+            .submit(b, SessionCommand::Frame)
+            .expect("live")
+            .wait_timeout(Duration::from_secs(5))
+            .expect("the worker survived the panic");
+        let SessionEffect::Frame(frame) = &effects[0] else {
+            panic!("expected frame");
         };
-        let host = SessionHost::new(config);
-        assert!(!host.metrics_enabled());
-        let id = host.create_session(APP).expect("compiles");
-        host.apply(id, SessionCommand::Frame).expect("applies");
-        assert_eq!(
-            host.session_metrics(id).expect("live"),
-            MetricsSnapshot::default()
-        );
-        assert_eq!(host.metrics_snapshot(), MetricsSnapshot::default());
+        assert_eq!(frame.view, "count is 1\n");
+        assert!(matches!(
+            host.submit(a, SessionCommand::Frame),
+            Err(HostError::UnknownSession(id)) if id == a
+        ));
+        assert_eq!(host.shutdown().counter(names::SESSION_PANICS), 1);
     }
 
     #[test]
