@@ -26,9 +26,7 @@
 //! `--once` renders once (applying any command file once) and exits
 //! (used by tests and CI).
 
-use alive_live::{
-    parse_commands, FrameSnapshot, LiveSession, Registry, SessionCommand, SessionEffect,
-};
+use alive_live::{parse_commands, FrameSnapshot, LiveSession, SessionCommand, SessionEffect};
 use alive_ui::{layout, AnsiFramebuffer};
 use std::io::Write;
 use std::path::Path;
@@ -67,13 +65,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let registry = Registry::new();
-    let mut session = match LiveSession::observed(
-        &source,
-        alive_core::system::SystemConfig::default(),
-        false,
-        &registry,
-    ) {
+    let mut session = match LiveSession::new(&source) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("{path} does not start:\n{e}");

@@ -1,10 +1,10 @@
 //! System-level metrics: pre-resolved [`alive_obs`] handles for the
 //! transition machine.
 //!
-//! [`SystemMetrics`] is resolved once from a [`Registry`] and installed
-//! into a [`crate::system::System`]; every transition then records with
-//! single relaxed atomic ops on shared cells — no name lookups, no
-//! locks on the hot path.
+//! [`SystemMetrics`] is resolved once from a [`Registry`] by the
+//! constructor of every [`crate::system::System`]; every transition
+//! then records with single relaxed atomic ops on shared cells — no
+//! name lookups, no locks on the hot path.
 //!
 //! Handles are `Arc`-shared across [`Clone`], deliberately: the system
 //! is cloned as a *transaction checkpoint* (and a quarantine keeps a
@@ -53,8 +53,7 @@ pub mod names {
     /// Runaway cascades contained (queue dropped, display degraded).
     pub const OVERFLOW_CONTAINMENTS: &str = "system.overflow_containments";
     /// Display reassignments — reconciles exactly with
-    /// [`crate::system::System::display_generation`] when metrics are
-    /// installed at construction.
+    /// [`crate::system::System::display_generation`].
     pub const DISPLAY_SETS: &str = "system.display_sets";
     /// Transitions executed on the bytecode VM.
     pub const VM_RUNS: &str = "eval.vm.runs";
@@ -210,15 +209,5 @@ impl SystemMetrics {
         self.vm_compile_us.add(compile_us);
         self.vm_intern_symbols
             .set(i64::try_from(intern_symbols).unwrap_or(i64::MAX));
-    }
-
-    /// Contained faults of `kind` recorded so far.
-    pub fn faults(&self, kind: FaultKind) -> u64 {
-        match kind {
-            FaultKind::Init => self.faults_init.get(),
-            FaultKind::Handler => self.faults_handler.get(),
-            FaultKind::Render => self.faults_render.get(),
-            FaultKind::CascadeOverflow => self.faults_cascade_overflow.get(),
-        }
     }
 }

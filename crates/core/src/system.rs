@@ -23,10 +23,12 @@ use crate::error::RuntimeError;
 use crate::event::{Event, EventQueue};
 use crate::fault::{Fault, FaultInjector, FaultKind, TransitionKind};
 use crate::fixup::{fixup_pages, fixup_store, FixupReport};
+use crate::metrics::SystemMetrics;
 use crate::program::{Program, START_PAGE};
 use crate::store::Store;
 use crate::types::Name;
 use crate::value::Value;
+use alive_obs::Registry;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -164,10 +166,10 @@ pub struct System {
     /// advances the same injection schedule. Mutex-guarded so a system
     /// (and its sessions) can move across host worker threads.
     injector: Option<Arc<Mutex<dyn FaultInjector>>>,
-    /// Observability handles, when a host installed them. Shared (not
+    /// Observability handles, resolved at construction. Shared (not
     /// forked) across [`Clone`] — a rolled-back transaction keeps its
     /// fault counts, exactly like the fault log keeps its entries.
-    metrics: Option<crate::metrics::SystemMetrics>,
+    metrics: SystemMetrics,
     /// Pooled VM register/arena storage, reused across transitions.
     /// Clones start with a fresh pool (capacity is a cache, not state).
     scratch: crate::vm::Scratch,
@@ -196,14 +198,21 @@ impl System {
 
     /// Create a system with explicit configuration.
     pub fn with_config(program: Program, config: SystemConfig) -> Self {
-        System::with_shared_program(Arc::new(program), config)
+        System::with_shared_program(Arc::new(program), config, &Registry::new())
     }
 
-    /// Create a system around an already-compiled shared program. Hosts
-    /// compile each source version once and hand every session the same
-    /// `Arc` — parse, lower, and typecheck run once per version, not
-    /// once per session.
-    pub fn with_shared_program(program: Arc<Program>, config: SystemConfig) -> Self {
+    /// Create a system around an already-compiled shared program,
+    /// recording into `registry`. Hosts compile each source version once
+    /// and hand every session the same `Arc` — parse, lower, and
+    /// typecheck run once per version, not once per session. The metric
+    /// handles exist before the first transition, so
+    /// `system.display_sets` reconciles exactly with
+    /// [`System::display_generation`].
+    pub fn with_shared_program(
+        program: Arc<Program>,
+        config: SystemConfig,
+        registry: &Registry,
+    ) -> Self {
         System {
             program,
             display: Display::Invalid,
@@ -217,7 +226,7 @@ impl System {
             display_generation: 0,
             last_good: None,
             injector: None,
-            metrics: None,
+            metrics: SystemMetrics::new(registry),
             scratch: crate::vm::Scratch::new(),
             vm_stats: VmStats::default(),
             cascade: 0,
@@ -236,27 +245,11 @@ impl System {
         self.injector = None;
     }
 
-    /// Install pre-resolved observability handles. Recording is a
-    /// relaxed atomic op per event; without this call every record is
-    /// a no-op. Install *at construction* (before the first `step`) if
-    /// `system.display_sets` should reconcile exactly with
-    /// [`System::display_generation`].
-    pub fn set_metrics(&mut self, metrics: crate::metrics::SystemMetrics) {
-        self.metrics = Some(metrics);
-    }
-
-    /// The installed observability handles, if any.
-    pub fn metrics(&self) -> Option<&crate::metrics::SystemMetrics> {
-        self.metrics.as_ref()
-    }
-
-    /// Count one performed transition toward the current cascade, and
-    /// in the metrics when installed.
+    /// Count one performed transition toward the current cascade and
+    /// in the metrics.
     fn record_transition(&mut self, kind: StepKind) {
         self.cascade += 1;
-        if let Some(metrics) = &self.metrics {
-            metrics.record_transition(kind);
-        }
+        self.metrics.record_transition(kind);
     }
 
     /// The configuration this system runs under.
@@ -280,32 +273,22 @@ impl System {
             return None;
         }
         let cached = self.program.vm_ready();
-        let started_us = match &self.metrics {
-            Some(metrics) if !cached => metrics.now_us(),
-            _ => 0,
-        };
+        let started_us = if cached { 0 } else { self.metrics.now_us() };
         let vmp = match self.program.try_vm() {
             Ok(vmp) => vmp,
             Err(limit) => return Some(Err(RuntimeError::VmLimit(limit))),
         };
         if cached {
             self.vm_stats.cache_hits += 1;
-            if let Some(metrics) = &self.metrics {
-                metrics.record_vm_cache_hit();
-            }
+            self.metrics.record_vm_cache_hit();
         } else {
             self.vm_stats.compiles += 1;
-            // Time the compile on the registry clock when one is
-            // installed (deterministic in golden tests); otherwise use
-            // the compiler's own wall-clock measure.
-            let compile_us = match &self.metrics {
-                Some(metrics) => metrics.now_us().saturating_sub(started_us),
-                None => vmp.compile_us(),
-            };
+            // Timed on the registry clock, so golden tests on a manual
+            // clock stay deterministic.
+            let compile_us = self.metrics.now_us().saturating_sub(started_us);
             self.vm_stats.compile_us += compile_us;
-            if let Some(metrics) = &self.metrics {
-                metrics.record_vm_compile(compile_us, vmp.symbol_count());
-            }
+            self.metrics
+                .record_vm_compile(compile_us, vmp.symbol_count());
         }
         Some(Ok(vmp))
     }
@@ -331,9 +314,7 @@ impl System {
         if stats.arena_bytes > self.vm_stats.arena_bytes {
             self.vm_stats.arena_bytes = stats.arena_bytes;
         }
-        if let Some(metrics) = &self.metrics {
-            metrics.record_vm_run(stats);
-        }
+        self.metrics.record_vm_run(stats);
         (run.result, run.cost)
     }
 
@@ -367,9 +348,7 @@ impl System {
     fn set_display(&mut self, display: Display) {
         self.display = display;
         self.display_generation = self.display_generation.wrapping_add(1);
-        if let Some(metrics) = &self.metrics {
-            metrics.record_display_set();
-        }
+        self.metrics.record_display_set();
     }
 
     /// The store `S` (the model).
@@ -445,9 +424,7 @@ impl System {
         cost: Cost,
         fuel_limit: u64,
     ) -> Fault {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_fault(kind);
-        }
+        self.metrics.record_fault(kind);
         Fault {
             kind,
             page,
@@ -788,9 +765,7 @@ impl System {
         self.queue.clear();
         self.cascade = 0;
         self.degrade_display();
-        if let Some(metrics) = &self.metrics {
-            metrics.record_overflow_containment();
-        }
+        self.metrics.record_overflow_containment();
         let page = self.page_stack.last().map(|(n, _)| n.clone());
         Fault {
             kind: FaultKind::CascadeOverflow,
@@ -915,9 +890,7 @@ impl System {
             return Err(ActionError::IllTyped(diags));
         }
         let report = self.update_checked(Arc::new(new_program));
-        if let Some(metrics) = &self.metrics {
-            metrics.record_update();
-        }
+        self.metrics.record_update();
         Ok(report)
     }
 
@@ -942,10 +915,8 @@ impl System {
             return Err(ActionError::NotStable);
         }
         let report = self.update_checked(new_program);
-        if let Some(metrics) = &self.metrics {
-            metrics.record_update();
-            metrics.record_shared_update();
-        }
+        self.metrics.record_update();
+        self.metrics.record_shared_update();
         Ok(report)
     }
 

@@ -18,7 +18,7 @@
 //!   byte-identical to the tree walker's.
 //! * **Arena frames** — per-frame `Value`s live in one contiguous
 //!   register stack with an epoch reset per transition
-//!   ([`Scratch::begin`]); the render spine (`Vec<BoxNode>`) is pooled
+//!   (`Scratch::begin`); the render spine (`Vec<BoxNode>`) is pooled
 //!   the same way.
 //!
 //! # Relationship to the oracles
@@ -275,7 +275,6 @@ pub struct VmProgram {
     /// `Arc::as_ptr` of a lambda/function body → lambda index, for
     /// dispatching closure calls without comparing expressions.
     pub(crate) by_body: HashMap<usize, u32>,
-    compile_us: u64,
 }
 
 impl VmProgram {
@@ -287,10 +286,7 @@ impl VmProgram {
     /// frame beyond the 16-bit register file) or unresolvable names
     /// (programs that bypassed the type checker).
     pub fn compile(program: &Program) -> Result<VmProgram, CompileError> {
-        let start = std::time::Instant::now();
-        let mut vmp = compile::compile_program(program)?;
-        vmp.compile_us = start.elapsed().as_micros() as u64;
-        Ok(vmp)
+        compile::compile_program(program)
     }
 
     pub(crate) fn new_empty() -> VmProgram {
@@ -306,13 +302,7 @@ impl VmProgram {
             syms: Vec::new(),
             pages: HashMap::new(),
             by_body: HashMap::new(),
-            compile_us: 0,
         }
-    }
-
-    /// Wall-clock microseconds the bytecode compile took.
-    pub fn compile_us(&self) -> u64 {
-        self.compile_us
     }
 
     /// Number of interned symbols (names).

@@ -12,8 +12,7 @@
 //! [`alive_obs::MetricsSnapshot`] describes the whole session — that is
 //! what [`crate::SessionCommand::Metrics`] returns over the wire.
 
-use alive_obs::{Clock, Counter, Histogram, Registry};
-use std::sync::Arc;
+use alive_obs::{Counter, Histogram, Registry};
 
 use crate::session::{EditOutcome, FrameStats, UndoOutcome};
 
@@ -103,11 +102,6 @@ impl SessionMetrics {
     /// The registry the handles live in (for snapshots).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The clock the registry times against.
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        self.registry.clock()
     }
 
     /// Count one edit by its outcome — mirrors the bookkeeping of

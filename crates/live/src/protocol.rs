@@ -235,8 +235,7 @@ pub enum SessionEffect {
     Source(String),
     /// Frame-pipeline statistics for the current frame.
     Stats(FrameStats),
-    /// A metrics snapshot (empty when the session has no registry
-    /// attached — metrics are an opt-in, never an error).
+    /// A snapshot of every metric the session has recorded.
     Metrics(MetricsSnapshot),
     /// Live-example probes, one per `example` item, in program order.
     /// An empty list means the program declares no examples.
@@ -279,9 +278,7 @@ impl LiveSession {
     /// [`SessionEffect::Frame`], so one round-trip always leaves the
     /// observer with the current view.
     pub fn apply(&mut self, command: SessionCommand) -> Vec<SessionEffect> {
-        if let Some(metrics) = self.metrics() {
-            metrics.record_command();
-        }
+        self.metrics().record_command();
         // While a fleet UPDATE awaits its promote/revert decision, every
         // client command is journaled so a revert can replay it against
         // the restored program.
@@ -506,10 +503,10 @@ pub fn format_frame_stats(stats: &FrameStats) -> String {
 /// Render a [`MetricsSnapshot`] in the standard human-readable form
 /// shared by frontends (the repl's `:metrics`, the watch footer).
 /// Deterministic: `BTreeMap` order, fixed quantiles. An empty snapshot
-/// (no registry attached, or nothing recorded yet) says so.
+/// says so.
 pub fn format_metrics_snapshot(snapshot: &MetricsSnapshot) -> String {
     if snapshot.is_empty() {
-        return "metrics: (none recorded — session has no registry attached)".to_string();
+        return "metrics: (none recorded)".to_string();
     }
     let mut out = String::from("metrics snapshot:");
     if !snapshot.counters.is_empty() {

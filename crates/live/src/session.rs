@@ -30,10 +30,9 @@ use crate::protocol::SessionCommand;
 use alive_core::bigstep::RenderHook;
 use alive_core::boxtree::{BoxNode, Display};
 use alive_core::fixup::FixupReport;
-use alive_core::metrics::SystemMetrics;
 use alive_core::system::{ActionError, System, SystemConfig};
 use alive_core::{compile, Fault, FaultKind, IncrementalCompiler, Program};
-use alive_obs::{Clock, MetricsSnapshot, MonotonicClock, Registry};
+use alive_obs::{Clock, MetricsSnapshot, Registry};
 use alive_syntax::{apply_edits, Diagnostics, EditError, TextEdit};
 use alive_ui::Point;
 use std::collections::BTreeMap;
@@ -250,11 +249,10 @@ pub struct LiveSession {
     view: Option<(u64, String)>,
     /// Counters and stage timings of the frames rendered so far.
     frame: FrameStats,
-    /// Observability handles, when a registry was attached at
-    /// construction ([`LiveSession::with_shared_program_observed`]).
-    metrics: Option<SessionMetrics>,
-    /// The clock frame timings are taken against — the registry's clock
-    /// when metrics are attached, the real monotonic clock otherwise.
+    /// Observability handles, resolved at construction from the
+    /// session's registry ([`LiveSession::with_shared_program_observed`]).
+    metrics: SessionMetrics,
+    /// The registry's clock, which frame timings are taken against.
     clock: Arc<dyn Clock>,
     /// Settle time (and its compile slice, the
     /// [`alive_core::system::VmStats::compile_us`] delta) accumulated by
@@ -284,13 +282,15 @@ pub struct LiveSession {
 impl LiveSession {
     /// Start a session from source text and run it to its first stable
     /// state (start page rendered). If the program's startup faults,
-    /// the session still starts — degraded, with the fault logged.
+    /// the session still starts — degraded, with the fault logged. It
+    /// records into a fresh [`Registry`] on the real clock;
+    /// [`LiveSession::observed`] hands it one instead.
     ///
     /// # Errors
     ///
     /// Compilation diagnostics if the initial program is ill-formed.
     pub fn new(source: &str) -> Result<Self, SessionError> {
-        Self::with_options(source, SystemConfig::default(), false)
+        Self::observed(source, SystemConfig::default(), false, &Registry::new())
     }
 
     /// Start a session with the §5 render cache enabled.
@@ -299,26 +299,7 @@ impl LiveSession {
     ///
     /// See [`LiveSession::new`].
     pub fn with_memo(source: &str) -> Result<Self, SessionError> {
-        Self::with_options(source, SystemConfig::default(), true)
-    }
-
-    /// Start a session with explicit system configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`LiveSession::new`].
-    pub fn with_options(
-        source: &str,
-        config: SystemConfig,
-        memo: bool,
-    ) -> Result<Self, SessionError> {
-        let program = compile(source).map_err(SessionError::Compile)?;
-        Ok(Self::with_shared_program(
-            source,
-            std::sync::Arc::new(program),
-            config,
-            memo,
-        ))
+        Self::observed(source, SystemConfig::default(), true, &Registry::new())
     }
 
     /// Start a session around an already-compiled shared program — the
@@ -333,34 +314,25 @@ impl LiveSession {
         config: SystemConfig,
         memo: bool,
     ) -> Self {
-        Self::with_shared_program_observed(source, program, config, memo, None)
+        Self::with_shared_program_observed(source, program, config, memo, &Registry::new())
     }
 
-    /// [`LiveSession::with_shared_program`] with observability: when a
-    /// [`Registry`] is given, system- and session-level metrics are
-    /// resolved from it and every frame timing runs on its clock (a
-    /// [`alive_obs::ManualClock`] makes the whole session's metrics
-    /// deterministic). Attaching at construction — before the first
-    /// transition — is what lets `system.display_sets` reconcile
-    /// exactly with [`System::display_generation`].
+    /// [`LiveSession::with_shared_program`] recording into `registry`:
+    /// system- and session-level metrics are resolved from it and every
+    /// frame timing runs on its clock (a [`alive_obs::ManualClock`]
+    /// makes the whole session's metrics deterministic). Every session
+    /// is built here.
     pub fn with_shared_program_observed(
         source: &str,
         program: Arc<alive_core::Program>,
         config: SystemConfig,
         memo: bool,
-        registry: Option<&Registry>,
+        registry: &Registry,
     ) -> Self {
         let memo = memo.then(|| MemoCache::new(&program));
-        let mut system = System::with_shared_program(program, config);
-        let mut clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let metrics = registry.map(|registry| {
-            system.set_metrics(SystemMetrics::new(registry));
-            clock = registry.clock();
-            SessionMetrics::new(registry)
-        });
         let mut session = LiveSession {
             source: source.to_string(),
-            system,
+            system: System::with_shared_program(program, config, registry),
             memo,
             updates_applied: 0,
             updates_rejected: 0,
@@ -370,8 +342,8 @@ impl LiveSession {
             faults: FaultLog::new(),
             view: None,
             frame: FrameStats::default(),
-            metrics,
-            clock,
+            metrics: SessionMetrics::new(registry),
+            clock: registry.clock(),
             unframed_eval_us: 0,
             unframed_compile_us: 0,
             fleet_checkpoint: None,
@@ -384,8 +356,8 @@ impl LiveSession {
         session
     }
 
-    /// Start an observed session from source text: compile, then
-    /// [`LiveSession::with_shared_program_observed`].
+    /// Start a session from source text that records into `registry`:
+    /// compile, then [`LiveSession::with_shared_program_observed`].
     ///
     /// # Errors
     ///
@@ -402,7 +374,7 @@ impl LiveSession {
             Arc::new(program),
             config,
             memo,
-            Some(registry),
+            registry,
         ))
     }
 
@@ -445,21 +417,16 @@ impl LiveSession {
         stats
     }
 
-    /// The session's observability handles, when a registry was
-    /// attached at construction.
-    pub fn metrics(&self) -> Option<&SessionMetrics> {
-        self.metrics.as_ref()
+    /// The session's observability handles.
+    pub fn metrics(&self) -> &SessionMetrics {
+        &self.metrics
     }
 
     /// A point-in-time copy of every metric the session (and its
     /// system) has recorded — what [`crate::SessionCommand::Metrics`]
-    /// answers with. Empty when no registry is attached: metrics are
-    /// an opt-in, never an error.
+    /// answers with.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics
-            .as_ref()
-            .map(|metrics| metrics.registry().snapshot())
-            .unwrap_or_default()
+        self.metrics.registry().snapshot()
     }
 
     /// Evaluate the program's Babylonian live examples against the
@@ -557,9 +524,7 @@ impl LiveSession {
     /// the current model (the session is unchanged in that case).
     pub fn undo(&mut self) -> UndoOutcome {
         let outcome = self.undo_inner();
-        if let Some(metrics) = &self.metrics {
-            metrics.record_history(&outcome);
-        }
+        self.metrics.record_history(&outcome);
         outcome
     }
 
@@ -592,9 +557,7 @@ impl LiveSession {
     /// [`LiveSession::undo`].
     pub fn redo(&mut self) -> UndoOutcome {
         let outcome = self.redo_inner();
-        if let Some(metrics) = &self.metrics {
-            metrics.record_history(&outcome);
-        }
+        self.metrics.record_history(&outcome);
         outcome
     }
 
@@ -624,9 +587,7 @@ impl LiveSession {
         let outcome = self.swap_source_inner(new_source);
         // Mirrors `update_counts` exactly: metrics `applied` tracks the
         // applied count; `rejected + quarantined` the rejected count.
-        if let Some(metrics) = &self.metrics {
-            metrics.record_edit(&outcome);
-        }
+        self.metrics.record_edit(&outcome);
         outcome
     }
 
@@ -865,9 +826,7 @@ impl LiveSession {
         self.refresh();
         let faulted = self.faults.total() > faults_before;
         self.fleet_checkpoint = Some(checkpoint);
-        if let Some(metrics) = &self.metrics {
-            metrics.record_fleet_update();
-        }
+        self.metrics.record_fleet_update();
         FleetUpdateOutcome::Applied { faulted }
     }
 
@@ -914,9 +873,7 @@ impl LiveSession {
                 let _ = self.apply(command);
             }
         }
-        if let Some(metrics) = &self.metrics {
-            metrics.record_fleet_revert();
-        }
+        self.metrics.record_fleet_revert();
         true
     }
 
@@ -928,9 +885,7 @@ impl LiveSession {
         match &self.fleet_checkpoint {
             Some(checkpoint) if checkpoint.tx == tx => {
                 self.fleet_checkpoint = None;
-                if let Some(metrics) = &self.metrics {
-                    metrics.record_fleet_promote();
-                }
+                self.metrics.record_fleet_promote();
                 true
             }
             _ => false,
@@ -998,9 +953,7 @@ impl LiveSession {
         self.frame.eval_exec_us = eval_us.saturating_sub(compile_us);
         self.frame.layout_us = paint_start.saturating_sub(layout_start);
         self.frame.paint_us = paint_end.saturating_sub(paint_start);
-        if let Some(metrics) = &self.metrics {
-            metrics.record_frame(&self.frame_stats());
-        }
+        self.metrics.record_frame(&self.frame_stats());
         self.view = Some((generation, text.clone()));
         text
     }
@@ -1373,6 +1326,31 @@ page start() {
     }
 
     #[test]
+    fn a_plain_session_records() {
+        use crate::protocol::{format_metrics_snapshot, SessionEffect};
+        use alive_core::metrics::names as system;
+        let mut s = LiveSession::new(APP).expect("starts");
+        s.apply(SessionCommand::TapPath(vec![0]));
+        let effects = s.apply(SessionCommand::Metrics);
+        let [SessionEffect::Metrics(snapshot)] = effects.as_slice() else {
+            panic!("expected one metrics effect: {effects:?}");
+        };
+        assert_eq!(snapshot.counter(crate::metrics::names::COMMANDS), 2);
+        assert!(snapshot.counter(crate::metrics::names::FRAMES_RENDERED) >= 1);
+        assert_eq!(
+            snapshot.counter(system::DISPLAY_SETS),
+            s.system().display_generation()
+        );
+        assert_eq!(snapshot.counter(system::VM_COMPILES), 1);
+        // One compile timer: the counter and the system's own books agree.
+        assert_eq!(
+            snapshot.counter(system::VM_COMPILE_US),
+            s.system().vm_stats().compile_us
+        );
+        assert!(format_metrics_snapshot(snapshot).contains("session.commands"));
+    }
+
+    #[test]
     fn pipeline_view_is_byte_identical_to_from_scratch() {
         let mut s = LiveSession::with_memo(APP).expect("starts");
         for i in 0..4 {
@@ -1405,7 +1383,8 @@ page start() {
             ..SystemConfig::default()
         };
         for memo in [false, true] {
-            let mut s = LiveSession::with_options(loopy, config, memo).expect("starts");
+            let mut s =
+                LiveSession::observed(loopy, config, memo, &Registry::new()).expect("starts");
             assert_eq!(
                 s.fault_log().total_by_kind(FaultKind::CascadeOverflow),
                 1,
@@ -1451,7 +1430,8 @@ page broken() {
         let config = SystemConfig::default();
         let budget = config.max_transitions;
         for memo in [false, true] {
-            let mut s = LiveSession::with_options(runaway, config, memo).expect("starts");
+            let mut s =
+                LiveSession::observed(runaway, config, memo, &Registry::new()).expect("starts");
             let runs = s.system().vm_stats().runs;
             s.tap_path(&[0]).expect("tap");
             assert!(s.system().is_stable(), "memo {memo}: settled");

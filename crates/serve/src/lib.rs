@@ -11,7 +11,7 @@
 //!   session apply in submission order while different sessions run in
 //!   parallel — the actor model, built from `std` parts only. Ready
 //!   sessions flow through per-worker sharded run-queues with
-//!   work-stealing and condvar parking (see [`scheduler`]), so adding
+//!   work-stealing and condvar parking (see `scheduler`), so adding
 //!   workers adds throughput instead of contention, and mailboxes have
 //!   a high-water capacity: past it, `submit` load-sheds with a typed
 //!   [`HostError::Overloaded`] instead of queueing without bound.
@@ -98,8 +98,8 @@ pub mod names {
     pub const STEALS: &str = "host.steals";
     /// Times a worker actually blocked on the scheduler condvar.
     pub const PARKS: &str = "host.parks";
-    /// Submissions refused with [`HostError::Overloaded`] because the
-    /// session's mailbox was at its high-water capacity.
+    /// Submissions refused with [`crate::HostError::Overloaded`]
+    /// because the session's mailbox was at its high-water capacity.
     pub const OVERLOADS: &str = "host.overloads";
     /// Program-cache lookups answered without compiling.
     pub const PROGRAM_CACHE_HITS: &str = "host.program_cache.hits";
@@ -802,7 +802,7 @@ impl SessionHost {
             program,
             self.inner.config.system,
             false,
-            Some(&registry),
+            &registry,
         );
         self.inner.metrics.sessions_created.inc();
         let first = Arc::new(session.frame_snapshot());

@@ -8,7 +8,7 @@
 //! * [`prop`] — a minimal shrinking property-test harness: N cases
 //!   from one seed, greedy shrinking on failure, replayable via
 //!   `ALIVE_TESTKIT_SEED=… cargo test`;
-//! * [`bench`] — a warmup + median-of-K micro-bench timer emitting
+//! * [`bench`](mod@bench) — a warmup + median-of-K micro-bench timer emitting
 //!   JSON, driving the `harness = false` bench targets that used to
 //!   need Criterion;
 //! * [`fault`] — a deterministic fault injector for `alive-core`

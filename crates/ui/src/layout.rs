@@ -219,7 +219,7 @@ struct CacheEntry {
 
 /// Pointer-keyed cache for the bottom-up measure pass.
 ///
-/// Box trees are immutable once built, and [`measure`] depends only on
+/// Box trees are immutable once built, and `measure` depends only on
 /// the subtree's own content (no inherited inputs affect sizing), so a
 /// subtree that is pointer-identical to one measured last frame must
 /// measure identically — the `Arc` pointer alone is a sound cache key as

@@ -7,16 +7,17 @@
 //! continuous feedback no matter which engine or cache path served it".
 
 use its_alive::core::system::{EvalEngine, SystemConfig};
-use its_alive::live::LiveSession;
+use its_alive::live::{LiveSession, Registry};
 
 fn session_with(source: &str, engine: EvalEngine) -> LiveSession {
-    LiveSession::with_options(
+    LiveSession::observed(
         source,
         SystemConfig {
             engine,
             ..SystemConfig::default()
         },
         false,
+        &Registry::new(),
     )
     .expect("session starts")
 }

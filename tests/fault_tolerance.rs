@@ -23,14 +23,14 @@ use its_alive::core::prim::Prim;
 use its_alive::core::state_typing::assert_well_typed;
 use its_alive::core::system::SystemConfig;
 use its_alive::core::{FaultKind, TransitionKind, Value};
-use its_alive::live::{EditOutcome, LiveSession, SessionError};
+use its_alive::live::{EditOutcome, LiveSession, Registry, SessionError};
 
 /// A tight fuel budget (a.k.a. the configurable divergence bound from
 /// [`SystemConfig`]): diverging renders are caught after thousands of
 /// steps instead of the interactive default of millions, which keeps
 /// the 256-case walk fast without changing any semantics.
 fn fast_session(source: &str) -> Result<LiveSession, its_alive::live::SessionError> {
-    LiveSession::with_options(
+    LiveSession::observed(
         source,
         SystemConfig {
             fuel: 50_000,
@@ -38,6 +38,7 @@ fn fast_session(source: &str) -> Result<LiveSession, its_alive::live::SessionErr
             ..SystemConfig::default()
         },
         false,
+        &Registry::new(),
     )
 }
 
@@ -422,7 +423,7 @@ fn corpus_walk_with_faults_never_kills_any_scenario() {
             prop::Config::with_cases(6),
             arb_case,
             |(rules, steps): &(Vec<Rule>, Vec<Step>)| {
-                let mut session = LiveSession::with_options(
+                let mut session = LiveSession::observed(
                     &original,
                     SystemConfig {
                         fuel: 500_000,
@@ -430,6 +431,7 @@ fn corpus_walk_with_faults_never_kills_any_scenario() {
                         ..SystemConfig::default()
                     },
                     false,
+                    &Registry::new(),
                 )
                 .unwrap_or_else(|e| panic!("{name} starts: {e}"));
                 let mut plan = FaultPlan::new();
