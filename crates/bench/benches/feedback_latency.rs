@@ -6,7 +6,9 @@
 //! claim: live editing removes the re-execution from the loop, so its
 //! latency is independent of startup cost.
 
-use alive_bench::{label_variants, mortgage_live_on_detail, mortgage_restart_on_detail};
+use alive_bench::{
+    edit_applied, label_variants, mortgage_live_on_detail, mortgage_restart_on_detail,
+};
 use alive_testkit::Bench;
 
 fn main() {
@@ -18,7 +20,7 @@ fn main() {
             let (a, orig) = label_variants(session.source());
             let target = if flip { a } else { orig };
             flip = !flip;
-            assert!(session.edit_source(&target).is_applied());
+            assert!(edit_applied(&mut session, &target));
         });
         let mut session = mortgage_restart_on_detail(n);
         let mut flip = false;

@@ -1,6 +1,7 @@
 //! E-frame — the frame loop on steady-state gallery and feed workloads:
-//! one interaction plus a frame read through `LiveSession::live_view`,
-//! with the render memo off and on.
+//! one interaction through `LiveSession::apply`, which renders the new
+//! frame, plus a `LiveSession::live_view` read of it, with the render
+//! memo off and on.
 //!
 //! The session lays out and paints every new display generation from
 //! scratch. Before timing, each arm walks `STEPS` interactions and
@@ -8,7 +9,7 @@
 //! `render_to_text(&layout(root))`. The timing section is written to
 //! `BENCH_frame_pipeline.json`.
 
-use alive_bench::{feed_session, feed_touch, gallery_session};
+use alive_bench::{feed_session, feed_touch, gallery_session, tap};
 use alive_live::LiveSession;
 use alive_testkit::Bench;
 use alive_ui::{layout, render_to_text};
@@ -27,7 +28,7 @@ type Step = fn(&mut LiveSession, usize);
 /// display is invalidated and re-rendered, but no subtree changes —
 /// the paper's "reuse box tree elements that have not changed" case.
 fn gallery_retap(session: &mut LiveSession, _step: usize) {
-    session.tap_path(&[1]).expect("tap tile");
+    tap(session, &[1]);
 }
 
 /// Walk `STEPS` interactions, asserting at every step that the live

@@ -65,7 +65,7 @@ fn main() {
         let (a, orig) = alive_bench::label_variants(session.source());
         let target = if flip { a } else { orig };
         flip = !flip;
-        assert!(session.edit_source(&target).is_applied());
+        assert!(alive_bench::edit_applied(&mut session, &target));
     });
     bench.finish();
 }

@@ -40,7 +40,7 @@ pub fn table_e3_feedback_latency() -> String {
             for i in 0..edits {
                 let (a, b) = label_variants(live.source());
                 let target = if i % 2 == 0 { a } else { b };
-                assert!(live.edit_source(&target).is_applied());
+                assert!(edit_applied(&mut live, &target));
             }
         });
         let live_after = live.system().cost().prim;
@@ -370,12 +370,13 @@ pub fn table_e2_improvements() -> String {
         ("I3 row highlight", mortgage::apply_improvement_i3),
     ];
     for (i, (name, f)) in edits.iter().enumerate() {
-        let outcome = s.edit_source(&f(s.source()));
+        let edited = f(s.source());
+        let applied = edit_applied(&mut s, &edited);
         writeln!(
             out,
             "{:4} | {name:18} | {:7} | {:16} | {}",
             i + 1,
-            outcome.is_applied(),
+            applied,
             s.system().cost().prim.web_requests,
             s.system().current_page().map(|(n, _)| n) == Some("detail"),
         )
@@ -421,7 +422,7 @@ pub fn table_e11_view_state() -> String {
             let mut session = LiveSession::new(src).expect("compiles");
             let before = session.system().cost().steps;
             for _ in 0..5 {
-                session.tap_path(&[0]).expect("tap");
+                tap(&mut session, &[0]);
             }
             let after = session.system().cost().steps;
             writeln!(

@@ -3,7 +3,7 @@
 
 use alive_apps::{gallery, mortgage};
 use alive_baseline::{NavAction, RestartSession};
-use alive_live::LiveSession;
+use alive_live::{LiveSession, SessionCommand, SessionEffect};
 
 /// The two alternating label edits used by the feedback-latency
 /// experiment (E3): each is a one-token change to render code, like the
@@ -14,11 +14,34 @@ pub fn label_variants(src: &str) -> (String, String) {
     (a, b)
 }
 
+/// Tap the box at `path` through [`LiveSession::apply`], which answers
+/// with the new frame; panics if the session refuses the tap.
+pub fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
+
+/// Submit `source` as a live edit through [`LiveSession::apply`], which
+/// answers an applied edit with the new frame; whether it applied.
+pub fn edit_applied(session: &mut LiveSession, source: &str) -> bool {
+    matches!(
+        session
+            .apply(SessionCommand::EditSource(source.to_string()))
+            .first(),
+        Some(SessionEffect::EditApplied(_))
+    )
+}
+
 /// A live session on the mortgage app with `n` listings, navigated to
 /// the detail page (the paper's editing context).
 pub fn mortgage_live_on_detail(n: usize) -> LiveSession {
     let mut s = LiveSession::new(&mortgage::mortgage_src(n)).expect("compiles");
-    s.tap_path(&[1, 0]).expect("open detail");
+    tap(&mut s, &[1, 0]); // open detail
     s
 }
 
@@ -57,7 +80,7 @@ fn session_of(src: &str, memo: bool) -> LiveSession {
 pub fn gallery_select_next(session: &mut LiveSession, step: usize) {
     let n = list_global_len(session, "tiles");
     let target = 1 + (step % n.max(1));
-    session.tap_path(&[target]).expect("tap tile");
+    tap(session, &[target]);
 }
 
 /// One item edit on a feed session: tap a rotating row (its handler
@@ -65,7 +88,7 @@ pub fn gallery_select_next(session: &mut LiveSession, step: usize) {
 pub fn feed_touch(session: &mut LiveSession, step: usize) {
     let n = list_global_len(session, "items");
     let target = 1 + (step % n.max(1));
-    session.tap_path(&[target]).expect("tap row");
+    tap(session, &[target]);
 }
 
 fn list_global_len(session: &LiveSession, name: &str) -> usize {
@@ -85,7 +108,7 @@ mod tests {
         assert_eq!(live.system().current_page().map(|(n, _)| n), Some("detail"));
         let (a, b) = label_variants(live.source());
         assert_ne!(a, b);
-        assert!(live.edit_source(&a).is_applied());
+        assert!(edit_applied(&mut live, &a));
 
         let restart = mortgage_restart_on_detail(3);
         assert_eq!(

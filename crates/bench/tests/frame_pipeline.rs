@@ -11,7 +11,7 @@
 
 use alive_bench::{feed_session, gallery_session};
 use alive_core::Prim;
-use alive_live::{EditOutcome, LiveSession};
+use alive_live::{LiveSession, SessionCommand, SessionEffect};
 use alive_testkit::{check, Config, FaultPlan, NoShrink, Rng};
 use alive_ui::{layout, render_to_text};
 
@@ -91,7 +91,7 @@ fn toggle_edit(session: &mut LiveSession, w: &Workload) {
     } else {
         src.replace(w.toggle_b, w.toggle_a)
     };
-    let _ = session.edit_source(&new);
+    session.apply(SessionCommand::EditSource(new));
 }
 
 /// Submit well-typed code whose first render must fault, and insist the
@@ -105,8 +105,9 @@ fn quarantine_edit(session: &mut LiveSession, w: &Workload, step: usize) -> Resu
         ));
     }
     let new = src.replace(w.quarantine_from, w.quarantine_to);
-    match session.edit_source(&new) {
-        EditOutcome::Quarantined { .. } => {
+    let effects = session.apply(SessionCommand::EditSource(new));
+    match effects.first() {
+        Some(SessionEffect::EditQuarantined { .. }) => {
             if session.source() != src {
                 return Err(format!(
                     "{}: quarantine at step {step} did not revert the source",
@@ -118,7 +119,7 @@ fn quarantine_edit(session: &mut LiveSession, w: &Workload, step: usize) -> Resu
         other => Err(format!(
             "{}: faulting edit at step {step} was not quarantined (applied: {})",
             w.label,
-            other.is_applied()
+            matches!(other, Some(SessionEffect::EditApplied(_)))
         )),
     }
 }
@@ -143,9 +144,13 @@ fn tap_tile(
     // Child 0 is the header; 1..=TILES are the interactive boxes, and
     // the tree keeps that shape across every edit in the walk.
     let tile = rng.gen_range(1..TILES + 1);
-    session
-        .tap_path(&[tile])
-        .map_err(|e| format!("{}: tap [{tile}] failed at step {step}: {e}", w.label))
+    match session.apply(SessionCommand::TapPath(vec![tile])).first() {
+        Some(SessionEffect::Refused(why)) => Err(format!(
+            "{}: tap [{tile}] failed at step {step}: {why}",
+            w.label
+        )),
+        _ => Ok(()),
+    }
 }
 
 fn walk(seed: u64) -> Result<(), String> {
@@ -165,9 +170,9 @@ fn walk(seed: u64) -> Result<(), String> {
                 6 => quarantine_edit(session, w, step)?,
                 7 => {
                     if rng.gen_bool() {
-                        session.undo();
+                        session.apply(SessionCommand::Undo);
                     } else {
-                        session.redo();
+                        session.apply(SessionCommand::Redo);
                     }
                 }
                 8 => {

@@ -79,7 +79,6 @@ pub use event::{Event, EventQueue};
 pub use expr::{BoxSourceId, Expr, ExprKind};
 pub use fault::{Fault, FaultInjector, FaultKind, TransitionKind};
 pub use incremental::IncrementalCompiler;
-pub use metrics::SystemMetrics;
 pub use prim::Prim;
 pub use program::{Program, START_PAGE};
 pub use provenance::Provenance;

@@ -1,7 +1,7 @@
 //! System-level metrics: pre-resolved [`alive_obs`] handles for the
 //! transition machine.
 //!
-//! [`SystemMetrics`] is resolved once from a [`Registry`] by the
+//! The handles are resolved once from a [`Registry`] by the
 //! constructor of every [`crate::system::System`]; every transition
 //! then records with single relaxed atomic ops on shared cells — no
 //! name lookups, no locks on the hot path.
@@ -77,7 +77,7 @@ pub mod names {
 
 /// Pre-resolved counter handles for one system (shared by its clones).
 #[derive(Debug, Clone)]
-pub struct SystemMetrics {
+pub(crate) struct SystemMetrics {
     transitions_startup: Counter,
     transitions_thunk: Counter,
     transitions_push: Counter,
@@ -107,7 +107,7 @@ pub struct SystemMetrics {
 
 impl SystemMetrics {
     /// Resolve every handle from `registry` (get-or-create by name).
-    pub fn new(registry: &Registry) -> Self {
+    pub(crate) fn new(registry: &Registry) -> Self {
         SystemMetrics {
             transitions_startup: registry.counter(names::TRANSITIONS_STARTUP),
             transitions_thunk: registry.counter(names::TRANSITIONS_THUNK),

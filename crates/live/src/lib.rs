@@ -22,10 +22,14 @@
 //!   degrade the session (last good view + fault banner) instead of
 //!   killing it; faulting edits are quarantined and auto-reverted.
 //!
+//! Every change to a running session — a tap, a back press, a keystroke,
+//! an undo — is a [`SessionCommand`] sent to [`LiveSession::apply`],
+//! which answers with [`SessionEffect`]s (see [`protocol`]).
+//!
 //! # Example
 //!
 //! ```
-//! use alive_live::LiveSession;
+//! use alive_live::{LiveSession, SessionCommand, SessionEffect};
 //!
 //! let mut session = LiveSession::new(r#"
 //!     global n : number = 0
@@ -38,9 +42,11 @@
 //!
 //! // A live edit: the display refreshes, the model (n = 41) survives.
 //! let edited = session.source().replace("n = ", "value: ");
-//! let outcome = session.edit_source(&edited);
-//! assert!(outcome.is_applied());
-//! assert_eq!(session.live_view(), "value: 41\n");
+//! let effects = session.apply(SessionCommand::EditSource(edited));
+//! let [SessionEffect::EditApplied(_), SessionEffect::Frame(frame)] = effects.as_slice() else {
+//!     panic!("the edit applies: {effects:?}");
+//! };
+//! assert_eq!(frame.view, "value: 41\n");
 //! ```
 
 #![warn(missing_docs)]
@@ -66,22 +72,19 @@ pub use editor::{highlight_line, split_view, Selection, SplitViewOptions};
 pub use examples::{ExampleProbe, ExampleStats, ProbeStatus};
 pub use fault_log::{FaultLog, FAULT_LOG_CAPACITY};
 pub use memo::{MemoCache, MemoStats, RenderDeps};
-pub use metrics::SessionMetrics;
 pub use navigation::{box_source_at, boxes_for_cursor, boxes_for_source, span_for_box};
 pub use protocol::{
     format_frame_stats, format_metrics_snapshot, parse_commands, FrameSnapshot, ProtocolParseError,
     SessionCommand, SessionEffect, TxPhase,
 };
 pub use repair::{
-    attribute_edit, remove_attribute_edit, repairs_for, AttrEditError, CandidateRepair,
-    ManipulateError, RepairError,
+    attribute_edit, remove_attribute_edit, repairs_for, CandidateRepair, ManipulateError,
+    RepairError,
 };
 // Re-exported so frontends can attach observability without a direct
 // alive-obs dependency.
 pub use alive_obs::{ManualClock, MetricsSnapshot, Registry};
-pub use session::{
-    EditOutcome, FleetUpdateOutcome, FrameStats, LiveSession, SessionError, TxError, UndoOutcome,
-};
+pub use session::{FleetUpdateOutcome, FrameStats, LiveSession, SessionError, UndoOutcome};
 pub use trace::SessionTrace;
 
 // A live session must be able to live behind a host's per-session

@@ -1,8 +1,8 @@
 //! Session-level metrics: pre-resolved [`alive_obs`] handles for the
 //! live loop around one [`crate::LiveSession`].
 //!
-//! Where [`alive_core::metrics::SystemMetrics`] counts what the
-//! transition machine does, [`SessionMetrics`] measures the developer
+//! Where the system's metrics ([`alive_core::metrics`]) count what the
+//! transition machine does, the session's measure the developer
 //! experience on top of it: edit outcomes, undo/redo outcomes, and the
 //! frame pipeline's stage timings and memo reuse ratio — fed from
 //! [`crate::session::FrameStats`] into latency histograms each time a
@@ -56,7 +56,7 @@ const PCT_BOUNDS: &[u64] = &[10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
 
 /// Pre-resolved handles for one live session.
 #[derive(Debug, Clone)]
-pub struct SessionMetrics {
+pub(crate) struct SessionMetrics {
     registry: Registry,
     edits_applied: Counter,
     edits_rejected: Counter,
@@ -77,7 +77,7 @@ pub struct SessionMetrics {
 
 impl SessionMetrics {
     /// Resolve every handle from `registry` (get-or-create by name).
-    pub fn new(registry: &Registry) -> Self {
+    pub(crate) fn new(registry: &Registry) -> Self {
         SessionMetrics {
             registry: registry.clone(),
             edits_applied: registry.counter(names::EDITS_APPLIED),
@@ -100,7 +100,7 @@ impl SessionMetrics {
     }
 
     /// The registry the handles live in (for snapshots).
-    pub fn registry(&self) -> &Registry {
+    pub(crate) fn registry(&self) -> &Registry {
         &self.registry
     }
 
@@ -138,7 +138,7 @@ impl SessionMetrics {
     /// monotone-counter hazard: counters recorded by journal replay
     /// during the revert are *not* rolled back — they count what
     /// happened, not what persisted (same semantics as fault rollbacks
-    /// in [`alive_core::metrics::SystemMetrics`]).
+    /// in the system's metrics, [`alive_core::metrics`]).
     pub(crate) fn record_fleet_revert(&self) {
         self.fleet_reverts.inc();
     }

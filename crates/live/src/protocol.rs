@@ -16,13 +16,15 @@
 //!   [`SessionEffect::Refused`], exactly like faults travel inside
 //!   banners.
 //!
-//! Both alive-repl and alive-watch run entirely through this surface,
-//! so a networked host driving sessions over a wire sees byte-identical
-//! frames to a local frontend — there is no privileged side channel.
+//! It is the only way to change a session (besides a host's
+//! `fleet_*` calls): frontends, hosts, tests and examples all send
+//! commands, so a networked host driving sessions over a wire sees
+//! byte-identical frames to a local frontend — there is no privileged
+//! side channel.
 
 use crate::examples::ExampleProbe;
 use crate::repair::CandidateRepair;
-use crate::session::{EditOutcome, FrameStats, LiveSession, UndoOutcome};
+use crate::session::{no_open_tx, EditOutcome, FrameStats, LiveSession, UndoOutcome};
 use alive_core::boxtree::BoxNode;
 use alive_core::fixup::FixupReport;
 use alive_core::persist::LoadReport;
@@ -30,6 +32,7 @@ use alive_core::Attr;
 use alive_core::Fault;
 use alive_obs::MetricsSnapshot;
 use alive_syntax::{Diagnostics, Span, TextEdit};
+use alive_ui::Point;
 use std::fmt;
 use std::sync::Arc;
 
@@ -278,21 +281,22 @@ impl LiveSession {
     /// [`SessionEffect::Frame`], so one round-trip always leaves the
     /// observer with the current view.
     pub fn apply(&mut self, command: SessionCommand) -> Vec<SessionEffect> {
-        self.metrics().record_command();
-        // While a fleet UPDATE awaits its promote/revert decision, every
-        // client command is journaled so a revert can replay it against
-        // the restored program.
-        self.journal_for_fleet(&command);
+        // Count the command and, while a fleet UPDATE awaits its
+        // promote/revert decision, journal it so a revert can replay it
+        // against the restored program.
+        self.admit(&command);
         match command {
             SessionCommand::Frame => vec![SessionEffect::Frame(self.frame_snapshot())],
-            SessionCommand::TapAt { x, y } => match self.tap_at(x, y) {
-                Ok(hit) => vec![
-                    SessionEffect::Tap { hit },
-                    SessionEffect::Frame(self.frame_snapshot()),
-                ],
-                Err(e) => vec![SessionEffect::Refused(e.to_string())],
-            },
-            SessionCommand::TapPath(path) => match self.tap_path(&path) {
+            SessionCommand::TapAt { x, y } => {
+                match self.act(|system| alive_ui::tap_at(system, Point::new(x, y))) {
+                    Ok(hit) => vec![
+                        SessionEffect::Tap { hit },
+                        SessionEffect::Frame(self.frame_snapshot()),
+                    ],
+                    Err(e) => vec![SessionEffect::Refused(e.to_string())],
+                }
+            }
+            SessionCommand::TapPath(path) => match self.act(|system| system.tap(&path)) {
                 Ok(()) => vec![
                     SessionEffect::Tap { hit: true },
                     SessionEffect::Frame(self.frame_snapshot()),
@@ -303,10 +307,12 @@ impl LiveSession {
                 Ok(()) => vec![SessionEffect::Frame(self.frame_snapshot())],
                 Err(e) => vec![SessionEffect::Refused(e.to_string())],
             },
-            SessionCommand::EditBox { path, text } => match self.edit_box(&path, &text) {
-                Ok(()) => vec![SessionEffect::Frame(self.frame_snapshot())],
-                Err(e) => vec![SessionEffect::Refused(e.to_string())],
-            },
+            SessionCommand::EditBox { path, text } => {
+                match self.act(|system| system.edit_box(&path, &text)) {
+                    Ok(()) => vec![SessionEffect::Frame(self.frame_snapshot())],
+                    Err(e) => vec![SessionEffect::Refused(e.to_string())],
+                }
+            }
             SessionCommand::EditSource(src) => {
                 let outcome = self.edit_source(&src);
                 self.edit_outcome_effects(outcome)
@@ -356,10 +362,10 @@ impl LiveSession {
                     tx,
                     phase: TxPhase::Open { edits },
                 }],
-                Err(e) => vec![SessionEffect::Refused(e.to_string())],
+                Err(why) => vec![SessionEffect::Refused(why)],
             },
             SessionCommand::TxCommit(tx) => match self.tx_commit(tx) {
-                Ok(EditOutcome::Applied(report)) => vec![
+                Some(EditOutcome::Applied(report)) => vec![
                     SessionEffect::EditApplied(report),
                     SessionEffect::Tx {
                         tx,
@@ -372,8 +378,8 @@ impl LiveSession {
                 ],
                 // The batch did not compile: the transaction stays open
                 // for a fix, exactly like a rejected keystroke.
-                Ok(EditOutcome::Rejected(diags)) => vec![SessionEffect::EditRejected(diags)],
-                Ok(EditOutcome::Quarantined { fault, report }) => {
+                Some(EditOutcome::Rejected(diags)) => vec![SessionEffect::EditRejected(diags)],
+                Some(EditOutcome::Quarantined { fault, report }) => {
                     let reason = fault.to_string();
                     vec![
                         SessionEffect::EditQuarantined {
@@ -390,7 +396,7 @@ impl LiveSession {
                         SessionEffect::Frame(self.frame_snapshot()),
                     ]
                 }
-                Err(e) => vec![SessionEffect::Refused(e.to_string())],
+                None => vec![SessionEffect::Refused(no_open_tx(tx))],
             },
             SessionCommand::TxAbort(tx) => {
                 if self.tx_abort(tx) {
@@ -399,9 +405,7 @@ impl LiveSession {
                         phase: TxPhase::Aborted,
                     }]
                 } else {
-                    vec![SessionEffect::Refused(format!(
-                        "no open transaction tx#{tx}"
-                    ))]
+                    vec![SessionEffect::Refused(no_open_tx(tx))]
                 }
             }
             SessionCommand::TxStatus(tx) => match self.tx_edits(tx) {
@@ -409,9 +413,7 @@ impl LiveSession {
                     tx,
                     phase: TxPhase::Open { edits },
                 }],
-                None => vec![SessionEffect::Refused(format!(
-                    "no open transaction tx#{tx}"
-                ))],
+                None => vec![SessionEffect::Refused(no_open_tx(tx))],
             },
             SessionCommand::ManipulateAt { path, leaf, value } => {
                 match self.repairs_at(&path, leaf, &value) {
@@ -468,7 +470,7 @@ impl LiveSession {
     }
 
     fn history_effects(&mut self, redo: bool) -> Vec<SessionEffect> {
-        let outcome = if redo { self.redo() } else { self.undo() };
+        let outcome = self.step_history(redo);
         let applied = outcome.is_applied();
         let mut effects = vec![SessionEffect::Undo { redo, outcome }];
         if applied {

@@ -27,19 +27,21 @@
 //!   verified by forward recomputation before being offered, so an
 //!   offered repair re-renders to exactly the requested value.
 //!
-//! The [`LiveSession`] extensions ([`LiveSession::repairs_at`],
-//! [`LiveSession::apply_repair`], [`LiveSession::attribute_edit_at`])
+//! The session commands that drive them
+//! ([`SessionCommand::ManipulateAt`](crate::SessionCommand::ManipulateAt),
+//! [`SessionCommand::ApplyRepair`](crate::SessionCommand::ApplyRepair),
+//! [`SessionCommand::AttrEdit`](crate::SessionCommand::AttrEdit))
 //! resolve selections against the session's *current* display and
-//! source at call time — a protocol client addressing boxes by path can
+//! source at apply time — a protocol client addressing boxes by path can
 //! never hand the engine stale spans — and guard repair application
 //! with a source snapshot taken when the offer was computed.
 
-use crate::session::{EditOutcome, LiveSession, SessionError};
+use crate::session::{EditOutcome, LiveSession};
 use alive_core::expr::BoxSourceId;
 use alive_core::value::fmt_number;
 use alive_core::{Attr, Program, Provenance, Value};
 use alive_syntax::ast::{BinOp, Block, Expr, ExprKind, Item, Stmt, StmtKind, UnOp};
-use alive_syntax::{parse_expr, parse_program, Span, TextEdit};
+use alive_syntax::{apply_edits, parse_expr, parse_program, EditError, Span, TextEdit};
 use std::fmt;
 
 /// Errors computing a direct-manipulation edit.
@@ -843,7 +845,7 @@ pub enum RepairError {
     /// Provenance was present but produced no candidate (the desired
     /// value has no literal form and no operand inversion applied).
     NoCandidates,
-    /// `apply_repair` without a pending offer.
+    /// [`crate::SessionCommand::ApplyRepair`] without a pending offer.
     NoPending,
     /// The source changed since the offer was computed; the offer was
     /// withdrawn. Re-select to get fresh candidates.
@@ -851,7 +853,7 @@ pub enum RepairError {
     /// The candidate index is out of range for the pending offer.
     NoSuchCandidate(usize),
     /// The candidate edit failed to apply to the source.
-    Edit(String),
+    Edit(EditError),
 }
 
 impl fmt::Display for RepairError {
@@ -865,7 +867,7 @@ impl fmt::Display for RepairError {
                 f.write_str("the source changed since the repairs were computed; re-select")
             }
             RepairError::NoSuchCandidate(n) => write!(f, "no repair candidate #{n}"),
-            RepairError::Edit(e) => write!(f, "repair edit failed: {e}"),
+            RepairError::Edit(e) => write!(f, "repair edit failed: bad text edit: {e}"),
         }
     }
 }
@@ -874,13 +876,13 @@ impl std::error::Error for RepairError {}
 
 /// Errors from the path-addressed attribute-edit workflow.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AttrEditError {
+pub(crate) enum AttrEditError {
     /// No box at the requested path in the current display.
     NoSuchBox,
     /// Computing the edit failed (see [`ManipulateError`]).
     Manipulate(ManipulateError),
     /// Applying the edit failed.
-    Session(String),
+    Edit(EditError),
 }
 
 impl fmt::Display for AttrEditError {
@@ -888,19 +890,16 @@ impl fmt::Display for AttrEditError {
         match self {
             AttrEditError::NoSuchBox => f.write_str("no box at that path"),
             AttrEditError::Manipulate(e) => e.fmt(f),
-            AttrEditError::Session(e) => f.write_str(e),
+            AttrEditError::Edit(e) => write!(f, "bad text edit: {e}"),
         }
     }
 }
-
-impl std::error::Error for AttrEditError {}
 
 impl LiveSession {
     /// Select the `leaf`-th text leaf of the box at `path` in the
     /// current display and ask for its value to become `desired`
     /// (textual form, see [`parse_desired`]). Returns the ranked
-    /// candidates, best first, and parks them for
-    /// [`LiveSession::apply_repair`].
+    /// candidates, best first, and parks them for `apply_repair`.
     ///
     /// Selection is resolved against the session's display and source
     /// *now* — a client that cached the path across source edits gets
@@ -910,7 +909,7 @@ impl LiveSession {
     /// # Errors
     ///
     /// See [`RepairError`].
-    pub fn repairs_at(
+    pub(crate) fn repairs_at(
         &mut self,
         path: &[usize],
         leaf: usize,
@@ -935,17 +934,17 @@ impl LiveSession {
     }
 
     /// Apply candidate `index` of the pending repair offer as a live
-    /// edit. Refuses (and withdraws the offer) if the source has
-    /// changed since [`LiveSession::repairs_at`] computed it — the
-    /// candidates' spans address that snapshot, not the new text. The
-    /// offer is consumed on a successfully applied edit and kept
-    /// otherwise (rejection and quarantine both leave the source as the
-    /// snapshot, so the remaining candidates stay valid).
+    /// edit. Refuses (and withdraws the offer) if the source has changed
+    /// since `repairs_at` computed it — the candidates' spans address
+    /// that snapshot, not the new text. The offer is consumed on a
+    /// successfully applied edit and kept otherwise (rejection and
+    /// quarantine both leave the source as the snapshot, so the
+    /// remaining candidates stay valid).
     ///
     /// # Errors
     ///
     /// See [`RepairError`].
-    pub fn apply_repair(&mut self, index: usize) -> Result<EditOutcome, RepairError> {
+    pub(crate) fn apply_repair(&mut self, index: usize) -> Result<EditOutcome, RepairError> {
         let Some(pending) = self.pending_repairs() else {
             return Err(RepairError::NoPending);
         };
@@ -962,9 +961,7 @@ impl LiveSession {
         let Some(candidate) = candidate else {
             return Err(RepairError::NoSuchCandidate(index));
         };
-        let outcome = self
-            .apply_text_edits(&[candidate.edit])
-            .map_err(|e: SessionError| RepairError::Edit(e.to_string()))?;
+        let outcome = self.edit_span(candidate.edit).map_err(RepairError::Edit)?;
         if outcome.is_applied() {
             self.clear_pending_repairs();
         }
@@ -979,7 +976,7 @@ impl LiveSession {
     /// # Errors
     ///
     /// See [`AttrEditError`].
-    pub fn attribute_edit_at(
+    pub(crate) fn attribute_edit_at(
         &mut self,
         path: &[usize],
         attr: Attr,
@@ -992,8 +989,14 @@ impl LiveSession {
             .ok_or(AttrEditError::NoSuchBox)?;
         let edit = attribute_edit(self.source(), self.system().program(), id, attr, value_src)
             .map_err(AttrEditError::Manipulate)?;
-        self.apply_text_edits(&[edit])
-            .map_err(|e| AttrEditError::Session(e.to_string()))
+        self.edit_span(edit).map_err(AttrEditError::Edit)
+    }
+
+    /// Apply one computed edit to the current source and submit the
+    /// result as a live edit.
+    fn edit_span(&mut self, edit: TextEdit) -> Result<EditOutcome, EditError> {
+        let new_source = apply_edits(self.source(), &[edit])?;
+        Ok(self.edit_source(&new_source))
     }
 }
 
@@ -1078,7 +1081,7 @@ mod tests {
             "2",
         )
         .expect("edit computed");
-        let outcome = session.apply_text_edits(&[edit]).expect("applies");
+        let outcome = session.edit_span(edit).expect("applies");
         assert!(outcome.is_applied());
         assert!(session.source().contains("box.margin := 2;"));
         // And the live view reflects it: margin 2 indents "header" by 2.
@@ -1116,7 +1119,7 @@ mod tests {
             "1",
         )
         .expect("edit");
-        session.apply_text_edits(&[add]).expect("applies");
+        session.edit_span(add).expect("applies");
         assert!(session.source().contains("box.border := 1;"));
 
         let display = session.display_tree().expect("renders");
@@ -1129,7 +1132,7 @@ mod tests {
         )
         .expect("computes")
         .expect("present");
-        session.apply_text_edits(&[remove]).expect("applies");
+        session.edit_span(remove).expect("applies");
         assert!(!session.source().contains("box.border"));
         // Clean roundtrip: back to the original text.
         assert_eq!(session.source(), SRC);

@@ -33,14 +33,14 @@ use alive_core::fixup::FixupReport;
 use alive_core::system::{ActionError, System, SystemConfig};
 use alive_core::{compile, Fault, FaultKind, IncrementalCompiler, Program};
 use alive_obs::{Clock, MetricsSnapshot, Registry};
-use alive_syntax::{apply_edits, Diagnostics, EditError, TextEdit};
-use alive_ui::Point;
+use alive_syntax::{apply_edits, Diagnostics, TextEdit};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The result of submitting an edit to a live session.
+/// The result of submitting an edit to a live session; [`LiveSession::apply`]
+/// reports it as an `Edit*` effect.
 #[derive(Debug)]
-pub enum EditOutcome {
+pub(crate) enum EditOutcome {
     /// The new code was accepted; the UPDATE transition ran with this
     /// fix-up, and the display was refreshed.
     Applied(FixupReport),
@@ -61,13 +61,8 @@ pub enum EditOutcome {
 
 impl EditOutcome {
     /// Whether the edit was applied (and stayed applied).
-    pub fn is_applied(&self) -> bool {
+    pub(crate) fn is_applied(&self) -> bool {
         matches!(self, EditOutcome::Applied(_))
-    }
-
-    /// Whether the edit was quarantined (applied, faulted, reverted).
-    pub fn is_quarantined(&self) -> bool {
-        matches!(self, EditOutcome::Quarantined { .. })
     }
 }
 
@@ -153,32 +148,17 @@ struct FleetCheckpoint {
 const FLEET_JOURNAL_CAPACITY: usize = 4096;
 
 /// One open edit transaction staged on a solo session
-/// ([`LiveSession::tx_open`]): the batched source so far.
+/// ([`SessionCommand::TxOpen`]): the batched source so far.
 #[derive(Debug, Clone)]
 struct PendingTx {
     staged: String,
     edits: usize,
 }
 
-/// A typed failure from the solo transaction API.
-#[derive(Debug)]
-pub enum TxError {
-    /// No open transaction with this id.
-    UnknownTx(u64),
-    /// A staged batch was malformed against the staged text.
-    Edit(EditError),
+/// The refusal for a transaction id that names no open transaction.
+pub(crate) fn no_open_tx(tx: u64) -> String {
+    format!("no open transaction tx#{tx}")
 }
-
-impl std::fmt::Display for TxError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TxError::UnknownTx(tx) => write!(f, "no open transaction tx#{tx}"),
-            TxError::Edit(e) => write!(f, "bad transaction edit: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TxError {}
 
 /// Observability counters for the frame pipeline: evaluation (memo, VM
 /// cache), layout, paint, and the generation-keyed view memo. Per-frame
@@ -256,9 +236,8 @@ pub struct LiveSession {
     clock: Arc<dyn Clock>,
     /// Settle time (and its compile slice, the
     /// [`alive_core::system::VmStats::compile_us`] delta) accumulated by
-    /// every [`LiveSession::refresh`] since the last
-    /// [`LiveSession::live_view`]: a tap settles inside `tap_path`,
-    /// before the frame is drawn.
+    /// every `refresh` since the last [`LiveSession::live_view`]: a tap
+    /// settles inside [`LiveSession::apply`], before the frame is drawn.
     unframed_eval_us: u64,
     unframed_compile_us: u64,
     /// Pre-transaction checkpoint while a fleet UPDATE awaits its
@@ -417,11 +396,6 @@ impl LiveSession {
         stats
     }
 
-    /// The session's observability handles.
-    pub fn metrics(&self) -> &SessionMetrics {
-        &self.metrics
-    }
-
     /// A point-in-time copy of every metric the session (and its
     /// system) has recorded — what [`crate::SessionCommand::Metrics`]
     /// answers with.
@@ -462,7 +436,7 @@ impl LiveSession {
     /// fault on the way: faulting events are rolled back and dropped
     /// (recorded in the [`FaultLog`]), the display degrades to the last
     /// good tree. This never fails — a session is always settleable.
-    pub fn refresh(&mut self) {
+    pub(crate) fn refresh(&mut self) {
         let start = self.clock.now_us();
         let compile_before = self.system.vm_stats().compile_us;
         self.settle();
@@ -505,7 +479,7 @@ impl LiveSession {
     /// the paper's continuous edit loop. Never fails: bad code is
     /// [`EditOutcome::Rejected`], faulting code is
     /// [`EditOutcome::Quarantined`] (auto-reverted).
-    pub fn edit_source(&mut self, new_source: &str) -> EditOutcome {
+    pub(crate) fn edit_source(&mut self, new_source: &str) -> EditOutcome {
         let outcome = self.swap_source(new_source);
         if outcome.is_applied() {
             self.redo_stack.clear();
@@ -513,22 +487,23 @@ impl LiveSession {
         outcome
     }
 
-    /// Undo the most recent applied edit: restore the previous source
-    /// via a regular UPDATE transition (the model is fixed up, not
-    /// rolled back — undo is an edit like any other, as in the paper's
-    /// model where code changes are transitions).
+    /// Undo the most recent applied edit (with `redo`, redo the most
+    /// recently undone one): restore the neighbouring source via a
+    /// regular UPDATE transition (the model is fixed up, not rolled
+    /// back — undo is an edit like any other, as in the paper's model
+    /// where code changes are transitions).
     ///
     /// The outcome says whether a history step happened:
     /// [`UndoOutcome::NothingToUndo`] if the stack was empty, and
-    /// [`UndoOutcome::Quarantined`] if the undone code faulted against
-    /// the current model (the session is unchanged in that case).
-    pub fn undo(&mut self) -> UndoOutcome {
-        let outcome = self.undo_inner();
+    /// [`UndoOutcome::Quarantined`] if the code faulted against the
+    /// current model (the session is unchanged in that case).
+    pub(crate) fn step_history(&mut self, redo: bool) -> UndoOutcome {
+        let outcome = if redo { self.redo() } else { self.undo() };
         self.metrics.record_history(&outcome);
         outcome
     }
 
-    fn undo_inner(&mut self) -> UndoOutcome {
+    fn undo(&mut self) -> UndoOutcome {
         let Some(previous) = self.undo_stack.pop() else {
             return UndoOutcome::NothingToUndo;
         };
@@ -553,15 +528,7 @@ impl LiveSession {
         }
     }
 
-    /// Redo the most recently undone edit. Same outcomes as
-    /// [`LiveSession::undo`].
-    pub fn redo(&mut self) -> UndoOutcome {
-        let outcome = self.redo_inner();
-        self.metrics.record_history(&outcome);
-        outcome
-    }
-
-    fn redo_inner(&mut self) -> UndoOutcome {
+    fn redo(&mut self) -> UndoOutcome {
         let Some(next) = self.redo_stack.pop() else {
             return UndoOutcome::NothingToUndo;
         };
@@ -656,17 +623,6 @@ impl LiveSession {
         EditOutcome::Applied(report)
     }
 
-    /// Apply span-addressed edits to the current source and submit the
-    /// result.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Edit`] if the edits are malformed.
-    pub fn apply_text_edits(&mut self, edits: &[TextEdit]) -> Result<EditOutcome, SessionError> {
-        let new_source = apply_edits(&self.source, edits).map_err(SessionError::Edit)?;
-        Ok(self.edit_source(&new_source))
-    }
-
     /// Park the candidate repairs from a direct-manipulation selection
     /// (see [`crate::repair`]); replaces any earlier offer.
     pub(crate) fn set_pending_repairs(&mut self, pending: crate::repair::PendingRepairs) {
@@ -692,7 +648,7 @@ impl LiveSession {
 
     /// Open an edit transaction: stage a copy of the current source for
     /// batched edits. Returns the transaction id.
-    pub fn tx_open(&mut self) -> u64 {
+    pub(crate) fn tx_open(&mut self) -> u64 {
         let tx = self.next_tx;
         self.next_tx += 1;
         self.pending_txs.insert(
@@ -709,18 +665,15 @@ impl LiveSession {
     /// Spans address the *staged* text (the result of every batch staged
     /// so far — see [`alive_syntax::apply_edit_batches`]); the running
     /// program is untouched until commit. Returns the total number of
-    /// edits staged on the transaction.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::UnknownTx`] / [`TxError::Edit`]; the staged text is
-    /// unchanged on error.
-    pub fn tx_edit(&mut self, tx: u64, edits: &[TextEdit]) -> Result<usize, TxError> {
+    /// edits staged on the transaction, or the refusal; the staged text
+    /// is unchanged on refusal.
+    pub(crate) fn tx_edit(&mut self, tx: u64, edits: &[TextEdit]) -> Result<usize, String> {
         let pending = self
             .pending_txs
             .get_mut(&tx)
-            .ok_or(TxError::UnknownTx(tx))?;
-        pending.staged = apply_edits(&pending.staged, edits).map_err(TxError::Edit)?;
+            .ok_or_else(|| no_open_tx(tx))?;
+        pending.staged = apply_edits(&pending.staged, edits)
+            .map_err(|e| format!("bad transaction edit: {e}"))?;
         pending.edits += edits.len();
         Ok(pending.edits)
     }
@@ -730,34 +683,26 @@ impl LiveSession {
     /// quarantine included). The transaction closes on
     /// [`EditOutcome::Applied`] and [`EditOutcome::Quarantined`] (the
     /// batch was decided); it stays open on [`EditOutcome::Rejected`] so
-    /// the client can stage a fix and retry.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::UnknownTx`] if no such transaction is open.
-    pub fn tx_commit(&mut self, tx: u64) -> Result<EditOutcome, TxError> {
-        let staged = self
-            .pending_txs
-            .get(&tx)
-            .ok_or(TxError::UnknownTx(tx))?
-            .staged
-            .clone();
+    /// the client can stage a fix and retry. `None` if no such
+    /// transaction is open.
+    pub(crate) fn tx_commit(&mut self, tx: u64) -> Option<EditOutcome> {
+        let staged = self.pending_txs.get(&tx)?.staged.clone();
         let outcome = self.edit_source(&staged);
         if !matches!(outcome, EditOutcome::Rejected(_)) {
             self.pending_txs.remove(&tx);
         }
-        Ok(outcome)
+        Some(outcome)
     }
 
     /// Abort an open transaction, discarding its staged edits. Returns
     /// whether the id named an open transaction.
-    pub fn tx_abort(&mut self, tx: u64) -> bool {
+    pub(crate) fn tx_abort(&mut self, tx: u64) -> bool {
         self.pending_txs.remove(&tx).is_some()
     }
 
     /// Number of edits staged on an open transaction, or `None` if the
     /// id is unknown.
-    pub fn tx_edits(&self, tx: u64) -> Option<usize> {
+    pub(crate) fn tx_edits(&self, tx: u64) -> Option<usize> {
         self.pending_txs.get(&tx).map(|p| p.edits)
     }
 
@@ -777,7 +722,7 @@ impl LiveSession {
     /// away from it reports [`FleetUpdateOutcome::Diverged`] and is left
     /// untouched.
     ///
-    /// Unlike [`LiveSession::edit_source`], an immediately-faulting
+    /// Unlike a [`SessionCommand::EditSource`], an immediately-faulting
     /// update is **not** auto-quarantined here: the session keeps
     /// running the new program degraded (banner up, last good view) and
     /// reports `faulted: true` — whether one canary fault rolls the
@@ -892,11 +837,13 @@ impl LiveSession {
         }
     }
 
-    /// Journal a client command while a fleet checkpoint is pending (the
-    /// revert path replays the journal). Bounded: past
-    /// `FLEET_JOURNAL_CAPACITY` the journal stops recording and a revert
-    /// restores the bare checkpoint without replay.
-    pub(crate) fn journal_for_fleet(&mut self, command: &SessionCommand) {
+    /// Book a command [`LiveSession::apply`] is about to run: count it,
+    /// and journal it while a fleet checkpoint is pending (the revert
+    /// path replays the journal). The journal is bounded: past
+    /// `FLEET_JOURNAL_CAPACITY` it stops recording and a revert restores
+    /// the bare checkpoint without replay.
+    pub(crate) fn admit(&mut self, command: &SessionCommand) {
+        self.metrics.record_command();
         if let Some(checkpoint) = self.fleet_checkpoint.as_mut() {
             if checkpoint.journal.len() >= FLEET_JOURNAL_CAPACITY {
                 checkpoint.journal_overflow = true;
@@ -958,33 +905,22 @@ impl LiveSession {
         text
     }
 
-    /// Tap the screen at a point (hit-tested), then refresh.
-    /// Returns whether a tappable box was hit. A faulting tap handler
-    /// does not error: its event is dropped, the model kept, the fault
-    /// logged.
+    /// Settle, deliver one user action (a tap, a text-box edit) to the
+    /// system, then settle again. A faulting handler does not error: its
+    /// event is dropped, the model kept, the fault logged.
     ///
     /// # Errors
     ///
-    /// [`SessionError::Action`] if the tap cannot be delivered.
-    pub fn tap_at(&mut self, x: i32, y: i32) -> Result<bool, SessionError> {
+    /// [`SessionError::Action`] if the action cannot be delivered (no
+    /// such box, no handler).
+    pub(crate) fn act<T>(
+        &mut self,
+        action: impl FnOnce(&mut System) -> Result<T, ActionError>,
+    ) -> Result<T, SessionError> {
         self.refresh();
-        let hit =
-            alive_ui::tap_at(&mut self.system, Point::new(x, y)).map_err(SessionError::Action)?;
+        let result = action(&mut self.system).map_err(SessionError::Action)?;
         self.refresh();
-        Ok(hit)
-    }
-
-    /// Tap a box by its path in the box tree, then refresh. A faulting
-    /// handler drops its event with the model kept (fault logged).
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Action`] if the path or handler is missing.
-    pub fn tap_path(&mut self, path: &[usize]) -> Result<(), SessionError> {
-        self.refresh();
-        self.system.tap(path).map_err(SessionError::Action)?;
-        self.refresh();
-        Ok(())
+        Ok(result)
     }
 
     /// Press the back button, then refresh.
@@ -998,27 +934,11 @@ impl LiveSession {
     ///
     /// [`SessionError::Action`] ([`ActionError::NoPageToPop`]) at the
     /// root page.
-    pub fn back(&mut self) -> Result<(), SessionError> {
+    pub(crate) fn back(&mut self) -> Result<(), SessionError> {
         if self.system.page_stack().len() <= 1 {
             return Err(SessionError::Action(ActionError::NoPageToPop));
         }
         self.system.back();
-        self.refresh();
-        Ok(())
-    }
-
-    /// Edit the text of the box at `path` (fires its `onedit` handler),
-    /// then refresh. A faulting handler drops its event with the model
-    /// kept (fault logged).
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Action`] if the box has no edit handler.
-    pub fn edit_box(&mut self, path: &[usize], text: &str) -> Result<(), SessionError> {
-        self.refresh();
-        self.system
-            .edit_box(path, text)
-            .map_err(SessionError::Action)?;
         self.refresh();
         Ok(())
     }
@@ -1032,8 +952,6 @@ pub enum SessionError {
     Compile(Diagnostics),
     /// A user action could not be delivered.
     Action(ActionError),
-    /// Text edits were malformed.
-    Edit(EditError),
 }
 
 impl std::fmt::Display for SessionError {
@@ -1041,7 +959,6 @@ impl std::fmt::Display for SessionError {
         match self {
             SessionError::Compile(ds) => write!(f, "program does not compile:\n{ds}"),
             SessionError::Action(e) => write!(f, "action failed: {e}"),
-            SessionError::Edit(e) => write!(f, "bad text edit: {e}"),
         }
     }
 }
@@ -1051,7 +968,20 @@ impl std::error::Error for SessionError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::SessionEffect;
     use alive_core::Value;
+
+    /// Tap the box at `path` through [`LiveSession::apply`], asserting
+    /// the session did not refuse it.
+    fn tap(s: &mut LiveSession, path: &[usize]) {
+        let effects = s.apply(SessionCommand::TapPath(path.to_vec()));
+        assert!(
+            !effects
+                .iter()
+                .any(|e| matches!(e, SessionEffect::Refused(_))),
+            "tap {path:?} refused: {effects:?}"
+        );
+    }
 
     const APP: &str = r#"
 global count : number = 0
@@ -1084,11 +1014,12 @@ page start() {
         let mut s =
             LiveSession::observed(APP, SystemConfig::default(), false, &registry).expect("starts");
         s.live_view();
-        s.tap_path(&[0]).expect("tap");
+        tap(&mut s, &[0]);
         assert_eq!(s.live_view(), "count is 11\n");
-        // `tap_path` settles before and after the tap (the handler and
-        // the re-render run there), and `live_view` settles once more:
-        // the frame's eval time spans all three, not just the last.
+        // The tap settles before and after delivering the event (the
+        // handler and the re-render run there), and the frame it answers
+        // with settles once more: the frame's eval time spans all three,
+        // not just the last.
         let stats = s.frame_stats();
         assert!(stats.eval_us >= 3 * STEP, "{stats:?}");
         assert_eq!(
@@ -1101,7 +1032,7 @@ page start() {
     #[test]
     fn live_edit_keeps_model_state() {
         let mut s = LiveSession::new(APP).expect("starts");
-        s.tap_path(&[0]).expect("tap");
+        tap(&mut s, &[0]);
         assert_eq!(s.live_view(), "count is 11\n");
 
         let outcome = s.edit_source(&APP.replace("count is ", "n = "));
@@ -1129,8 +1060,8 @@ page start() {
     #[test]
     fn faulting_edit_is_quarantined_and_reverted() {
         let mut s = LiveSession::new(APP).expect("starts");
-        s.tap_path(&[0]).expect("tap"); // count = 11
-                                        // Type-correct, but the render diverges as soon as it runs.
+        tap(&mut s, &[0]); // count = 11
+                           // Type-correct, but the render diverges as soon as it runs.
         let diverging = APP.replace(
             "post \"count is \" ++ count;",
             "while true { count; } post \"never\";",
@@ -1149,7 +1080,7 @@ page start() {
         assert_eq!(s.fault_log().len(), 1);
         // The session is fully alive: further edits and taps work.
         assert!(s.edit_source(&APP.replace("count is", "n =")).is_applied());
-        s.tap_path(&[0]).expect("tap");
+        tap(&mut s, &[0]);
         assert_eq!(s.live_view(), "n = 21\n");
     }
 
@@ -1163,7 +1094,7 @@ page start() {
         assert_eq!(s.live_view(), "count is 1\n");
         // The tap handler faults: no session error, event dropped,
         // store rolled back, last good view still up (stale).
-        s.tap_path(&[0]).expect("tap is delivered");
+        tap(&mut s, &[0]); // tap is delivered
         assert_eq!(s.system().store().get("count"), Some(&Value::Number(1.0)));
         assert_eq!(s.live_view(), "count is 1\n");
         assert_eq!(s.fault_log().len(), 1);
@@ -1171,7 +1102,7 @@ page start() {
         assert!(banner.contains("handler fault"), "{banner}");
         assert!(banner.contains("list.nth"), "{banner}");
         // Still interactive: tapping again faults again, alive still.
-        s.tap_path(&[0]).expect("tap is delivered");
+        tap(&mut s, &[0]); // tap is delivered
         assert_eq!(s.fault_log().len(), 2);
         assert_eq!(s.live_view(), "count is 1\n");
     }
@@ -1180,14 +1111,11 @@ page start() {
     fn text_edits_apply_by_span() {
         let mut s = LiveSession::new(APP).expect("starts");
         let at = s.source().find("10").expect("found") as u32;
-        let outcome = s
-            .apply_text_edits(&[TextEdit::replace(
-                alive_syntax::Span::new(at, at + 2),
-                "100",
-            )])
-            .expect("edits apply");
-        assert!(outcome.is_applied());
-        s.tap_path(&[0]).expect("tap");
+        let tx = s.tx_open();
+        let edit = TextEdit::replace(alive_syntax::Span::new(at, at + 2), "100");
+        s.tx_edit(tx, &[edit]).expect("edits apply");
+        assert!(s.tx_commit(tx).expect("open").is_applied());
+        tap(&mut s, &[0]);
         assert_eq!(s.system().store().get("count"), Some(&Value::Number(101.0)));
     }
 
@@ -1213,8 +1141,8 @@ page start() {
         let mut memo = LiveSession::with_memo(src).expect("starts");
         assert_eq!(plain.live_view(), memo.live_view());
         for _ in 0..3 {
-            plain.tap_path(&[1]).expect("tap");
-            memo.tap_path(&[1]).expect("tap");
+            tap(&mut plain, &[1]);
+            tap(&mut memo, &[1]);
             assert_eq!(plain.live_view(), memo.live_view());
         }
         let stats = memo.memo_stats().expect("enabled");
@@ -1224,9 +1152,9 @@ page start() {
     #[test]
     fn undo_redo_are_update_transitions() {
         let mut s = LiveSession::new(APP).expect("starts");
-        s.tap_path(&[0]).expect("tap"); // count = 11
+        tap(&mut s, &[0]); // count = 11
         assert_eq!(s.undo_depth(), 0);
-        assert!(!s.undo().is_applied(), "nothing to undo yet");
+        assert!(!s.step_history(false).is_applied(), "nothing to undo yet");
 
         let v1 = APP.replace("count is", "n =");
         let v2 = APP.replace("count is", "total:");
@@ -1237,19 +1165,23 @@ page start() {
 
         // Undo restores the previous code; the model stays at 11
         // (undo is just another UPDATE, not time travel).
-        assert_eq!(s.undo(), UndoOutcome::Applied);
+        assert_eq!(s.step_history(false), UndoOutcome::Applied);
         assert_eq!(s.live_view(), "n = 11\n");
-        assert_eq!(s.undo(), UndoOutcome::Applied);
+        assert_eq!(s.step_history(false), UndoOutcome::Applied);
         assert_eq!(s.live_view(), "count is 11\n");
-        assert_eq!(s.undo(), UndoOutcome::NothingToUndo, "stack exhausted");
+        assert_eq!(
+            s.step_history(false),
+            UndoOutcome::NothingToUndo,
+            "stack exhausted"
+        );
 
         // Redo walks forward again.
-        assert_eq!(s.redo(), UndoOutcome::Applied);
+        assert_eq!(s.step_history(true), UndoOutcome::Applied);
         assert_eq!(s.live_view(), "n = 11\n");
         // A fresh edit clears the redo stack.
         let v3 = s.source().replace("n =", "N:");
         assert!(s.edit_source(&v3).is_applied());
-        assert_eq!(s.redo(), UndoOutcome::NothingToUndo);
+        assert_eq!(s.step_history(true), UndoOutcome::NothingToUndo);
     }
 
     #[test]
@@ -1276,7 +1208,7 @@ page start() {
 
         // Steady state: a tap changes one header row; the listing rows
         // are memo splices, so evaluation reuses them.
-        s.tap_path(&[1]).expect("tap");
+        tap(&mut s, &[1]);
         let view = s.live_view();
         assert!(view.starts_with("selected 1"), "{view}");
         let stats = s.frame_stats();
@@ -1304,7 +1236,7 @@ page start() {
             root.children_shared().map(Arc::downgrade).collect();
         assert_eq!(children.len(), 2);
         drop(root);
-        s.tap_path(&[0]).expect("tap");
+        tap(&mut s, &[0]);
         assert_eq!(s.live_view(), "n = 1\nsecond\n");
         let pinned = children.iter().filter(|c| c.upgrade().is_some()).count();
         assert_eq!(
@@ -1355,7 +1287,7 @@ page start() {
         let mut s = LiveSession::with_memo(APP).expect("starts");
         for i in 0..4 {
             if i > 0 {
-                s.tap_path(&[0]).expect("tap");
+                tap(&mut s, &[0]);
             }
             let view = s.live_view();
             let oracle = {
@@ -1433,7 +1365,7 @@ page broken() {
             let mut s =
                 LiveSession::observed(runaway, config, memo, &Registry::new()).expect("starts");
             let runs = s.system().vm_stats().runs;
-            s.tap_path(&[0]).expect("tap");
+            tap(&mut s, &[0]);
             assert!(s.system().is_stable(), "memo {memo}: settled");
             let log = s.fault_log();
             assert_eq!(
@@ -1480,10 +1412,66 @@ page broken() {
         assert_eq!(s.system().vm_stats().runs, 0);
     }
 
+    /// A session under a pending fleet UPDATE: `fleet_update` to a
+    /// canary of the trace script's program that renders differently.
+    fn under_fleet_update(tx: u64) -> LiveSession {
+        use crate::trace::tests::APP as BASE;
+        let canary = BASE.replace("count is ", "count = ");
+        let program = Arc::new(compile(&canary).expect("canary compiles"));
+        let mut s = LiveSession::new(BASE).expect("starts");
+        assert_eq!(
+            s.fleet_update(tx, BASE, &canary, program),
+            FleetUpdateOutcome::Applied { faulted: false }
+        );
+        s
+    }
+
+    #[test]
+    fn fleet_revert_replays_every_kind_of_command() {
+        use crate::trace::tests::{every_state_changing_command, APP as BASE};
+        let mut fleet = under_fleet_update(1);
+        let mut solo = LiveSession::new(BASE).expect("starts");
+        for command in every_state_changing_command() {
+            fleet.apply(command.clone());
+            solo.apply(command);
+        }
+        assert!(fleet.fleet_revert(1));
+        // The revert restored the base program and replayed the journal:
+        // the session is the one a solo replay of its commands reaches.
+        assert_eq!(fleet.live_view(), solo.live_view());
+        assert_eq!(fleet.source(), solo.source());
+        assert_eq!(fleet.system().store(), solo.system().store());
+        assert_eq!(fleet.system().page_stack(), solo.system().page_stack());
+        assert_eq!(fleet.undo_depth(), solo.undo_depth());
+        assert_eq!(fleet.update_counts(), solo.update_counts());
+        assert_eq!(fleet.fault_log().total(), solo.fault_log().total());
+    }
+
+    #[test]
+    fn fleet_revert_past_the_journal_capacity_restores_without_replay() {
+        use crate::trace::tests::APP as BASE;
+        let mut fleet = under_fleet_update(1);
+        let mut base = LiveSession::new(BASE).expect("starts");
+        // One state change, then enough queries to overflow the journal.
+        tap(&mut fleet, &[0]);
+        for _ in 0..FLEET_JOURNAL_CAPACITY {
+            fleet.apply(SessionCommand::Source);
+        }
+        assert!(fleet.fleet_revert(1));
+        // The bare pre-transaction state: the tap was not replayed.
+        assert_eq!(fleet.live_view(), base.live_view());
+        assert_eq!(fleet.source(), BASE);
+        assert_eq!(fleet.system().store(), base.system().store());
+        assert_eq!(fleet.system().page_stack(), base.system().page_stack());
+        assert_eq!(fleet.undo_depth(), 0);
+        assert_eq!(fleet.update_counts(), (0, 0));
+        assert_eq!(fleet.fault_log().total(), 0);
+    }
+
     #[test]
     fn memo_cache_cleared_on_update() {
         let mut s = LiveSession::with_memo(APP).expect("starts");
-        s.tap_path(&[0]).expect("tap");
+        tap(&mut s, &[0]);
         let outcome = s.edit_source(&APP.replace("count is", "total:"));
         assert!(outcome.is_applied());
         assert_eq!(s.live_view(), "total: 11\n");

@@ -127,11 +127,12 @@ impl SessionTrace {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use SessionEffect as E;
 
-    const APP: &str = r#"global count : number = 0
+    /// The program [`every_state_changing_command`] drives.
+    pub(crate) const APP: &str = r#"global count : number = 0
 global note : string = "hi"
 page start() {
     render {
@@ -143,8 +144,9 @@ page start() {
 page detail(n : number) { render { boxed { post "detail " ++ n; } } }
 "#;
 
-    #[test]
-    fn every_state_changing_command_replays() {
+    /// A script of 16 commands against a fresh session on [`APP`], one or
+    /// more of every state-changing kind, each of which takes effect.
+    pub(crate) fn every_state_changing_command() -> Vec<SessionCommand> {
         let edit = SessionCommand::EditSource(APP.replace("count is", "total is"));
         let restore = SessionCommand::Restore("#alive-store v1\ncount := 7\n".into());
         // The restore comes early so that it does not mask the taps.
@@ -155,9 +157,14 @@ page detail(n : number) { render { boxed { post "detail " ++ n; } } }
             restore.serialize(),
             edit.serialize(),
         );
+        parse_commands(&wire).expect("parses")
+    }
+
+    #[test]
+    fn every_state_changing_command_replays() {
         let mut live = LiveSession::new(APP).expect("starts");
         let mut trace = SessionTrace::new(APP);
-        for command in parse_commands(&wire).expect("parses") {
+        for command in every_state_changing_command() {
             let effects = trace.record(&mut live, command.clone());
             // Each command must take effect, or the replay check is vacuous.
             let missed = effects.iter().any(|e| match e {

@@ -19,7 +19,7 @@
 
 use alive_core::system::SystemConfig;
 use alive_core::FaultKind;
-use alive_live::{LiveSession, SessionCommand};
+use alive_live::{LiveSession, SessionCommand, SessionEffect};
 use alive_obs::{Histogram, HistogramSnapshot, ManualClock, MetricsSnapshot, Registry};
 use alive_serve::{HostConfig, SessionHost};
 use alive_testkit::{prop, prop_assert, prop_assert_eq, Rng};
@@ -177,19 +177,27 @@ fn fault_counters_reconcile_with_the_fault_log_by_kind() {
         .fail_prim(Prim::MathAbs, 3)
         .shared();
     session.system_mut().set_fault_injector(plan);
-    session.tap_path(&[0]).expect("tap delivered"); // faults (call 1)
-    session.tap_path(&[0]).expect("tap delivered"); // commits (call 2)
-    session.tap_path(&[0]).expect("tap delivered"); // faults (call 3)
+    // Faults (call 1), commits (call 2), faults (call 3): each tap is
+    // delivered either way.
+    for _ in 0..3 {
+        let effects = session.apply(SessionCommand::TapPath(vec![0]));
+        assert!(
+            !effects
+                .iter()
+                .any(|e| matches!(e, SessionEffect::Refused(_))),
+            "tap delivered: {effects:?}"
+        );
+    }
 
     // One render fault: a type-correct but diverging edit, quarantined.
     let diverging = session.source().replace(
         "post \"count is \" ++ count;",
         "while true { count; } post \"never\";",
     );
-    let outcome = session.edit_source(&diverging);
+    let effects = session.apply(SessionCommand::EditSource(diverging));
     assert!(
-        matches!(outcome, alive_live::EditOutcome::Quarantined { .. }),
-        "expected quarantine, got {outcome:?}"
+        matches!(effects[0], SessionEffect::EditQuarantined { .. }),
+        "expected quarantine, got {effects:?}"
     );
 
     let snapshot = session.metrics_snapshot();

@@ -166,7 +166,9 @@ impl Lexer<'_, '_> {
                         _ => {
                             // Step over one whole UTF-8 scalar so the
                             // cursor stays on a char boundary.
-                            let ch = self.src[self.pos..].chars().next().expect("in-bounds char");
+                            let Some(ch) = self.src[self.pos..].chars().next() else {
+                                continue; // end of input: the next pass reports it
+                            };
                             self.pos += ch.len_utf8();
                             self.diags.push(Diagnostic::error(
                                 Span::new(esc_start, self.pos as u32),
@@ -177,8 +179,9 @@ impl Lexer<'_, '_> {
                 }
                 _ => {
                     // Advance over one UTF-8 scalar.
-                    let rest = &self.src[self.pos..];
-                    let ch = rest.chars().next().expect("in-bounds char");
+                    let Some(ch) = self.src[self.pos..].chars().next() else {
+                        continue; // end of input: the next pass reports it
+                    };
                     value.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -234,8 +237,9 @@ impl Lexer<'_, '_> {
             (b'!', _) => (Bang, 1),
             (b'.', _) => (Dot, 1),
             _ => {
-                let rest = &self.src[self.pos..];
-                let ch = rest.chars().next().expect("in-bounds char");
+                let Some(ch) = self.src[self.pos..].chars().next() else {
+                    return; // end of input
+                };
                 self.pos += ch.len_utf8();
                 self.diags.push(Diagnostic::error(
                     Span::new(start, self.pos as u32),

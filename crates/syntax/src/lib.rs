@@ -33,6 +33,13 @@
 //! ```
 
 #![warn(missing_docs)]
+// Client text reaches this crate on every hosted command: non-test code
+// must never abort the process — failures are typed diagnostics. Tests
+// may assert freely.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod ast;
 pub mod diag;

@@ -341,11 +341,12 @@ impl Parser {
                 self.expect(TokenKind::RParen);
                 if elems.len() == 1 {
                     // `(τ)` is just τ, not a 1-tuple.
-                    let only = elems.pop().expect("one element");
-                    return TypeExpr {
-                        kind: only.kind,
-                        span: start.merge(self.prev_span()),
-                    };
+                    if let Some(only) = elems.pop() {
+                        return TypeExpr {
+                            kind: only.kind,
+                            span: start.merge(self.prev_span()),
+                        };
+                    }
                 }
                 TypeExprKind::Tuple(elems)
             }
@@ -782,9 +783,10 @@ impl Parser {
                 let end = self.expect(TokenKind::RParen);
                 if elems.len() == 1 && !trailing_comma {
                     // Parenthesized expression.
-                    let mut only = elems.pop().expect("one element");
-                    only.span = start.merge(end);
-                    return only;
+                    if let Some(mut only) = elems.pop() {
+                        only.span = start.merge(end);
+                        return only;
+                    }
                 }
                 ExprKind::Tuple(elems)
             }

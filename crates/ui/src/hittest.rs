@@ -18,16 +18,24 @@ pub fn hit_test(tree: &LayoutTree, point: Point) -> Option<Vec<usize>> {
 /// All boxes containing `point`, outermost first (each entry is a path).
 /// Tapping repeatedly can walk up this chain to select enclosing boxes.
 pub fn hit_stack(tree: &LayoutTree, point: Point) -> Vec<Vec<usize>> {
+    hit_boxes(tree, point)
+        .into_iter()
+        .map(|node| node.path.clone())
+        .collect()
+}
+
+/// All boxes containing `point`, outermost first.
+fn hit_boxes(tree: &LayoutTree, point: Point) -> Vec<&LayoutBox> {
     let mut stack = Vec::new();
     collect_hits(&tree.root, point, &mut stack);
     stack
 }
 
-fn collect_hits(node: &LayoutBox, point: Point, out: &mut Vec<Vec<usize>>) {
+fn collect_hits<'t>(node: &'t LayoutBox, point: Point, out: &mut Vec<&'t LayoutBox>) {
     if !node.rect.contains(point) {
         return;
     }
-    out.push(node.path.clone());
+    out.push(node);
     for item in &node.items {
         if let LayoutItem::Child(child) = item {
             collect_hits(child, point, out);
@@ -39,14 +47,11 @@ fn collect_hits(node: &LayoutBox, point: Point, out: &mut Vec<Vec<usize>>) {
 /// tap actually lands. Inner boxes win over enclosing ones, like DOM
 /// event targeting.
 pub fn hit_test_tappable(tree: &LayoutTree, point: Point) -> Option<Vec<usize>> {
-    let mut found = None;
-    for path in hit_stack(tree, point) {
-        let node = tree.by_path(&path).expect("hit paths are valid");
-        if node.style.tappable {
-            found = Some(path);
-        }
-    }
-    found
+    hit_boxes(tree, point)
+        .into_iter()
+        .rev()
+        .find(|node| node.style.tappable)
+        .map(|node| node.path.clone())
 }
 
 /// The text cell under `point`: the deepest box containing the point
@@ -58,13 +63,12 @@ pub fn hit_test_tappable(tree: &LayoutTree, point: Point) -> Option<Vec<usize>> 
 /// manipulation (select a rendered value, recover where it came from).
 pub fn hit_test_leaf(tree: &LayoutTree, point: Point) -> Option<(Vec<usize>, usize)> {
     let mut found = None;
-    for path in hit_stack(tree, point) {
-        let node = tree.by_path(&path).expect("hit paths are valid");
+    for node in hit_boxes(tree, point) {
         let mut ordinal = 0usize;
         for item in &node.items {
             if let LayoutItem::Text { rect, .. } = item {
                 if rect.contains(point) {
-                    found = Some((path.clone(), ordinal));
+                    found = Some((node.path.clone(), ordinal));
                 }
                 ordinal += 1;
             }
@@ -75,14 +79,11 @@ pub fn hit_test_leaf(tree: &LayoutTree, point: Point) -> Option<(Vec<usize>, usi
 
 /// The deepest box under `point` with an edit handler.
 pub fn hit_test_editable(tree: &LayoutTree, point: Point) -> Option<Vec<usize>> {
-    let mut found = None;
-    for path in hit_stack(tree, point) {
-        let node = tree.by_path(&path).expect("hit paths are valid");
-        if node.style.editable {
-            found = Some(path);
-        }
-    }
-    found
+    hit_boxes(tree, point)
+        .into_iter()
+        .rev()
+        .find(|node| node.style.editable)
+        .map(|node| node.path.clone())
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! Run with `cargo run --example direct_manipulation`.
 
 use its_alive::core::Attr;
-use its_alive::live::{attribute_edit, span_for_box, LiveSession};
+use its_alive::live::{attribute_edit, span_for_box, LiveSession, SessionCommand, SessionEffect};
 use its_alive::ui::{hit_stack, layout, Point};
 
 const SRC: &str = r#"global unread : number = 40
@@ -25,6 +25,16 @@ page start() {
         }
     }
 }"#;
+
+/// Apply one edit-producing command; anything but an applied edit
+/// becomes an error.
+fn apply_edit(session: &mut LiveSession, command: SessionCommand) -> Result<(), String> {
+    let effects = session.apply(command);
+    match effects.first() {
+        Some(SessionEffect::EditApplied(_)) => Ok(()),
+        _ => Err(format!("edit not applied: {effects:?}")),
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut session = LiveSession::new(SRC)?;
@@ -50,7 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("has id");
 
     // The user picks "border" from the property menu: a statement is
-    // INSERTED into the code.
+    // INSERTED into the code. The session resolves the selected box
+    // against its current display and source when the command arrives.
     let edit = attribute_edit(
         session.source(),
         session.system().program(),
@@ -59,23 +70,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "1",
     )?;
     println!("\ncode edit: {edit}");
-    session.apply_text_edits(&[edit])?;
+    apply_edit(
+        &mut session,
+        SessionCommand::AttrEdit {
+            path: path.clone(),
+            attr: "border".to_string(),
+            value: "1".to_string(),
+        },
+    )?;
     println!("\n=== live view after adding a border ===");
     print!("{}", session.live_view());
 
     // Now the margin, twiddled twice — the second manipulation REWRITES
     // the value in place instead of inserting a duplicate statement.
     for margin in ["1", "3"] {
-        let display = session.display_tree().ok_or("no view")?;
-        let id = display.descendant(&path).expect("box").source.expect("id");
-        let edit = attribute_edit(
-            session.source(),
-            session.system().program(),
-            id,
-            Attr::Margin,
-            margin,
+        apply_edit(
+            &mut session,
+            SessionCommand::AttrEdit {
+                path: path.clone(),
+                attr: "margin".to_string(),
+                value: margin.to_string(),
+            },
         )?;
-        session.apply_text_edits(&[edit])?;
         println!("\n=== margin := {margin} ===");
         print!("{}", session.live_view());
     }
@@ -86,11 +102,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // one rewrites the most local literal, leaving the computation (and
     // the `unread` global) intact.
     println!("\n=== value repair: \"42 unread messages\" -> \"41 unread messages\" ===");
-    let repairs = session.repairs_at(&[2], 0, "41 unread messages")?;
+    let effects = session.apply(SessionCommand::ManipulateAt {
+        path: vec![2],
+        leaf: 0,
+        value: "41 unread messages".to_string(),
+    });
+    let [SessionEffect::Repairs(repairs)] = effects.as_slice() else {
+        return Err(format!("no repairs offered: {effects:?}").into());
+    };
     for (i, candidate) in repairs.iter().enumerate() {
         println!("  [{i}] {}", candidate.description);
     }
-    assert!(session.apply_repair(0)?.is_applied());
+    apply_edit(&mut session, SessionCommand::ApplyRepair(0))?;
     println!("\n=== live view after the repair ===");
     print!("{}", session.live_view());
 

@@ -4,7 +4,24 @@
 //! Run with `cargo run --example game_of_life`.
 
 use its_alive::apps::life::life_src;
-use its_alive::live::LiveSession;
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
+
+/// Apply one command; a refused command becomes an error.
+fn send(session: &mut LiveSession, command: SessionCommand) -> Result<Vec<SessionEffect>, String> {
+    let effects = session.apply(command);
+    match effects.first() {
+        Some(SessionEffect::Refused(why)) => Err(why.clone()),
+        _ => Ok(effects),
+    }
+}
+
+/// Submit `source` as a live edit; whether it was applied.
+fn edit_applied(session: &mut LiveSession, source: String) -> bool {
+    matches!(
+        session.apply(SessionCommand::EditSource(source)).first(),
+        Some(SessionEffect::EditApplied(_))
+    )
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut session = LiveSession::new(&life_src(10))?;
@@ -12,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", session.live_view());
 
     for _ in 0..3 {
-        session.tap_path(&[1])?;
+        send(&mut session, SessionCommand::TapPath(vec![1]))?;
     }
     println!("\n=== generation 3 ===");
     print!("{}", session.live_view());
@@ -23,10 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "else if !alive && around == 3 { 1 }",
         "else if !alive && (around == 3 || around == 6) { 1 }",
     );
-    assert!(session.edit_source(&highlife).is_applied());
+    assert!(edit_applied(&mut session, highlife));
     println!("\n=== rule changed to HighLife (B36/S23) mid-run; grid preserved ===");
     for _ in 0..3 {
-        session.tap_path(&[1])?;
+        send(&mut session, SessionCommand::TapPath(vec![1]))?;
     }
     println!("=== generation 6, three HighLife steps later ===");
     print!("{}", session.live_view());

@@ -2,8 +2,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use its_alive::core::system::StepKind;
-use its_alive::live::{box_source_at, boxes_for_cursor, LiveSession};
+use its_alive::live::{
+    box_source_at, boxes_for_cursor, LiveSession, SessionCommand, SessionEffect,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Start a live session from source text.
@@ -11,17 +12,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== initial live view ===");
     print!("{}", session.live_view());
 
-    // 2. Interact: tap the "+1" button twice.
-    session.tap_path(&[1])?;
-    session.tap_path(&[1])?;
+    // 2. Interact: tap the "+1" button twice. Every change to a running
+    //    session is a command sent to `apply`, answered with effects.
+    for _ in 0..2 {
+        let effects = session.apply(SessionCommand::TapPath(vec![1]));
+        assert_eq!(effects[0], SessionEffect::Tap { hit: true });
+    }
     println!("\n=== after two taps ===");
     print!("{}", session.live_view());
 
     // 3. Live edit: change the label while the program runs. The count
     //    (model state) survives — only the view re-renders.
     let edited = session.source().replace("count: ", "taps so far: ");
-    let outcome = session.edit_source(&edited);
-    assert!(outcome.is_applied());
+    let effects = session.apply(SessionCommand::EditSource(edited));
+    assert!(matches!(effects[0], SessionEffect::EditApplied(_)));
     println!("\n=== after live edit (state preserved!) ===");
     print!("{}", session.live_view());
 
@@ -41,14 +45,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 6. A broken edit is rejected; the program keeps running.
     let broken = session.source().replace("count + 1", "count + ");
-    let outcome = session.edit_source(&broken);
-    assert!(!outcome.is_applied());
+    let effects = session.apply(SessionCommand::EditSource(broken));
+    assert!(matches!(effects[0], SessionEffect::EditRejected(_)));
     println!("\n=== broken edit rejected; still alive ===");
     print!("{}", session.live_view());
 
-    // 7. Under the hood: the paper's transition system is observable.
-    session.system_mut().back();
-    let kinds: Vec<StepKind> = session.system_mut().run_to_stable()?.into_iter().collect();
-    println!("\ntransitions after BACK: {kinds:?}");
+    // 7. BACK at the root page would pop the last page and re-run
+    //    `init` — a hidden restart — so the session refuses it and the
+    //    program keeps running.
+    let effects = session.apply(SessionCommand::Back);
+    print!("\nBACK at the root page: {}", effects[0].serialize());
+    assert!(matches!(effects[0], SessionEffect::Refused(_)));
     Ok(())
 }

@@ -5,7 +5,22 @@
 //! Run with `cargo run --example shopping_live`.
 
 use its_alive::apps::SHOPPING_SRC;
-use its_alive::live::LiveSession;
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
+
+/// Apply one command; a refused command becomes an error.
+fn send(session: &mut LiveSession, command: SessionCommand) -> Result<Vec<SessionEffect>, String> {
+    let effects = session.apply(command);
+    match effects.first() {
+        Some(SessionEffect::Refused(why)) => Err(why.clone()),
+        _ => Ok(effects),
+    }
+}
+
+/// Tap the screen at `(x, y)`; whether a box with a handler was hit.
+fn tap_at(session: &mut LiveSession, x: i32, y: i32) -> Result<bool, String> {
+    let effects = send(session, SessionCommand::TapAt { x, y })?;
+    Ok(effects[0] == SessionEffect::Tap { hit: true })
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut session = LiveSession::with_memo(SHOPPING_SRC)?;
@@ -18,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .lines()
         .position(|l| l.contains("eggs"))
         .expect("visible") as i32;
-    assert!(session.tap_at(1, eggs_row)?);
+    assert!(tap_at(&mut session, 1, eggs_row)?);
     println!("\n=== eggs detail ===");
     print!("{}", session.live_view());
 
@@ -28,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .lines()
         .position(|l| l.contains("[ buy ]"))
         .expect("visible") as i32;
-    assert!(session.tap_at(1, buy_row)?);
+    assert!(tap_at(&mut session, 1, buy_row)?);
     println!("\n=== back on the list (12 bought) ===");
     print!("{}", session.live_view());
 
@@ -37,7 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\"bought so far: \" ++ bought",
         "\"BOUGHT: \" ++ bought ++ \" units\"",
     );
-    assert!(session.edit_source(&edited).is_applied());
+    let effects = session.apply(SessionCommand::EditSource(edited));
+    assert!(matches!(effects[0], SessionEffect::EditApplied(_)));
     println!("\n=== after live edit (model intact) ===");
     print!("{}", session.live_view());
 
@@ -47,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .lines()
         .position(|l| l.contains("add apples"))
         .expect("visible") as i32;
-    assert!(session.tap_at(1, add_row)?);
+    assert!(tap_at(&mut session, 1, add_row)?);
     if let Some(stats) = session.memo_stats() {
         println!(
             "\nrender cache: {} hits, {} misses ({} statically uncacheable)",

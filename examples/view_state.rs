@@ -6,7 +6,24 @@
 //!
 //! Run with `cargo run --example view_state`.
 
-use its_alive::live::LiveSession;
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
+
+/// Apply one command; a refused command becomes an error.
+fn send(session: &mut LiveSession, command: SessionCommand) -> Result<Vec<SessionEffect>, String> {
+    let effects = session.apply(command);
+    match effects.first() {
+        Some(SessionEffect::Refused(why)) => Err(why.clone()),
+        _ => Ok(effects),
+    }
+}
+
+/// Submit `source` as a live edit; whether it was applied.
+fn edit_applied(session: &mut LiveSession, source: String) -> bool {
+    matches!(
+        session.apply(SessionCommand::EditSource(source)).first(),
+        Some(SessionEffect::EditApplied(_))
+    )
+}
 
 const SRC: &str = r##"// Three independent sliders, no globals at all.
 fun bar(value : number) : string pure {
@@ -48,17 +65,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Drag slider 1 down twice, slider 2 up three times.
     for _ in 0..2 {
-        session.tap_path(&[1, 0, 1])?; // second row, inner box, "-"
+        send(&mut session, SessionCommand::TapPath(vec![1, 0, 1]))?; // second row, inner box, "-"
     }
     for _ in 0..3 {
-        session.tap_path(&[2, 0, 2])?; // third row, inner box, "+"
+        send(&mut session, SessionCommand::TapPath(vec![2, 0, 2]))?; // third row, inner box, "+"
     }
     println!("\n=== after dragging two sliders independently ===");
     print!("{}", session.live_view());
 
     // A live edit: restyle the bar while the sliders hold their values.
     let edited = session.source().replace("\"#\"", "\"=\"");
-    assert!(session.edit_source(&edited).is_applied());
+    assert!(edit_applied(&mut session, edited));
     println!("\n=== after a live edit (view state resets with the view's code) ===");
     print!("{}", session.live_view());
     println!(

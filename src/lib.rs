@@ -16,8 +16,8 @@
 //! * [`ui`] — layout, text rendering, hit-testing;
 //! * [`live`] — live sessions, UI↔code navigation, direct
 //!   manipulation, render memoization;
-//! * [`obs`] — zero-dependency metrics and span tracing (counters,
-//!   gauges, latency histograms, serializable snapshots);
+//! * [`obs`] — zero-dependency metrics (counters, gauges, latency
+//!   histograms, serializable snapshots);
 //! * [`baseline`] — edit-compile-run, fix-and-continue, and
 //!   retained-MVC baselines;
 //! * [`apps`] — demo programs, including the paper's mortgage
@@ -26,7 +26,7 @@
 //! # Quick start
 //!
 //! ```
-//! use its_alive::live::LiveSession;
+//! use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
 //!
 //! let mut session = LiveSession::new(r#"
 //!     global greeting : string = "hello"
@@ -38,11 +38,17 @@
 //!
 //! // Edit the running program; the model survives, the view updates.
 //! let edited = session.source().replace(", world", "!");
-//! assert!(session.edit_source(&edited).is_applied());
+//! let effects = session.apply(SessionCommand::EditSource(edited));
+//! assert!(matches!(effects[0], SessionEffect::EditApplied(_)));
 //! assert_eq!(session.live_view(), "hello!\n");
 //! ```
 
 #![warn(missing_docs)]
+
+// The README's library sample compiles and runs as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 pub use alive_apps as apps;
 pub use alive_baseline as baseline;

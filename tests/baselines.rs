@@ -8,7 +8,28 @@ use its_alive::baseline::{
     RetainedApp, SwapOutcome,
 };
 use its_alive::core::Value;
-use its_alive::live::LiveSession;
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
+
+/// Tap the box at `path`, asserting the session did not refuse it.
+fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
+
+/// Submit `source` as a live edit; whether it was applied.
+fn edit_applied(session: &mut LiveSession, source: &str) -> bool {
+    matches!(
+        session
+            .apply(SessionCommand::EditSource(source.to_string()))
+            .first(),
+        Some(SessionEffect::EditApplied(_))
+    )
+}
 
 /// The same three-edit session, run live and with restarts: the live
 /// session downloads once; the restart baseline downloads once per edit
@@ -24,10 +45,10 @@ fn live_vs_restart_download_and_state() {
 
     // Live session.
     let mut live = LiveSession::new(&src).expect("starts");
-    live.tap_path(&[1, 0]).expect("open detail");
+    tap(&mut live, &[1, 0]); // open detail
     for edit in edits {
         let new_src = edit(live.source());
-        assert!(live.edit_source(&new_src).is_applied());
+        assert!(edit_applied(&mut live, &new_src));
     }
     assert_eq!(live.system().cost().prim.web_requests, 1);
     assert_eq!(live.system().current_page().map(|(n, _)| n), Some("detail"));
@@ -70,7 +91,7 @@ fn restart_loses_state_that_live_keeps() {
     let mut live = LiveSession::new(src).expect("starts");
     let mut restart = RestartSession::new(src).expect("starts");
     for _ in 0..5 {
-        live.tap_path(&[0]).expect("tap");
+        tap(&mut live, &[0]);
         restart.interact(NavAction::Tap(vec![0])).expect("tap");
     }
     assert_eq!(
@@ -84,7 +105,8 @@ fn restart_loses_state_that_live_keeps() {
 
     // Now an edit that changes only a label.
     let edit = |s: &str| s.replace("\"score \"", "\"points \"");
-    assert!(live.edit_source(&edit(live.source())).is_applied());
+    let edited = edit(live.source());
+    assert!(edit_applied(&mut live, &edited));
     restart.edit_source(&edit(src)).expect("restarts");
 
     // Live kept the 5; restart replayed 5 taps from zero — same number
@@ -121,9 +143,10 @@ fn fix_and_continue_serves_stale_views() {
 
     // The same edit in a live session refreshes immediately.
     let mut live = LiveSession::new(src).expect("starts");
-    assert!(live
-        .edit_source(&src.replace("\"n is \"", "\"value = \""))
-        .is_applied());
+    assert!(edit_applied(
+        &mut live,
+        &src.replace("\"n is \"", "\"value = \"")
+    ));
     assert!(live.live_view().contains("value = 7"));
 }
 
@@ -170,7 +193,7 @@ fn immediate_mode_cannot_go_stale() {
             }
         }";
     let mut s = LiveSession::new(src).expect("starts");
-    s.tap_path(&[3]).expect("tap");
+    tap(&mut s, &[3]);
     // There is no way to observe a stale price: the render body is the
     // only description of the view and it just re-ran.
     assert!(s.live_view().contains("selected: 1"));

@@ -3,14 +3,35 @@
 //! reuse optimization (E4).
 
 use its_alive::apps::gallery;
-use its_alive::live::LiveSession;
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
 use its_alive::ui::{damage_ratio, damage_rects, diff_displays, layout, BoxChange};
+
+/// Tap the box at `path`, asserting the session did not refuse it.
+fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
+
+/// Submit `source` as a live edit; whether it was applied.
+fn edit_applied(session: &mut LiveSession, source: &str) -> bool {
+    matches!(
+        session
+            .apply(SessionCommand::EditSource(source.to_string()))
+            .first(),
+        Some(SessionEffect::EditApplied(_))
+    )
+}
 
 #[test]
 fn one_item_update_damages_one_row_plus_header() {
     let mut s = LiveSession::new(&gallery::feed_src(6)).expect("starts");
     let before = s.display_tree().expect("renders");
-    s.tap_path(&[1]).expect("tap row 0");
+    tap(&mut s, &[1]); // tap row 0
     let after = s.display_tree().expect("renders");
     let changes = diff_displays(&before, &after);
     let changed_paths: Vec<&[usize]> = changes.iter().map(BoxChange::path).collect();
@@ -28,9 +49,9 @@ fn one_item_update_damages_one_row_plus_header() {
 #[test]
 fn selection_change_damages_two_tiles_and_header() {
     let mut s = LiveSession::new(&gallery::gallery_src(8)).expect("starts");
-    s.tap_path(&[3]).expect("select tile 2");
+    tap(&mut s, &[3]); // select tile 2
     let before = s.display_tree().expect("renders");
-    s.tap_path(&[6]).expect("select tile 5");
+    tap(&mut s, &[6]); // select tile 5
     let after = s.display_tree().expect("renders");
     let changes = diff_displays(&before, &after);
     let changed_paths: Vec<&[usize]> = changes.iter().map(BoxChange::path).collect();
@@ -42,7 +63,7 @@ fn selection_change_damages_two_tiles_and_header() {
 fn growing_the_model_adds_boxes() {
     let mut s = LiveSession::new(its_alive::apps::SHOPPING_SRC).expect("starts");
     let before = s.display_tree().expect("renders");
-    s.tap_path(&[4]).expect("add apples");
+    tap(&mut s, &[4]); // add apples
     let after = s.display_tree().expect("renders");
     let changes = diff_displays(&before, &after);
     assert!(
@@ -65,7 +86,7 @@ fn a_pure_relabel_edit_damages_only_the_label() {
     let mut s = LiveSession::new(src).expect("starts");
     let before = s.display_tree().expect("renders");
     let edited = src.replace("\"beta\"", "\"BETA\"");
-    assert!(s.edit_source(&edited).is_applied());
+    assert!(edit_applied(&mut s, &edited));
     let after = s.display_tree().expect("renders");
     let changes = diff_displays(&before, &after);
     let changed_paths: Vec<&[usize]> = changes.iter().map(BoxChange::path).collect();

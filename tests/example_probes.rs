@@ -7,7 +7,28 @@
 //! continuous feedback no matter which engine or cache path served it".
 
 use its_alive::core::system::{EvalEngine, SystemConfig};
-use its_alive::live::{LiveSession, Registry};
+use its_alive::live::{LiveSession, Registry, SessionCommand, SessionEffect};
+
+/// Tap the box at `path`, asserting the session did not refuse it.
+fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
+
+/// Submit `source` as a live edit; whether it was applied.
+fn edit_applied(session: &mut LiveSession, source: &str) -> bool {
+    matches!(
+        session
+            .apply(SessionCommand::EditSource(source.to_string()))
+            .first(),
+        Some(SessionEffect::EditApplied(_))
+    )
+}
 
 fn session_with(source: &str, engine: EvalEngine) -> LiveSession {
     LiveSession::observed(
@@ -47,8 +68,8 @@ fn probes_are_byte_identical_across_vm_and_bigstep_sessions() {
         assert_eq!(first, probe_lines(&mut bs), "{name}: first-frame probes");
         for step in 0..entry.spec.size.rows() + 2 {
             // Misses are legal and identical across engines.
-            let _ = vm.tap_path(&[step]);
-            let _ = bs.tap_path(&[step]);
+            vm.apply(SessionCommand::TapPath(vec![step]));
+            bs.apply(SessionCommand::TapPath(vec![step]));
             assert_eq!(
                 probe_lines(&mut vm),
                 probe_lines(&mut bs),
@@ -95,7 +116,7 @@ fn memo_hits_and_recomputes_render_identical_probe_lines() {
     // the probes recompute — to the same bytes, since the model is
     // untouched.
     let touched = format!("{APP}// touched\n");
-    assert!(session.edit_source(&touched).is_applied());
+    assert!(edit_applied(&mut session, &touched));
     let after_edit = probe_lines(&mut session);
     let recomputed = session.example_stats();
     assert!(
@@ -106,7 +127,7 @@ fn memo_hits_and_recomputes_render_identical_probe_lines() {
 
     // A model change recomputes to the new values — continuously live,
     // not stale-cached.
-    session.tap_path(&[0]).expect("tap");
+    tap(&mut session, &[0]);
     assert_eq!(
         probe_lines(&mut session),
         vec!["live_count = 1", "doubled = 2 ok"]

@@ -23,7 +23,7 @@ use its_alive::core::prim::Prim;
 use its_alive::core::state_typing::assert_well_typed;
 use its_alive::core::system::SystemConfig;
 use its_alive::core::{FaultKind, TransitionKind, Value};
-use its_alive::live::{EditOutcome, LiveSession, Registry, SessionError};
+use its_alive::live::{LiveSession, Registry, SessionCommand, SessionEffect};
 
 /// A tight fuel budget (a.k.a. the configurable divergence bound from
 /// [`SystemConfig`]): diverging renders are caught after thousands of
@@ -39,6 +39,38 @@ fn fast_session(source: &str) -> Result<LiveSession, its_alive::live::SessionErr
         },
         false,
         &Registry::new(),
+    )
+}
+
+/// Tap the box at `path`, asserting the session did not refuse it.
+fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
+
+/// Apply `command`; `Err` only if the session refused it for another
+/// reason than an undeliverable user action (a miss, a transiently
+/// invalid display, the root page's back button), which a walk takes as
+/// a legal no-op.
+fn drive_action(session: &mut LiveSession, command: SessionCommand) -> Result<(), String> {
+    match session.apply(command).first() {
+        Some(SessionEffect::Refused(why)) if !why.starts_with("action failed: ") => {
+            Err(why.clone())
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Whether `effects` answer an edit that applied or was quarantined.
+fn applied_or_quarantined(effects: &[SessionEffect]) -> bool {
+    matches!(
+        effects.first(),
+        Some(SessionEffect::EditApplied(_) | SessionEffect::EditQuarantined { .. })
     )
 }
 
@@ -70,7 +102,7 @@ page detail(n : number) {
 #[test]
 fn faulting_handler_leaves_store_byte_identical() {
     let mut session = LiveSession::new(APP).expect("starts");
-    session.tap_path(&[0]).expect("tap"); // count = 1, math.abs call #1
+    tap(&mut session, &[0]); // count = 1, math.abs call #1
 
     let before_store = session.system().store().clone();
     let before_snap = session.system().snapshot().expect("snapshots");
@@ -81,7 +113,7 @@ fn faulting_handler_leaves_store_byte_identical() {
     let plan = FaultPlan::new().fail_prim(Prim::MathAbs, 1).shared();
     session.system_mut().set_fault_injector(plan.clone());
 
-    session.tap_path(&[0]).expect("tap is delivered");
+    tap(&mut session, &[0]); // delivered, though its handler faults
     assert_eq!(plan.lock().unwrap().injected(), 1);
     assert_eq!(session.fault_log().total(), 1);
     let fault = session.fault_log().latest().expect("logged");
@@ -101,7 +133,7 @@ fn faulting_handler_leaves_store_byte_identical() {
 
     // The event was consumed, not requeued: the session is alive and
     // the third tap commits normally.
-    session.tap_path(&[0]).expect("tap");
+    tap(&mut session, &[0]);
     assert_eq!(
         session.system().store().get("count"),
         Some(&Value::Number(2.0))
@@ -116,7 +148,7 @@ fn faulting_handler_leaves_store_byte_identical() {
 #[test]
 fn diverging_render_edit_is_auto_reverted() {
     let mut session = fast_session(APP).expect("starts");
-    session.tap_path(&[0]).expect("tap"); // count = 1
+    tap(&mut session, &[0]); // count = 1
     let (applied_before, rejected_before) = session.update_counts();
     let good_view = session.live_view();
 
@@ -126,9 +158,9 @@ fn diverging_render_edit_is_auto_reverted() {
         "post \"count is \" ++ count;",
         "while true { count; } post \"never\";",
     );
-    let outcome = session.edit_source(&diverging);
-    let EditOutcome::Quarantined { fault, .. } = outcome else {
-        panic!("expected quarantine, got {outcome:?}");
+    let effects = session.apply(SessionCommand::EditSource(diverging));
+    let Some(SessionEffect::EditQuarantined { fault, .. }) = effects.first() else {
+        panic!("expected quarantine, got {effects:?}");
     };
     assert_eq!(fault.kind, FaultKind::Render);
 
@@ -148,8 +180,12 @@ fn diverging_render_edit_is_auto_reverted() {
 
     // Fully alive afterwards: a good edit applies and taps run.
     let fixed = APP.replace("count is", "n =");
-    assert!(session.edit_source(&fixed).is_applied());
-    session.tap_path(&[0]).expect("tap");
+    let effects = session.apply(SessionCommand::EditSource(fixed));
+    assert!(
+        matches!(effects[0], SessionEffect::EditApplied(_)),
+        "{effects:?}"
+    );
+    tap(&mut session, &[0]);
     assert!(session.live_view().contains("n = 2"));
 }
 
@@ -160,7 +196,7 @@ fn diverging_render_edit_is_auto_reverted() {
 #[test]
 fn last_good_view_survives_three_consecutive_faults() {
     let mut session = LiveSession::new(APP).expect("starts");
-    session.tap_path(&[0]).expect("tap"); // count = 1
+    tap(&mut session, &[0]); // count = 1
     let good_view = session.live_view();
     assert!(good_view.contains("count is 1"));
 
@@ -177,21 +213,20 @@ fn last_good_view_survives_three_consecutive_faults() {
     session.system_mut().set_fault_injector(plan.clone());
 
     // Fault 1 — handler: dropped event, store intact, same view.
-    session.tap_path(&[0]).expect("tap");
+    tap(&mut session, &[0]);
     assert_eq!(session.fault_log().total(), 1);
     assert_eq!(session.live_view(), good_view);
 
-    // Fault 2 — handler again, on the (re-rendered) last good tree.
-    session
-        .tap_path(&[0])
-        .expect("stale tree stays interactive");
+    // Fault 2 — handler again, on the (re-rendered) last good tree,
+    // which stays interactive.
+    tap(&mut session, &[0]);
     assert_eq!(session.fault_log().total(), 2);
     assert_eq!(session.live_view(), good_view);
 
     // Fault 3 — render: the handler commits (count = 2) but the render
     // is starved, so the *display* keeps the last good tree while the
     // store has moved on. That is exactly the stale-on-fault contract.
-    session.tap_path(&[0]).expect("tap");
+    tap(&mut session, &[0]);
     assert_eq!(session.fault_log().total(), 3);
     assert_eq!(
         session.fault_log().latest().map(|f| f.kind),
@@ -208,7 +243,7 @@ fn last_good_view_survives_three_consecutive_faults() {
 
     // Recovery: the next tap invalidates, the handler and render both
     // succeed, and the display catches up with the store.
-    session.tap_path(&[0]).expect("tap");
+    tap(&mut session, &[0]);
     assert!(session.live_view().contains("count is 3"));
     assert_eq!(plan.lock().unwrap().injected(), 2);
     assert_eq!(plan.lock().unwrap().throttled(), 1);
@@ -296,23 +331,17 @@ fn edited(src: &str, which: u8) -> String {
 
 fn drive(session: &mut LiveSession, step: &Step) -> Result<(), String> {
     match step {
-        Step::Tap(p) => match session.tap_path(&[*p]) {
-            // Misses and transiently-invalid displays are legal no-ops.
-            Ok(()) | Err(SessionError::Action(_)) => Ok(()),
-            Err(e) => Err(format!("tap {p}: {e}")),
-        },
-        Step::Back => match session.back() {
-            Ok(()) | Err(SessionError::Action(_)) => Ok(()),
-            Err(e) => Err(format!("back: {e}")),
-        },
+        Step::Tap(p) => drive_action(session, SessionCommand::TapPath(vec![*p]))
+            .map_err(|e| format!("tap {p}: {e}")),
+        Step::Back => drive_action(session, SessionCommand::Back).map_err(|e| format!("back: {e}")),
         Step::Undo => {
-            session.undo();
+            session.apply(SessionCommand::Undo);
             Ok(())
         }
         Step::Edit(w) => {
             let new_src = edited(session.source(), *w);
             // Total by design: applied, rejected, or quarantined.
-            let _ = session.edit_source(&new_src);
+            session.apply(SessionCommand::EditSource(new_src));
             Ok(())
         }
     }
@@ -372,11 +401,11 @@ fn random_walk_with_faults_never_kills_the_session() {
 
             // Still alive at the end of the walk: a good edit applies
             // on top of whatever degraded state the walk produced.
-            let outcome = session.edit_source(APP);
+            let effects = session.apply(SessionCommand::EditSource(APP.to_string()));
             prop_assert!(
-                outcome.is_applied() || outcome.is_quarantined(),
+                applied_or_quarantined(&effects),
                 "final known-good edit neither applied nor quarantined: {:?}",
-                outcome
+                effects
             );
             prop_assert!(!session.live_view().is_empty());
             Ok(())
@@ -453,21 +482,17 @@ fn corpus_walk_with_faults_never_kills_any_scenario() {
                     match step {
                         Step::Tap(p) => {
                             let p = p % width;
-                            match session.tap_path(&[p]) {
-                                Ok(()) | Err(SessionError::Action(_)) => {}
-                                Err(e) => return Err(format!("{name}: tap {p}: {e}")),
-                            }
+                            drive_action(&mut session, SessionCommand::TapPath(vec![p]))
+                                .map_err(|e| format!("{name}: tap {p}: {e}"))?;
                         }
-                        Step::Back => match session.back() {
-                            Ok(()) | Err(SessionError::Action(_)) => {}
-                            Err(e) => return Err(format!("{name}: back: {e}")),
-                        },
+                        Step::Back => drive_action(&mut session, SessionCommand::Back)
+                            .map_err(|e| format!("{name}: back: {e}"))?,
                         Step::Undo => {
-                            session.undo();
+                            session.apply(SessionCommand::Undo);
                         }
                         Step::Edit(w) => {
                             let new_src = edited_generic(session.source(), *w);
-                            let _ = session.edit_source(&new_src);
+                            session.apply(SessionCommand::EditSource(new_src));
                         }
                     }
 
@@ -482,12 +507,12 @@ fn corpus_walk_with_faults_never_kills_any_scenario() {
 
                 // Still alive: restoring the pristine corpus source
                 // applies (or quarantines under an active fault rule).
-                let outcome = session.edit_source(&original);
+                let effects = session.apply(SessionCommand::EditSource(original.clone()));
                 prop_assert!(
-                    outcome.is_applied() || outcome.is_quarantined(),
+                    applied_or_quarantined(&effects),
                     "{}: final known-good edit neither applied nor quarantined: {:?}",
                     name,
-                    outcome
+                    effects
                 );
                 prop_assert!(!session.live_view().is_empty());
                 Ok(())

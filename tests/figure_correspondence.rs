@@ -407,7 +407,7 @@ page start() {
 /// produces the manipulated value.
 #[test]
 fn section5_direct_manipulation_enshrines_changes_in_code() {
-    use its_alive::live::LiveSession;
+    use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
     use its_alive::ui::{hit_test_leaf, layout, Point};
 
     let mut session = LiveSession::new(
@@ -426,9 +426,14 @@ page start() {
 
     // Ask for the displayed value to become "total: 45": the offer is
     // ranked, best (most local) candidate first.
-    let repairs = session
-        .repairs_at(&path, ordinal, "total: 45")
-        .expect("invertible");
+    let effects = session.apply(SessionCommand::ManipulateAt {
+        path,
+        leaf: ordinal,
+        value: "total: 45".to_string(),
+    });
+    let [SessionEffect::Repairs(repairs)] = effects.as_slice() else {
+        panic!("invertible: {effects:?}");
+    };
     assert!(
         repairs.windows(2).all(|p| p[0].rank <= p[1].rank),
         "ranked best-first: {repairs:?}"
@@ -440,7 +445,11 @@ page start() {
         repairs[0].description.contains("change `2` to `5`"),
         "most local inversion reaches the literal: {repairs:?}"
     );
-    assert!(session.apply_repair(0).expect("applies").is_applied());
+    let effects = session.apply(SessionCommand::ApplyRepair(0));
+    assert!(
+        matches!(effects[0], SessionEffect::EditApplied(_)),
+        "applies: {effects:?}"
+    );
 
     // Enshrined: the *code* changed, and the view re-renders from it.
     assert_eq!(session.live_view(), "total: 45\n");

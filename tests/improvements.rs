@@ -5,13 +5,45 @@
 
 use its_alive::apps::mortgage;
 use its_alive::core::{Attr, Color, Value};
-use its_alive::live::LiveSession;
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
+
+/// Tap the box at `path`, asserting the session did not refuse it.
+fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
+
+/// Press the back button, asserting the session did not refuse it.
+fn back(session: &mut LiveSession) {
+    let effects = session.apply(SessionCommand::Back);
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "back refused: {effects:?}"
+    );
+}
+
+/// Submit `source` as a live edit; whether it was applied.
+fn edit_applied(session: &mut LiveSession, source: &str) -> bool {
+    matches!(
+        session
+            .apply(SessionCommand::EditSource(source.to_string()))
+            .first(),
+        Some(SessionEffect::EditApplied(_))
+    )
+}
 
 /// Drive to the detail page of the first listing, like the paper's
 /// session.
 fn on_detail_page() -> LiveSession {
     let mut s = LiveSession::new(&mortgage::mortgage_src(4)).expect("compiles");
-    s.tap_path(&[1, 0]).expect("open detail");
+    tap(&mut s, &[1, 0]); // open detail
     s
 }
 
@@ -20,7 +52,7 @@ fn i1_margin_tweak_applies_live_on_the_start_page() {
     let mut s = LiveSession::new(&mortgage::mortgage_src(4)).expect("compiles");
     let before = s.live_view();
     let improved = mortgage::apply_improvement_i1(s.source());
-    assert!(s.edit_source(&improved).is_applied());
+    assert!(edit_applied(&mut s, &improved));
     let after = s.live_view();
     assert_ne!(before, after, "margins moved");
     // Same content, just laid out differently.
@@ -42,7 +74,7 @@ fn i2_formats_every_balance_row_without_leaving_the_page() {
     );
 
     let improved = mortgage::apply_improvement_i2(s.source());
-    assert!(s.edit_source(&improved).is_applied());
+    assert!(edit_applied(&mut s, &improved));
 
     // Still on the detail page: the UI context survived the edit.
     assert_eq!(s.system().current_page().map(|(n, _)| n), Some("detail"));
@@ -73,7 +105,7 @@ fn before_balances_all_formatted(view: &str) -> bool {
 fn i3_highlights_every_fifth_row() {
     let mut s = on_detail_page();
     let improved = mortgage::apply_improvement_i3(s.source());
-    assert!(s.edit_source(&improved).is_applied());
+    assert!(edit_applied(&mut s, &improved));
 
     let display = s.display_tree().expect("renders");
     // The amortization rows live under the schedule box (index 4).
@@ -100,7 +132,7 @@ fn all_three_improvements_stack_in_one_session() {
         mortgage::apply_improvement_i1,
     ] {
         let improved = improve(s.source());
-        assert!(s.edit_source(&improved).is_applied());
+        assert!(edit_applied(&mut s, &improved));
     }
     assert_eq!(s.update_counts(), (3, 0));
     // Still on the detail page, one download total, model intact.
@@ -119,10 +151,9 @@ fn half_typed_improvement_is_rejected_and_leaves_the_page_running() {
         "post \"balance: $\" ++ balance;",
         "post \"balance: $\" ++ math.floor(balance) ++ \".\" ++ ;",
     );
-    let outcome = s.edit_source(&broken);
-    assert!(!outcome.is_applied());
+    assert!(!edit_applied(&mut s, &broken));
     // The old view is still alive and interactive.
     assert!(s.live_view().contains("balance: $"));
-    s.back().expect("still interactive");
+    back(&mut s); // still interactive
     assert_eq!(s.system().current_page().map(|(n, _)| n), Some("start"));
 }

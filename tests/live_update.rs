@@ -6,7 +6,28 @@
 use its_alive::core::compile;
 use its_alive::core::state_typing::assert_well_typed;
 use its_alive::core::system::System;
-use its_alive::live::{EditOutcome, LiveSession};
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
+
+/// Tap the box at `path`, asserting the session did not refuse it.
+fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
+
+/// Submit `source` as a live edit; whether it was applied.
+fn edit_applied(session: &mut LiveSession, source: &str) -> bool {
+    matches!(
+        session
+            .apply(SessionCommand::EditSource(source.to_string()))
+            .first(),
+        Some(SessionEffect::EditApplied(_))
+    )
+}
 
 const APP_A: &str = "
     global score : number = 3
@@ -35,9 +56,9 @@ const APP_B: &str = "
 #[test]
 fn swapping_to_an_unrelated_program_works() {
     let mut s = LiveSession::new(APP_A).expect("starts");
-    let outcome = s.edit_source(APP_B);
-    let EditOutcome::Applied(report) = outcome else {
-        panic!("applies")
+    let effects = s.apply(SessionCommand::EditSource(APP_B.to_string()));
+    let SessionEffect::EditApplied(report) = &effects[0] else {
+        panic!("applies: {effects:?}")
     };
     // The materialized global is gone (only `score` was ever assigned;
     // `name` lives lazily in its initializer, EP-GLOBAL-2, and never
@@ -54,7 +75,7 @@ fn swapping_back_and_forth_is_stable() {
     let mut s = LiveSession::new(APP_A).expect("starts");
     for round in 0..4 {
         let target = if round % 2 == 0 { APP_B } else { APP_A };
-        assert!(s.edit_source(target).is_applied());
+        assert!(edit_applied(&mut s, target));
         assert_well_typed(s.system());
         assert!(s.system().is_stable());
     }
@@ -67,13 +88,13 @@ fn swapping_back_and_forth_is_stable() {
 #[test]
 fn update_while_on_a_page_the_new_code_lacks() {
     let mut s = LiveSession::new(APP_B).expect("starts");
-    s.tap_path(&[0]).expect("open detail");
+    tap(&mut s, &[0]); // open detail
     assert_eq!(s.system().current_page().map(|(n, _)| n), Some("detail"));
     // The new code has no `detail` page: P-SKIP drops the stack entry
     // and the user lands back on start.
-    let outcome = s.edit_source(APP_A);
-    let EditOutcome::Applied(report) = outcome else {
-        panic!("applies")
+    let effects = s.apply(SessionCommand::EditSource(APP_A.to_string()));
+    let SessionEffect::EditApplied(report) = &effects[0] else {
+        panic!("applies: {effects:?}")
     };
     assert!(report
         .dropped_pages
@@ -86,7 +107,7 @@ fn update_while_on_a_page_the_new_code_lacks() {
 #[test]
 fn retyping_a_global_drops_only_that_global() {
     let mut s = LiveSession::new(APP_A).expect("starts");
-    s.tap_path(&[0]).expect("tap"); // score = 7
+    tap(&mut s, &[0]); // score = 7
     let retyped = APP_A
         .replace(
             "global score : number = 3",
@@ -94,9 +115,9 @@ fn retyping_a_global_drops_only_that_global() {
         )
         .replace("score := score * 2;", "")
         .replace("score := score + 1;", "");
-    let outcome = s.edit_source(&retyped);
-    let EditOutcome::Applied(report) = outcome else {
-        panic!("applies: {outcome:?}")
+    let effects = s.apply(SessionCommand::EditSource(retyped));
+    let SessionEffect::EditApplied(report) = &effects[0] else {
+        panic!("applies: {effects:?}")
     };
     assert_eq!(report.dropped_globals.len(), 1, "{report:?}");
     // `name` was never assigned, so it is not in the store; it still

@@ -15,7 +15,7 @@ use std::cell::Cell;
 use alive_testkit::{prop, prop_assert_eq, FaultPlan, Rng, Shrink};
 use its_alive::core::boxtree::BoxNode;
 use its_alive::core::{Attr, TransitionKind};
-use its_alive::live::{LiveSession, SessionCommand};
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
 
 /// One walk command. Targets are ordinals resolved against the frame
 /// (or source) current when the command runs, so every tap lands on a
@@ -214,7 +214,13 @@ page start() {
     let initial = memo.system().snapshot().expect("snapshots");
     for path in [vec![1], vec![2], vec![1], vec![2]] {
         for session in [&mut plain, &mut memo] {
-            session.tap_path(&path).expect("tap is delivered");
+            let effects = session.apply(SessionCommand::TapPath(path.clone()));
+            assert!(
+                !effects
+                    .iter()
+                    .any(|e| matches!(e, SessionEffect::Refused(_))),
+                "tap is delivered: {effects:?}"
+            );
         }
         assert_eq!(plain.live_view(), memo.live_view());
     }

@@ -6,7 +6,43 @@
 
 use its_alive::apps::mortgage;
 use its_alive::core::Value;
-use its_alive::live::LiveSession;
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
+
+/// Tap the box at `path`, asserting the session did not refuse it.
+fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
+
+/// Edit the text box at `path`, asserting the session did not refuse it.
+fn edit_box(session: &mut LiveSession, path: &[usize], text: &str) {
+    let effects = session.apply(SessionCommand::EditBox {
+        path: path.to_vec(),
+        text: text.to_string(),
+    });
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "edit of box {path:?} refused: {effects:?}"
+    );
+}
+
+/// Press the back button, asserting the session did not refuse it.
+fn back(session: &mut LiveSession) {
+    let effects = session.apply(SessionCommand::Back);
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "back refused: {effects:?}"
+    );
+}
 
 fn start_session(n: usize) -> LiveSession {
     LiveSession::new(&mortgage::mortgage_src(n)).expect("mortgage calculator compiles")
@@ -44,7 +80,7 @@ fn tapping_a_listing_pushes_its_detail_page() {
     let addr = addr.clone();
     let price = *price;
 
-    s.tap_path(&[1, 2]).expect("tap third listing");
+    tap(&mut s, &[1, 2]); // tap third listing
     assert_eq!(s.system().current_page().map(|(n, _)| n), Some("detail"));
     // The page argument is the tapped listing.
     let (_, arg) = s.system().page_stack().last().cloned().expect("on detail");
@@ -63,7 +99,7 @@ fn tapping_a_listing_pushes_its_detail_page() {
 #[test]
 fn monthly_payment_matches_the_oracle() {
     let mut s = start_session(3);
-    s.tap_path(&[1, 0]).expect("open first listing");
+    tap(&mut s, &[1, 0]); // open first listing
     let (_, arg) = s.system().page_stack().last().cloned().expect("on detail");
     let Value::Tuple(parts) = &arg else {
         panic!("tuple")
@@ -86,9 +122,9 @@ fn monthly_payment_matches_the_oracle() {
 #[test]
 fn editing_term_and_apr_recomputes_the_schedule() {
     let mut s = start_session(3);
-    s.tap_path(&[1, 0]).expect("open detail");
-    // Edit the term box to 15 years.
-    s.edit_box(&[2, 0], "15").expect("editable");
+    tap(&mut s, &[1, 0]); // open detail
+                          // Edit the term box to 15 years.
+    edit_box(&mut s, &[2, 0], "15");
     assert_eq!(s.system().store().get("term"), Some(&Value::Number(15.0)));
     let view = s.live_view();
     assert!(view.contains("term: 15 years"));
@@ -96,21 +132,21 @@ fn editing_term_and_apr_recomputes_the_schedule() {
     assert!(!view.contains("year 16"), "schedule shortened");
 
     // Edit the APR box.
-    s.edit_box(&[2, 1], "3.5").expect("editable");
+    edit_box(&mut s, &[2, 1], "3.5");
     assert_eq!(s.system().store().get("apr"), Some(&Value::Number(3.5)));
     assert!(s.live_view().contains("APR: 3.5%"));
 
     // Nonsense input is ignored by the handler's guard.
-    s.edit_box(&[2, 0], "soon").expect("editable");
+    edit_box(&mut s, &[2, 0], "soon");
     assert_eq!(s.system().store().get("term"), Some(&Value::Number(15.0)));
 }
 
 #[test]
 fn amortization_reaches_zero_balance() {
     let mut s = start_session(1);
-    s.tap_path(&[1, 0]).expect("open detail");
+    tap(&mut s, &[1, 0]); // open detail
     let improved = mortgage::apply_improvement_i2(s.source());
-    s.edit_source(&improved);
+    s.apply(SessionCommand::EditSource(improved));
     let view = s.live_view();
     let last_row = view
         .lines()
@@ -125,8 +161,8 @@ fn amortization_reaches_zero_balance() {
 #[test]
 fn back_returns_to_the_listings() {
     let mut s = start_session(3);
-    s.tap_path(&[1, 1]).expect("open detail");
-    s.back().expect("back");
+    tap(&mut s, &[1, 1]); // open detail
+    back(&mut s);
     assert_eq!(s.system().current_page().map(|(n, _)| n), Some("start"));
     // Only the original download — no re-fetch on pop (model retained).
     assert_eq!(s.system().cost().prim.web_requests, 1);
@@ -136,8 +172,8 @@ fn back_returns_to_the_listings() {
 #[test]
 fn tapping_the_schedule_pops_too() {
     let mut s = start_session(2);
-    s.tap_path(&[1, 0]).expect("open detail");
-    // The amortization box has `on tap { pop; }` (box index 4).
-    s.tap_path(&[4]).expect("tap schedule");
+    tap(&mut s, &[1, 0]); // open detail
+                          // The amortization box has `on tap { pop; }` (box index 4).
+    tap(&mut s, &[4]); // tap schedule
     assert_eq!(s.system().current_page().map(|(n, _)| n), Some("start"));
 }

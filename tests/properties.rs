@@ -14,9 +14,20 @@ use its_alive::core::fixup::fixup_store;
 use its_alive::core::state_typing::assert_well_typed;
 use its_alive::core::store::Store;
 use its_alive::core::{compile, Attr, Value};
-use its_alive::live::LiveSession;
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
 use its_alive::syntax::{apply_edits, parse_expr, pretty_expr, Span, TextEdit};
 use its_alive::ui::{hit_test, layout, LayoutItem, Point};
+
+/// Tap the box at `path`, asserting the session did not refuse it.
+fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
 
 // ---------------------------------------------------------------------
 // Live-edit fuzzing
@@ -90,16 +101,16 @@ fn random_edits_never_kill_the_session() {
         mutated_source,
         |mutated: &String| {
             let mut session = LiveSession::new(SEED_SRC).expect("seed compiles");
-            session.tap_path(&[0]).expect("tap");
+            tap(&mut session, &[0]);
             let before_view = session.live_view();
 
-            // edit_source is total: applied, rejected, or quarantined
+            // A source edit is total: applied, rejected, or quarantined
             // (accepted code that faulted at run time — e.g. a mutated
             // loop bound diverging — is auto-reverted).
-            let outcome = session.edit_source(mutated);
+            let effects = session.apply(SessionCommand::EditSource(mutated.clone()));
             assert_well_typed(session.system());
             prop_assert!(session.system().is_stable());
-            if !outcome.is_applied() {
+            if !matches!(effects[0], SessionEffect::EditApplied(_)) {
                 // Rejected or quarantined: the old program must be
                 // untouched (quarantine restores it wholesale).
                 prop_assert_eq!(session.source(), SEED_SRC);

@@ -21,7 +21,7 @@ use its_alive::core::boxtree::{BoxItem, BoxNode};
 use its_alive::core::system::{EvalEngine, System, SystemConfig};
 use its_alive::core::value::fmt_number;
 use its_alive::core::{compile, Value};
-use its_alive::live::{LiveSession, RepairError};
+use its_alive::live::{LiveSession, RepairError, SessionCommand, SessionEffect};
 
 /// The walk pool: every demo program in `alive-apps` plus the full
 /// generated scenario corpus.
@@ -119,12 +119,21 @@ fn applied_repairs_re_render_the_desired_value() {
             };
             let view_before = session.live_view();
             let source_before = session.source().to_string();
-            let repairs = match session.repairs_at(&path, ordinal, &desired_text) {
-                Ok(repairs) => repairs,
+            let effects = session.apply(SessionCommand::ManipulateAt {
+                path: path.clone(),
+                leaf: ordinal,
+                value: desired_text,
+            });
+            let repairs = match effects.first() {
+                Some(SessionEffect::Repairs(repairs)) => repairs,
                 // Some expressions genuinely have no inversion (e.g. a
                 // prim-call result): a typed refusal, not a failure.
-                Err(RepairError::NoCandidates) => return Ok(()),
-                Err(e) => return Err(format!("{name} poke {path:?}/{ordinal}: {e}")),
+                Some(SessionEffect::Refused(why))
+                    if *why == RepairError::NoCandidates.to_string() =>
+                {
+                    return Ok(())
+                }
+                _ => return Err(format!("{name} poke {path:?}/{ordinal}: {effects:?}")),
             };
             prop_assert!(!repairs.is_empty(), "offer is non-empty");
             for pair in repairs.windows(2) {
@@ -140,10 +149,11 @@ fn applied_repairs_re_render_the_desired_value() {
             );
 
             let index = rng.below(repairs.len());
-            let outcome = session
-                .apply_repair(index)
-                .map_err(|e| format!("{name} apply[{index}]: {e}"))?;
-            if outcome.is_applied() {
+            let effects = session.apply(SessionCommand::ApplyRepair(index));
+            if let Some(SessionEffect::Refused(why)) = effects.first() {
+                return Err(format!("{name} apply[{index}]: {why}"));
+            }
+            if matches!(effects[0], SessionEffect::EditApplied(_)) {
                 APPLIED.fetch_add(1, Ordering::Relaxed);
                 let tree = session
                     .display_tree()
@@ -166,8 +176,8 @@ fn applied_repairs_re_render_the_desired_value() {
                 // The offer was consumed: a second apply needs a fresh
                 // selection.
                 prop_assert_eq!(
-                    session.apply_repair(index).err(),
-                    Some(RepairError::NoPending),
+                    session.apply(SessionCommand::ApplyRepair(index)),
+                    vec![SessionEffect::Refused(RepairError::NoPending.to_string())],
                     "applied offers are consumed"
                 );
             } else {

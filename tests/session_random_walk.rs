@@ -6,7 +6,8 @@
 use alive_testkit::{prop, prop_assert, prop_assert_eq, Rng, Shrink};
 use its_alive::core::state_typing::assert_well_typed;
 use its_alive::core::system::ActionError;
-use its_alive::live::{LiveSession, SessionError};
+use its_alive::core::Attr;
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect, SessionError};
 
 #[derive(Debug, Clone, PartialEq)]
 enum Action {
@@ -91,67 +92,88 @@ fn tweaked(src: &str, which: u8) -> String {
     }
 }
 
-/// Drive one action against the session, mapping "the target does not
-/// exist" action errors to clean no-ops (misses are a legal thing for
-/// a user to do) and everything else to a hard failure.
+/// Apply a user action: `Ok(true)` if it was delivered, `Ok(false)` if
+/// it was refused as an undeliverable action — "the target does not
+/// exist", a transiently invalid display, back at the root page: misses
+/// are a legal thing for a user to do — and `Err` for any other refusal.
+fn act(session: &mut LiveSession, command: SessionCommand) -> Result<bool, String> {
+    match session.apply(command).first() {
+        Some(SessionEffect::Refused(why)) if why.starts_with("action failed: ") => Ok(false),
+        Some(SessionEffect::Refused(why)) => Err(why.clone()),
+        _ => Ok(true),
+    }
+}
+
+/// Drive one action against the session, mapping undeliverable actions
+/// to clean no-ops and everything else that goes wrong to a hard
+/// failure.
 fn drive(session: &mut LiveSession, action: &Action) -> Result<(), String> {
-    let result: Result<(), SessionError> = match action {
+    let result = match action {
         Action::Tap(a, b) => {
             // Try a one- or two-level path; misses are fine.
-            match session.tap_path(&[*a]) {
-                Ok(()) => Ok(()),
-                Err(SessionError::Action(_)) => match session.tap_path(&[*a, *b]) {
-                    Ok(()) => Ok(()),
-                    Err(SessionError::Action(_)) => Ok(()),
-                    Err(e) => Err(e),
-                },
-                Err(e) => Err(e),
-            }
+            act(session, SessionCommand::TapPath(vec![*a])).and_then(|hit| {
+                if hit {
+                    Ok(true)
+                } else {
+                    act(session, SessionCommand::TapPath(vec![*a, *b]))
+                }
+            })
         }
-        Action::EditBox(p, t) => match session.edit_box(&[*p], t) {
-            Ok(()) | Err(SessionError::Action(_)) => Ok(()),
-            Err(e) => Err(e),
-        },
-        Action::Back => match session.back() {
-            // Back at the root page is a typed no-op, not a restart.
-            Ok(()) | Err(SessionError::Action(_)) => Ok(()),
-            Err(e) => Err(e),
-        },
+        Action::EditBox(p, t) => act(
+            session,
+            SessionCommand::EditBox {
+                path: vec![*p],
+                text: t.clone(),
+            },
+        ),
+        // Back at the root page is a typed no-op, not a restart.
+        Action::Back => act(session, SessionCommand::Back),
         Action::SourceTweak(w) => {
             let new_src = tweaked(session.source(), *w);
             // Total: applied, rejected, or quarantined — all fine.
-            let _ = session.edit_source(&new_src);
-            Ok(())
+            session.apply(SessionCommand::EditSource(new_src));
+            Ok(true)
         }
         Action::Undo => {
-            let _ = session.undo();
-            Ok(())
+            session.apply(SessionCommand::Undo);
+            Ok(true)
         }
         Action::SnapshotRoundtrip => {
             let snap = session.system().snapshot().expect("store is function-free");
-            let report = session
-                .system_mut()
-                .restore(&snap)
-                .expect("own snapshots parse");
+            let effects = session.apply(SessionCommand::Restore(snap));
+            let Some(SessionEffect::Restored(report)) = effects.first() else {
+                panic!("own snapshots parse: {effects:?}");
+            };
             if !report.skipped.is_empty() {
                 return Err(format!(
                     "own snapshot must restore fully, skipped {:?}",
                     report.skipped
                 ));
             }
-            session.refresh();
-            Ok(())
+            Ok(true)
         }
     };
-    match result {
-        Ok(()) => Ok(()),
-        Err(SessionError::Action(ActionError::DisplayInvalid)) => {
-            // Acceptable transiently; settle and continue.
-            session.refresh();
-            Ok(())
-        }
-        Err(other) => Err(format!("action {action:?} failed hard: {other}")),
-    }
+    result
+        .map(drop)
+        .map_err(|other| format!("action {action:?} failed hard: {other}"))
+}
+
+/// Tap the box at `path`, asserting the session did not refuse it.
+fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
+
+/// The refusal `apply` answers an undeliverable action with.
+fn refused(error: ActionError) -> Vec<SessionEffect> {
+    vec![SessionEffect::Refused(
+        SessionError::Action(error).to_string(),
+    )]
 }
 
 /// The incremental display must equal a fresh render of the same code +
@@ -234,50 +256,60 @@ fn tap_out_of_range_is_safe() {
 fn back_at_root_is_a_typed_no_op() {
     let mut session = LiveSession::new(APP).expect("starts");
     let before = session.live_view();
-    match session.back() {
-        Err(SessionError::Action(ActionError::NoPageToPop)) => {}
-        other => panic!("expected NoPageToPop at root, got {other:?}"),
-    }
+    assert_eq!(
+        session.apply(SessionCommand::Back),
+        refused(ActionError::NoPageToPop),
+        "expected NoPageToPop at root"
+    );
     assert!(session.system().is_stable());
     assert_well_typed(session.system());
     assert_eq!(session.live_view(), before);
 
     // From a pushed page, back still works, and the second back is
     // again the typed no-op.
-    session.tap_path(&[4]).expect("open detail");
+    tap(&mut session, &[4]); // open detail
     assert_eq!(
         session.system().current_page().map(|(n, _)| n),
         Some("detail")
     );
-    session.back().expect("pops detail");
+    let effects = session.apply(SessionCommand::Back);
+    assert!(
+        matches!(effects.as_slice(), [SessionEffect::Frame(_)]),
+        "pops detail: {effects:?}"
+    );
     assert_eq!(
         session.system().current_page().map(|(n, _)| n),
         Some("start")
     );
-    assert!(matches!(
-        session.back(),
-        Err(SessionError::Action(ActionError::NoPageToPop))
-    ));
+    assert_eq!(
+        session.apply(SessionCommand::Back),
+        refused(ActionError::NoPageToPop)
+    );
 }
 
-/// `edit_box` on a missing box or on a box without an `onedit` handler
-/// must be a typed `ActionError`, never a panic or a state change.
+/// An `EditBox` on a missing box or on a box without an `onedit`
+/// handler must be refused with a typed `ActionError`, never a panic or
+/// a state change.
 #[test]
 fn edit_box_out_of_range_is_a_typed_error() {
     let mut session = LiveSession::new(APP).expect("starts");
     let before = session.live_view();
+    let edit_box = |path: usize| SessionCommand::EditBox {
+        path: vec![path],
+        text: "42".to_string(),
+    };
     // Box 9 does not exist.
-    match session.edit_box(&[9], "42") {
-        Err(SessionError::Action(ActionError::NoSuchBox(path))) => {
-            assert_eq!(path, vec![9]);
-        }
-        other => panic!("expected NoSuchBox, got {other:?}"),
-    }
+    assert_eq!(
+        session.apply(edit_box(9)),
+        refused(ActionError::NoSuchBox(vec![9])),
+        "expected NoSuchBox"
+    );
     // Box 1 exists but has no edit handler (it is tappable only).
-    match session.edit_box(&[1], "42") {
-        Err(SessionError::Action(ActionError::NoHandler(_))) => {}
-        other => panic!("expected NoHandler, got {other:?}"),
-    }
+    assert_eq!(
+        session.apply(edit_box(1)),
+        refused(ActionError::NoHandler(Attr::OnEdit)),
+        "expected NoHandler"
+    );
     assert!(session.system().is_stable());
     assert_well_typed(session.system());
     assert_eq!(session.live_view(), before);
@@ -335,15 +367,23 @@ fn testkit_is_deterministic_for_action_walks() {
     assert_eq!(a.minimal, vec![Action::Tap(0, 0)], "fully shrunk");
 }
 
+/// Whether an `Undo` was answered with an applied history step.
+fn undo_applied(session: &mut LiveSession) -> bool {
+    match session.apply(SessionCommand::Undo).first() {
+        Some(SessionEffect::Undo { outcome, .. }) => outcome.is_applied(),
+        other => panic!("undo answered {other:?}"),
+    }
+}
+
 /// `undo` past the start of history must report "nothing undone"
-/// (`Ok(false)`) and leave the session untouched — never index blindly
-/// into the undo stack.
+/// and leave the session untouched — never index blindly into the undo
+/// stack.
 #[test]
 fn undo_past_start_of_history_is_safe() {
     let mut session = LiveSession::new(APP).expect("starts");
     let before = session.live_view();
     for _ in 0..3 {
-        assert!(!session.undo().is_applied(), "nothing to undo");
+        assert!(!undo_applied(&mut session), "nothing to undo");
         assert!(session.system().is_stable());
         assert_well_typed(session.system());
     }
@@ -351,8 +391,12 @@ fn undo_past_start_of_history_is_safe() {
 
     // One applied edit ⇒ exactly one undo, then safe no-ops again.
     let edited = session.source().replace("points", "pts");
-    assert!(session.edit_source(&edited).is_applied());
-    assert!(session.undo().is_applied(), "one real undo");
-    assert!(!session.undo().is_applied(), "history exhausted");
+    let effects = session.apply(SessionCommand::EditSource(edited));
+    assert!(
+        matches!(effects[0], SessionEffect::EditApplied(_)),
+        "{effects:?}"
+    );
+    assert!(undo_applied(&mut session), "one real undo");
+    assert!(!undo_applied(&mut session), "history exhausted");
     assert_eq!(session.source(), APP);
 }

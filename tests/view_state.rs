@@ -5,7 +5,18 @@
 
 use its_alive::core::state_typing::assert_well_typed;
 use its_alive::core::{compile, Value};
-use its_alive::live::{EditOutcome, LiveSession};
+use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
+
+/// Tap the box at `path`, asserting the session did not refuse it.
+fn tap(session: &mut LiveSession, path: &[usize]) {
+    let effects = session.apply(SessionCommand::TapPath(path.to_vec()));
+    assert!(
+        !effects
+            .iter()
+            .any(|e| matches!(e, SessionEffect::Refused(_))),
+        "tap {path:?} refused: {effects:?}"
+    );
+}
 
 /// Three independent counters from ONE loop body — zero globals.
 const COUNTERS: &str = r#"
@@ -26,9 +37,9 @@ page start() {
 fn each_box_instance_keeps_its_own_state() {
     let mut s = LiveSession::new(COUNTERS).expect("compiles and starts");
     assert_eq!(s.live_view(), "item 0: 0\nitem 1: 0\nitem 2: 0\n");
-    s.tap_path(&[1]).expect("tap middle");
-    s.tap_path(&[1]).expect("tap middle again");
-    s.tap_path(&[2]).expect("tap last");
+    tap(&mut s, &[1]); // tap middle
+    tap(&mut s, &[1]); // tap middle again
+    tap(&mut s, &[2]); // tap last
     assert_eq!(s.live_view(), "item 0: 0\nitem 1: 2\nitem 2: 1\n");
     // The model (store) is untouched — this is view state.
     assert!(s.system().store().is_empty());
@@ -54,23 +65,23 @@ fn view_state_survives_re_render_and_navigation() {
         }
     "#;
     let mut s = LiveSession::new(src).expect("starts");
-    s.tap_path(&[0]).expect("bump");
+    tap(&mut s, &[0]); // bump
     assert!(s.live_view().contains("n = 11"));
     // Navigate away and back: the slot persists (like scroll state).
-    s.tap_path(&[1]).expect("away");
+    tap(&mut s, &[1]); // away
     assert!(s.live_view().contains("elsewhere"));
-    s.tap_path(&[0]).expect("back");
+    tap(&mut s, &[0]); // back
     assert!(s.live_view().contains("n = 11"));
 }
 
 #[test]
 fn code_update_clears_view_state() {
     let mut s = LiveSession::new(COUNTERS).expect("starts");
-    s.tap_path(&[0]).expect("tap");
+    tap(&mut s, &[0]);
     assert!(s.live_view().contains("item 0: 1"));
     let edited = COUNTERS.replace("item ", "entry ");
-    let outcome = s.edit_source(&edited);
-    assert!(matches!(outcome, EditOutcome::Applied(_)));
+    let effects = s.apply(SessionCommand::EditSource(edited));
+    assert!(matches!(effects[0], SessionEffect::EditApplied(_)));
     // View state died with the old view code; slots re-initialize.
     assert_eq!(s.live_view(), "entry 0: 0\nentry 1: 0\nentry 2: 0\n");
     assert_well_typed(s.system());
@@ -94,7 +105,7 @@ fn slots_initialize_from_model_reads() {
     let mut s = LiveSession::new(src).expect("starts");
     // Initialized once from the (post-init) model...
     assert_eq!(s.live_view(), "42\n");
-    s.tap_path(&[0]).expect("tap");
+    tap(&mut s, &[0]);
     // ...then evolves independently of it.
     assert_eq!(s.live_view(), "142\n");
     assert_eq!(s.system().store().get("base"), Some(&Value::Number(42.0)));
@@ -179,9 +190,9 @@ fn growing_the_loop_initializes_new_instances_only() {
         }
     "#;
     let mut s = LiveSession::new(src).expect("starts");
-    s.tap_path(&[1]).expect("hit row 0");
-    s.tap_path(&[0]).expect("grow the loop");
-    // Row 0 kept its count (same occurrence key); the new row starts at 0.
+    tap(&mut s, &[1]); // hit row 0
+    tap(&mut s, &[0]); // grow the loop
+                       // Row 0 kept its count (same occurrence key); the new row starts at 0.
     assert_eq!(s.live_view(), "rows: 3\n0 -> 1\n1 -> 0\n2 -> 0\n");
 }
 
@@ -208,8 +219,8 @@ fn memo_cache_and_view_state_compose() {
     let mut plain = LiveSession::new(src).expect("starts");
     let mut memo = LiveSession::with_memo(src).expect("starts");
     for _ in 0..3 {
-        plain.tap_path(&[0]).expect("tap");
-        memo.tap_path(&[0]).expect("tap");
+        tap(&mut plain, &[0]);
+        tap(&mut memo, &[0]);
         assert_eq!(plain.live_view(), memo.live_view());
     }
     let stats = memo.memo_stats().expect("enabled");
