@@ -1,10 +1,12 @@
 //! E8 — per-model-change view maintenance cost across architectures:
 //! retained-MVC targeted updates (hand-written rules), retained-MVC
 //! full rebuild, immediate-mode full re-render (the paper's approach),
-//! and immediate-mode with the §5 reuse cache. The paper's position:
-//! the retained approach is the fastest per update but requires
-//! dangerous hand-written view-update code; immediate mode trades a
-//! bounded render cost for correctness by construction.
+//! and immediate-mode with the §5 reuse cache. Every arm ends with its
+//! screen as text: the immediate arms with the frame `apply` answers
+//! with, the retained arms with their widget tree's text screen. The
+//! paper's position: the retained approach is the fastest per update
+//! but requires dangerous hand-written view-update code; immediate mode
+//! trades a bounded render cost for correctness by construction.
 
 use alive_baseline::retained::{update_prices, update_selection};
 use alive_baseline::{build_listings_view, ListingsModel, RetainedApp};
@@ -34,6 +36,7 @@ fn main() {
             } else {
                 app.mutate("price", |m| m.listings[i % n].1 += 1.0);
             }
+            std::hint::black_box(app.tree().to_string());
         });
         // The "correct by construction" variant of retained MVC:
         // rebuild the whole widget tree from the model per change —
@@ -43,7 +46,7 @@ fn main() {
         bench.bench(&format!("retained_rebuild/{n}"), || {
             i += 1;
             app.model.selected = i % n;
-            std::hint::black_box(build_listings_view(&app.model));
+            std::hint::black_box(build_listings_view(&app.model).to_string());
         });
         let mut session = feed_session(n, false);
         let mut i = 0usize;

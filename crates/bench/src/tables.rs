@@ -52,6 +52,9 @@ pub fn table_e3_feedback_latency() -> String {
                 let (a, b) = label_variants(restart.source());
                 let target = if i % 2 == 0 { a } else { b };
                 restart.edit_source(&target).expect("edit");
+                // Paint the restarted display, as the live edit does.
+                let root = restart.system().display().content().expect("a display");
+                alive_ui::render_to_text(&alive_ui::layout(root));
             }
         });
         let restart_after = restart.cost().prim;

@@ -1,11 +1,14 @@
-//! The production evaluator: an environment/closure interpreter.
+//! The reference evaluator: an environment/closure interpreter.
 //!
 //! This is the efficient refinement of the paper's small-step semantics
 //! (Fig. 8); [`crate::smallstep`] implements the substitution machine
 //! verbatim and the two are cross-checked by tests and the E7 ablation
-//! bench. The evaluator runs in one of the three modes and *dynamically*
-//! refuses wrong-mode operations, witnessing the static effect
-//! discipline: for type-checked programs the dynamic checks never fire.
+//! bench. The production engine is the bytecode VM ([`crate::vm`]),
+//! differentially tested against this one; a system runs this
+//! evaluator only under [`crate::system::EvalEngine::Bigstep`]. The
+//! evaluator runs in one of the three modes and *dynamically* refuses
+//! wrong-mode operations, witnessing the static effect discipline: for
+//! type-checked programs the dynamic checks never fire.
 
 use crate::boxtree::{BoxItem, BoxNode};
 use crate::error::RuntimeError;
@@ -82,7 +85,8 @@ impl StoreAccess<'_> {
     }
 }
 
-/// The evaluator. Construct one per run via the `run_*` entry points.
+/// The evaluator. Construct one per run via the `run_*` and
+/// `transition_*` entry points.
 pub struct Evaluator<'a> {
     program: &'a Program,
     store: StoreAccess<'a>,
@@ -219,125 +223,6 @@ pub fn run_render(
     })
 }
 
-/// Like [`run_render`], but with a [`RenderHook`] intercepting `boxed`
-/// evaluation — the entry point of the §5 reuse optimization.
-///
-/// # Errors
-///
-/// See [`run_state`].
-pub fn run_render_hooked(
-    program: &Program,
-    store: &Store,
-    version: u64,
-    fuel: u64,
-    bindings: Frame,
-    expr: &Expr,
-    hook: &mut dyn RenderHook,
-) -> Result<RenderOutput, RuntimeError> {
-    let mut ev = Evaluator {
-        program,
-        store: StoreAccess::Ref(store),
-        queue: None,
-        mode: Effect::Render,
-        boxes: vec![BoxNode::new(None)],
-        scopes: vec![bindings],
-        fuel,
-        version,
-        cost: Cost::default(),
-        hook: Some(hook),
-        widgets: None,
-        faults: None,
-    };
-    ev.eval(expr)?;
-    let root = ev
-        .boxes
-        .pop()
-        .ok_or(RuntimeError::Internal("top-level box frame missing"))?;
-    Ok(RenderOutput {
-        root,
-        cost: ev.cost,
-    })
-}
-
-/// Like [`run_render`], with both optional extras: a [`RenderHook`]
-/// (the §5 reuse cache) and a [`crate::widget::WidgetStore`] (the §7
-/// `remember` view state). The widget store's occurrence counters must
-/// be reset (`begin_render`) by the caller before each render pass.
-///
-/// # Errors
-///
-/// See [`run_state`].
-#[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
-pub fn run_render_full<'a>(
-    program: &'a Program,
-    store: &'a Store,
-    version: u64,
-    fuel: u64,
-    bindings: Frame,
-    expr: &Expr,
-    hook: Option<&'a mut dyn RenderHook>,
-    widgets: Option<&'a mut crate::widget::WidgetStore>,
-) -> Result<RenderOutput, RuntimeError> {
-    let mut ev = Evaluator {
-        program,
-        store: StoreAccess::Ref(store),
-        queue: None,
-        mode: Effect::Render,
-        boxes: vec![BoxNode::new(None)],
-        scopes: vec![bindings],
-        fuel,
-        version,
-        cost: Cost::default(),
-        hook,
-        widgets,
-        faults: None,
-    };
-    ev.eval(expr)?;
-    let root = ev
-        .boxes
-        .pop()
-        .ok_or(RuntimeError::Internal("top-level box frame missing"))?;
-    Ok(RenderOutput {
-        root,
-        cost: ev.cost,
-    })
-}
-
-/// Like [`call_thunk`], with a widget store so handlers can write
-/// `remember` slots.
-///
-/// # Errors
-///
-/// See [`run_state`].
-#[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
-pub fn call_thunk_full<'a>(
-    program: &'a Program,
-    store: &'a mut Store,
-    queue: &'a mut EventQueue,
-    version: u64,
-    fuel: u64,
-    thunk: &Value,
-    args: Vec<Value>,
-    widgets: Option<&'a mut crate::widget::WidgetStore>,
-) -> Result<(Value, Cost), RuntimeError> {
-    let mut ev = Evaluator {
-        program,
-        store: StoreAccess::Mut(store),
-        queue: Some(queue),
-        mode: Effect::State,
-        boxes: Vec::new(),
-        scopes: vec![Vec::new()],
-        fuel,
-        version,
-        cost: Cost::default(),
-        hook: None,
-        widgets,
-        faults: None,
-    };
-    let value = ev.apply(thunk.clone(), args, alive_syntax::Span::DUMMY)?;
-    Ok((value, ev.cost))
-}
-
 /// Evaluate `expr` in pure mode (`→p`): reads code and store only.
 ///
 /// # Errors
@@ -365,39 +250,6 @@ pub fn run_pure(
         faults: None,
     };
     let value = ev.eval(expr)?;
-    Ok((value, ev.cost))
-}
-
-/// Call a handler thunk `v ()` in state mode — the body of the THUNK
-/// transition.
-///
-/// # Errors
-///
-/// See [`run_state`].
-pub fn call_thunk(
-    program: &Program,
-    store: &mut Store,
-    queue: &mut EventQueue,
-    version: u64,
-    fuel: u64,
-    thunk: &Value,
-    args: Vec<Value>,
-) -> Result<(Value, Cost), RuntimeError> {
-    let mut ev = Evaluator {
-        program,
-        store: StoreAccess::Mut(store),
-        queue: Some(queue),
-        mode: Effect::State,
-        boxes: Vec::new(),
-        scopes: vec![Vec::new()],
-        fuel,
-        version,
-        cost: Cost::default(),
-        hook: None,
-        widgets: None,
-        faults: None,
-    };
-    let value = ev.apply(thunk.clone(), args, alive_syntax::Span::DUMMY)?;
     Ok((value, ev.cost))
 }
 
@@ -482,9 +334,11 @@ pub fn transition_state(
     (result, ev.cost)
 }
 
-/// Transactional entry point for the THUNK transition: like
-/// [`call_thunk_full`], but the cost is reported even on failure and a
-/// [`FaultInjector`] can be supplied.
+/// Transactional entry point for the THUNK transition: call a handler
+/// thunk `v ()` in state mode, with an optional
+/// [`crate::widget::WidgetStore`] so handlers can write `remember`
+/// slots. The cost is reported even on failure, and a [`FaultInjector`]
+/// can be supplied.
 #[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
 pub fn transition_thunk(
     program: &Program,
@@ -517,7 +371,10 @@ pub fn transition_thunk(
 }
 
 /// Transactional entry point for the RENDER transition: like
-/// [`run_render_full`], but the cost is reported even on failure and a
+/// [`run_render`], with both optional extras — a [`RenderHook`] (the §5
+/// reuse cache) and a [`crate::widget::WidgetStore`] (the §7 `remember`
+/// view state, whose occurrence counters the caller resets before each
+/// render pass). The cost is reported even on failure, and a
 /// [`FaultInjector`] can be supplied.
 #[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
 pub fn transition_render(
@@ -1391,7 +1248,7 @@ mod tests {
         let handler = second.attr(Attr::OnTap).expect("handler").clone();
         let mut store = Store::new();
         let mut queue = EventQueue::new();
-        call_thunk(
+        let (result, _) = transition_thunk(
             &p,
             &mut store,
             &mut queue,
@@ -1399,8 +1256,10 @@ mod tests {
             DEFAULT_FUEL,
             &handler,
             vec![],
-        )
-        .expect("tap runs");
+            None,
+            None,
+        );
+        result.expect("tap runs");
         assert_eq!(store.get("picked"), Some(&Value::str("b")));
     }
 

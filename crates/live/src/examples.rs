@@ -106,8 +106,8 @@ impl ExampleCache {
         self.probes.clone()
     }
 
-    /// Drop the cached result (used when the system is replaced
-    /// wholesale, e.g. a fleet revert restoring a checkpoint).
+    /// Drop the cached result (used when a rollback restores an older
+    /// system, whose version and generation roll backward).
     pub(crate) fn invalidate(&mut self) {
         self.key = None;
     }

@@ -623,27 +623,37 @@ mod tests {
 
         let mut cache = MemoCache::new(&p);
         cache.begin_render(&store, 0);
-        let first =
-            bigstep::run_render_hooked(&p, &store, 0, 1_000_000, vec![], &page.render, &mut cache)
-                .expect("renders");
+        let render = |store: &Store, cache: &mut MemoCache| {
+            let (root, cost) = bigstep::transition_render(
+                &p,
+                store,
+                0,
+                1_000_000,
+                vec![],
+                &page.render,
+                Some(cache),
+                None,
+                None,
+            );
+            (root.expect("renders"), cost)
+        };
+        let (first, _) = render(&store, &mut cache);
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 4);
 
         // Change only `sel`: the three item boxes reuse, the sel box re-renders.
         store.set("sel", Value::Number(9.0));
         cache.begin_render(&store, 0);
-        let second =
-            bigstep::run_render_hooked(&p, &store, 0, 1_000_000, vec![], &page.render, &mut cache)
-                .expect("renders");
+        let (second, cost) = render(&store, &mut cache);
         assert_eq!(cache.stats().hits, 3);
         assert_eq!(cache.stats().misses, 5);
-        assert_eq!(second.cost.boxes_created, 1);
-        assert_eq!(second.cost.boxes_reused, 3);
+        assert_eq!(cost.boxes_created, 1);
+        assert_eq!(cost.boxes_reused, 3);
 
         // The reused tree is identical to an uncached render.
         let plain =
             bigstep::run_render(&p, &store, 0, 1_000_000, vec![], &page.render).expect("renders");
-        assert_eq!(second.root, plain.root);
-        assert_ne!(first.root, second.root);
+        assert_eq!(second, plain.root);
+        assert_ne!(first, second);
     }
 }

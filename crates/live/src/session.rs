@@ -117,24 +117,42 @@ pub enum FleetUpdateOutcome {
     Failed(String),
 }
 
-/// Pre-transaction state parked on a session between a fleet UPDATE and
-/// the transaction's promote/revert decision — PR 2's checkpoint
-/// machinery, extended to everything a revert must restore *plus* a
-/// journal of the client commands answered while the canary was live
-/// (re-applied after the revert, so the session converges to what a solo
-/// replay of its full history produces).
+/// The replayable state of a session: everything a solo replay of its
+/// commands reproduces, so everything a rollback must restore. The rest
+/// of a [`LiveSession`] derives from it (caches) or observes it
+/// (instrumentation), and a [`FleetCheckpoint`] is a copy of it — a
+/// field added here is checkpointed and restored with the others.
+#[derive(Debug, Clone)]
+struct SessionState {
+    source: String,
+    system: System,
+    /// Previously applied sources, oldest first (for undo).
+    undo_stack: Vec<String>,
+    /// Sources undone from (for redo); cleared by a fresh edit.
+    redo_stack: Vec<String>,
+    /// Contained faults, newest last, bounded.
+    faults: FaultLog,
+    updates_applied: u64,
+    updates_rejected: u64,
+    /// Open solo edit transactions, staged source per id.
+    pending_txs: BTreeMap<u64, PendingTx>,
+    /// Next solo transaction id.
+    next_tx: u64,
+    /// Candidate repairs offered by the last direct-manipulation
+    /// selection, together with the source snapshot they were computed
+    /// against (applying one refuses if the source has moved on).
+    pending_repairs: Option<crate::repair::PendingRepairs>,
+}
+
+/// The pre-transaction state parked on a session between a fleet UPDATE
+/// and the transaction's promote/revert decision, plus a journal of the
+/// client commands answered while the canary was live (re-applied after
+/// the revert, so the session converges to what a solo replay of its
+/// full history produces).
 #[derive(Debug)]
 struct FleetCheckpoint {
     tx: u64,
-    system: System,
-    source: String,
-    faults: FaultLog,
-    undo_stack: Vec<String>,
-    redo_stack: Vec<String>,
-    updates_applied: u64,
-    updates_rejected: u64,
-    pending_txs: BTreeMap<u64, PendingTx>,
-    next_tx: u64,
+    state: SessionState,
     journal: Vec<SessionCommand>,
     journal_overflow: bool,
 }
@@ -205,23 +223,15 @@ impl FrameStats {
     }
 }
 
-/// A live programming session: source text + running system + optional
-/// render cache.
+/// A live programming session: its replayable state (source text,
+/// running system, history), the caches derived from that state, its
+/// instrumentation, and the pending fleet checkpoint, if any.
 #[derive(Debug)]
 pub struct LiveSession {
-    source: String,
-    system: System,
+    state: SessionState,
     memo: Option<MemoCache>,
-    updates_applied: u64,
-    updates_rejected: u64,
     /// Per-keystroke compiler with an item-granular parse cache.
     compiler: IncrementalCompiler,
-    /// Previously applied sources, oldest first (for undo).
-    undo_stack: Vec<String>,
-    /// Sources undone from (for redo); cleared by a fresh edit.
-    redo_stack: Vec<String>,
-    /// Contained faults, newest last, bounded.
-    faults: FaultLog,
     /// The last rendered view, keyed by
     /// [`System::display_generation`]: a read of an unchanged display
     /// is a string clone. Every new generation is laid out and painted
@@ -244,14 +254,6 @@ pub struct LiveSession {
     /// promote/revert decision. At most one — a session runs at most one
     /// fleet transaction at a time.
     fleet_checkpoint: Option<FleetCheckpoint>,
-    /// Open solo edit transactions, staged source per id.
-    pending_txs: BTreeMap<u64, PendingTx>,
-    /// Next solo transaction id.
-    next_tx: u64,
-    /// Candidate repairs offered by the last direct-manipulation
-    /// selection, together with the source snapshot they were computed
-    /// against (applying one refuses if the source has moved on).
-    pending_repairs: Option<crate::repair::PendingRepairs>,
     /// Babylonian live-example probes, cached per
     /// `(version, display generation)` so continuous evaluation costs
     /// nothing while neither code nor model changes.
@@ -310,15 +312,20 @@ impl LiveSession {
     ) -> Self {
         let memo = memo.then(|| MemoCache::new(&program));
         let mut session = LiveSession {
-            source: source.to_string(),
-            system: System::with_shared_program(program, config, registry),
+            state: SessionState {
+                source: source.to_string(),
+                system: System::with_shared_program(program, config, registry),
+                undo_stack: Vec::new(),
+                redo_stack: Vec::new(),
+                faults: FaultLog::new(),
+                updates_applied: 0,
+                updates_rejected: 0,
+                pending_txs: BTreeMap::new(),
+                next_tx: 1,
+                pending_repairs: None,
+            },
             memo,
-            updates_applied: 0,
-            updates_rejected: 0,
             compiler: IncrementalCompiler::new(),
-            undo_stack: Vec::new(),
-            redo_stack: Vec::new(),
-            faults: FaultLog::new(),
             view: None,
             frame: FrameStats::default(),
             metrics: SessionMetrics::new(registry),
@@ -326,9 +333,6 @@ impl LiveSession {
             unframed_eval_us: 0,
             unframed_compile_us: 0,
             fleet_checkpoint: None,
-            pending_txs: BTreeMap::new(),
-            next_tx: 1,
-            pending_repairs: None,
             examples: crate::examples::ExampleCache::default(),
         };
         session.refresh();
@@ -359,23 +363,23 @@ impl LiveSession {
 
     /// The current source text.
     pub fn source(&self) -> &str {
-        &self.source
+        &self.state.source
     }
 
     /// The running system.
     pub fn system(&self) -> &System {
-        &self.system
+        &self.state.system
     }
 
     /// Mutable access to the running system (for driving interactions).
     pub fn system_mut(&mut self) -> &mut System {
-        &mut self.system
+        &mut self.state.system
     }
 
     /// Number of code updates applied / rejected so far. Quarantined
     /// edits count as rejections: they did not stay applied.
     pub fn update_counts(&self) -> (u64, u64) {
-        (self.updates_applied, self.updates_rejected)
+        (self.state.updates_applied, self.state.updates_rejected)
     }
 
     /// Render-cache statistics, if the cache is enabled.
@@ -388,7 +392,7 @@ impl LiveSession {
     /// view-memo reuse counters.
     pub fn frame_stats(&self) -> FrameStats {
         let mut stats = self.frame;
-        stats.vm_cache_hits = self.system.vm_stats().cache_hits;
+        stats.vm_cache_hits = self.state.system.vm_stats().cache_hits;
         if let Some(memo) = self.memo_stats() {
             stats.eval_hits = memo.hits;
             stats.eval_misses = memo.misses;
@@ -412,7 +416,7 @@ impl LiveSession {
     /// re-evaluation the probes promise costs nothing while the program
     /// and model stand still.
     pub fn examples(&mut self) -> Vec<crate::examples::ExampleProbe> {
-        self.examples.probes(&mut self.system)
+        self.examples.probes(&mut self.state.system)
     }
 
     /// Probe-cache counters: recomputations vs cache hits across
@@ -423,13 +427,13 @@ impl LiveSession {
 
     /// The log of contained faults.
     pub fn fault_log(&self) -> &FaultLog {
-        &self.faults
+        &self.state.faults
     }
 
     /// A one-line banner describing the latest fault, for display over
     /// the last good view. `None` when no fault has occurred.
     pub fn fault_banner(&self) -> Option<String> {
-        self.faults.banner()
+        self.state.faults.banner()
     }
 
     /// Run the system until it has nothing left to do, containing every
@@ -438,10 +442,11 @@ impl LiveSession {
     /// good tree. This never fails — a session is always settleable.
     pub(crate) fn refresh(&mut self) {
         let start = self.clock.now_us();
-        let compile_before = self.system.vm_stats().compile_us;
+        let compile_before = self.state.system.vm_stats().compile_us;
         self.settle();
         self.unframed_eval_us += self.clock.now_us().saturating_sub(start);
         self.unframed_compile_us += self
+            .state
             .system
             .vm_stats()
             .compile_us
@@ -455,11 +460,11 @@ impl LiveSession {
         // queue between faults still overflows.
         loop {
             let hook = self.memo.as_mut().map(|memo| memo as &mut dyn RenderHook);
-            let Err(fault) = self.system.run_to_stable_with(hook) else {
+            let Err(fault) = self.state.system.run_to_stable_with(hook) else {
                 return;
             };
             let overflow = fault.kind == FaultKind::CascadeOverflow;
-            self.faults.record(fault);
+            self.state.faults.record(fault);
             if overflow {
                 // Settle on so the containment tail renders; a second
                 // overflow means STARTUP restarted the cascade.
@@ -467,7 +472,7 @@ impl LiveSession {
                     return;
                 }
                 overflowed = true;
-            } else if matches!(self.system.display(), Display::Invalid) {
+            } else if matches!(self.state.system.display(), Display::Invalid) {
                 // `⊥` after a fault: no good tree to fall back to, and
                 // retrying RENDER would fault forever.
                 return;
@@ -482,7 +487,7 @@ impl LiveSession {
     pub(crate) fn edit_source(&mut self, new_source: &str) -> EditOutcome {
         let outcome = self.swap_source(new_source);
         if outcome.is_applied() {
-            self.redo_stack.clear();
+            self.state.redo_stack.clear();
         }
         outcome
     }
@@ -504,42 +509,42 @@ impl LiveSession {
     }
 
     fn undo(&mut self) -> UndoOutcome {
-        let Some(previous) = self.undo_stack.pop() else {
+        let Some(previous) = self.state.undo_stack.pop() else {
             return UndoOutcome::NothingToUndo;
         };
-        let current = self.source.clone();
+        let current = self.state.source.clone();
         match self.swap_source(&previous) {
             EditOutcome::Applied(_) => {
                 // swap_source pushed `current` onto undo; it belongs on
                 // redo instead.
-                self.undo_stack.pop();
-                self.redo_stack.push(current);
+                self.state.undo_stack.pop();
+                self.state.redo_stack.push(current);
                 UndoOutcome::Applied
             }
             EditOutcome::Quarantined { fault, .. } => {
                 // The session was left as it was; keep the undo entry.
-                self.undo_stack.push(previous);
+                self.state.undo_stack.push(previous);
                 UndoOutcome::Quarantined(Some(Box::new(fault)))
             }
             EditOutcome::Rejected(_) => {
-                self.undo_stack.push(previous);
+                self.state.undo_stack.push(previous);
                 UndoOutcome::Quarantined(None)
             }
         }
     }
 
     fn redo(&mut self) -> UndoOutcome {
-        let Some(next) = self.redo_stack.pop() else {
+        let Some(next) = self.state.redo_stack.pop() else {
             return UndoOutcome::NothingToUndo;
         };
         match self.swap_source(&next) {
             EditOutcome::Applied(_) => UndoOutcome::Applied,
             EditOutcome::Quarantined { fault, .. } => {
-                self.redo_stack.push(next);
+                self.state.redo_stack.push(next);
                 UndoOutcome::Quarantined(Some(Box::new(fault)))
             }
             EditOutcome::Rejected(_) => {
-                self.redo_stack.push(next);
+                self.state.redo_stack.push(next);
                 UndoOutcome::Quarantined(None)
             }
         }
@@ -547,7 +552,7 @@ impl LiveSession {
 
     /// Number of edits that can currently be undone.
     pub fn undo_depth(&self) -> usize {
-        self.undo_stack.len()
+        self.state.undo_stack.len()
     }
 
     fn swap_source(&mut self, new_source: &str) -> EditOutcome {
@@ -563,7 +568,7 @@ impl LiveSession {
         let program = match self.compiler.compile(new_source) {
             Ok(p) => Arc::new(p),
             Err(diags) => {
-                self.updates_rejected += 1;
+                self.state.updates_rejected += 1;
                 return EditOutcome::Rejected(diags);
             }
         };
@@ -571,17 +576,19 @@ impl LiveSession {
         // the pre-edit state below is the freshest good state.
         self.refresh();
         // The edit transaction checkpoint: if the new code faults on
-        // its first run, the whole session state rolls back to here.
-        // (Cloning shares the program `Arc` and the injector, so this is
-        // cheap relative to an update.)
-        let checkpoint = self.system.clone();
-        let report = match self.system.update_shared(program) {
-            Ok(report) => report,
+        // its first run, the system rolls back to here. Only the system:
+        // besides the fault it logs, a quarantined edit changes nothing
+        // else but the source, which `install` hands back. (Cloning
+        // shares the program `Arc` and the injector, so this is cheap
+        // relative to an update, unlike copying the whole history.)
+        let checkpoint = self.state.system.clone();
+        let (report, old_source, faulted) = match self.install(new_source, program) {
+            Ok(installed) => installed,
             Err(other) => {
                 // After refresh() the queue is drained, so NotStable
                 // (or anything else) here is an internal surprise —
                 // report it as a rejection rather than dying.
-                self.updates_rejected += 1;
+                self.state.updates_rejected += 1;
                 let mut diags = Diagnostics::new();
                 diags.push(alive_syntax::Diagnostic::error(
                     alive_syntax::Span::DUMMY,
@@ -590,53 +597,76 @@ impl LiveSession {
                 return EditOutcome::Rejected(diags);
             }
         };
-        if let Some(memo) = self.memo.as_mut() {
-            memo.on_update(self.system.program(), self.system.version());
-        }
-        let old_source = std::mem::replace(&mut self.source, new_source.to_string());
-        let faults_before = self.faults.total();
-        self.refresh();
-        if self.faults.total() > faults_before {
+        if faulted {
             // The new code faulted the moment it ran (UPDATE wiped the
             // display, so only the new version's init/render executed
             // here). Quarantine the edit: revert the machine and the
             // source, report like a rejection.
             let fault = self
+                .state
                 .faults
                 .latest()
                 .cloned()
                 .unwrap_or_else(|| unreachable!("total() grew, so a fault was recorded"));
-            self.system = checkpoint;
-            self.source = old_source;
-            // The probe cache may be keyed to the quarantined version.
-            self.examples.invalidate();
-            if let Some(memo) = self.memo.as_mut() {
-                // The cache may hold entries keyed to the quarantined
-                // version; rebuild it against the restored program.
-                *memo = MemoCache::new(self.system.program());
-            }
-            self.updates_rejected += 1;
+            self.state.system = checkpoint;
+            self.state.source = old_source;
+            self.forget_derived();
+            self.state.updates_rejected += 1;
             return EditOutcome::Quarantined { fault, report };
         }
-        self.undo_stack.push(old_source);
-        self.updates_applied += 1;
+        self.state.undo_stack.push(old_source);
+        self.state.updates_applied += 1;
         EditOutcome::Applied(report)
+    }
+
+    /// UPDATE the running system to `program`, the compilation of
+    /// `new_source`, swap the source in and settle under the new code.
+    /// Returns the fix-up report, the replaced source and whether the
+    /// new code faulted the moment it ran — what a fault means is the
+    /// caller's call. The queue must be drained (refresh first).
+    fn install(
+        &mut self,
+        new_source: &str,
+        program: Arc<Program>,
+    ) -> Result<(FixupReport, String, bool), ActionError> {
+        let report = self.state.system.update_shared(program)?;
+        if let Some(memo) = self.memo.as_mut() {
+            memo.on_update(self.state.system.program(), self.state.system.version());
+        }
+        let old_source = std::mem::replace(&mut self.state.source, new_source.to_string());
+        let faults_before = self.state.faults.total();
+        self.refresh();
+        let faulted = self.state.faults.total() > faults_before;
+        Ok((report, old_source, faulted))
+    }
+
+    /// Drop every cache derived from the state: the example probes, the
+    /// render memo and the view memo. Every rollback calls it after
+    /// restoring an older system, whose version and display generation
+    /// roll *backward*: a kept cache could answer a restored key with
+    /// the rolled-back code's probes, boxes or frame.
+    fn forget_derived(&mut self) {
+        self.examples.invalidate();
+        if let Some(memo) = self.memo.as_mut() {
+            *memo = MemoCache::new(self.state.system.program());
+        }
+        self.view = None;
     }
 
     /// Park the candidate repairs from a direct-manipulation selection
     /// (see [`crate::repair`]); replaces any earlier offer.
     pub(crate) fn set_pending_repairs(&mut self, pending: crate::repair::PendingRepairs) {
-        self.pending_repairs = Some(pending);
+        self.state.pending_repairs = Some(pending);
     }
 
     /// The parked repair offer, if any.
     pub(crate) fn pending_repairs(&self) -> Option<&crate::repair::PendingRepairs> {
-        self.pending_repairs.as_ref()
+        self.state.pending_repairs.as_ref()
     }
 
     /// Withdraw the parked repair offer.
     pub(crate) fn clear_pending_repairs(&mut self) {
-        self.pending_repairs = None;
+        self.state.pending_repairs = None;
     }
 
     // -----------------------------------------------------------------
@@ -649,12 +679,12 @@ impl LiveSession {
     /// Open an edit transaction: stage a copy of the current source for
     /// batched edits. Returns the transaction id.
     pub(crate) fn tx_open(&mut self) -> u64 {
-        let tx = self.next_tx;
-        self.next_tx += 1;
-        self.pending_txs.insert(
+        let tx = self.state.next_tx;
+        self.state.next_tx += 1;
+        self.state.pending_txs.insert(
             tx,
             PendingTx {
-                staged: self.source.clone(),
+                staged: self.state.source.clone(),
                 edits: 0,
             },
         );
@@ -669,6 +699,7 @@ impl LiveSession {
     /// is unchanged on refusal.
     pub(crate) fn tx_edit(&mut self, tx: u64, edits: &[TextEdit]) -> Result<usize, String> {
         let pending = self
+            .state
             .pending_txs
             .get_mut(&tx)
             .ok_or_else(|| no_open_tx(tx))?;
@@ -686,10 +717,10 @@ impl LiveSession {
     /// the client can stage a fix and retry. `None` if no such
     /// transaction is open.
     pub(crate) fn tx_commit(&mut self, tx: u64) -> Option<EditOutcome> {
-        let staged = self.pending_txs.get(&tx)?.staged.clone();
+        let staged = self.state.pending_txs.get(&tx)?.staged.clone();
         let outcome = self.edit_source(&staged);
         if !matches!(outcome, EditOutcome::Rejected(_)) {
-            self.pending_txs.remove(&tx);
+            self.state.pending_txs.remove(&tx);
         }
         Some(outcome)
     }
@@ -697,13 +728,13 @@ impl LiveSession {
     /// Abort an open transaction, discarding its staged edits. Returns
     /// whether the id named an open transaction.
     pub(crate) fn tx_abort(&mut self, tx: u64) -> bool {
-        self.pending_txs.remove(&tx).is_some()
+        self.state.pending_txs.remove(&tx).is_some()
     }
 
     /// Number of edits staged on an open transaction, or `None` if the
     /// id is unknown.
     pub(crate) fn tx_edits(&self, tx: u64) -> Option<usize> {
-        self.pending_txs.get(&tx).map(|p| p.edits)
+        self.state.pending_txs.get(&tx).map(|p| p.edits)
     }
 
     // -----------------------------------------------------------------
@@ -739,77 +770,40 @@ impl LiveSession {
         if self.fleet_checkpoint.is_some() {
             return FleetUpdateOutcome::Busy;
         }
-        if self.source != base_source {
+        if self.state.source != base_source {
             return FleetUpdateOutcome::Diverged;
         }
         // UPDATE requires a drained queue; settling also renders, so the
         // checkpoint below is the freshest good pre-transaction state.
         self.refresh();
-        let checkpoint = FleetCheckpoint {
+        let state = self.state.clone();
+        let faulted = match self.install(new_source, program) {
+            Ok((_, _, faulted)) => faulted,
+            Err(e) => return FleetUpdateOutcome::Failed(e.to_string()),
+        };
+        self.state.updates_applied += 1;
+        self.fleet_checkpoint = Some(FleetCheckpoint {
             tx,
-            system: self.system.clone(),
-            source: self.source.clone(),
-            faults: self.faults.clone(),
-            undo_stack: self.undo_stack.clone(),
-            redo_stack: self.redo_stack.clone(),
-            updates_applied: self.updates_applied,
-            updates_rejected: self.updates_rejected,
-            pending_txs: self.pending_txs.clone(),
-            next_tx: self.next_tx,
+            state,
             journal: Vec::new(),
             journal_overflow: false,
-        };
-        if let Err(e) = self.system.update_shared(program) {
-            return FleetUpdateOutcome::Failed(e.to_string());
-        }
-        if let Some(memo) = self.memo.as_mut() {
-            memo.on_update(self.system.program(), self.system.version());
-        }
-        self.source = new_source.to_string();
-        self.updates_applied += 1;
-        let faults_before = self.faults.total();
-        self.refresh();
-        let faulted = self.faults.total() > faults_before;
-        self.fleet_checkpoint = Some(checkpoint);
+        });
         self.metrics.record_fleet_update();
         FleetUpdateOutcome::Applied { faulted }
     }
 
-    /// Roll a fleet UPDATE back: restore the parked checkpoint — system,
-    /// source, fault log, history stacks, edit books, open solo
-    /// transactions — then re-apply the journal of client commands the
-    /// session answered while the canary was live, so the session ends
+    /// Roll a fleet UPDATE back: restore the parked pre-transaction
+    /// state, then re-apply the journal of client commands the session
+    /// answered while the canary was live, so the session ends
     /// byte-identical to a solo replay of its full command history under
     /// the old program. Returns `false` (session untouched) if no
     /// checkpoint for `tx` is pending.
     pub fn fleet_revert(&mut self, tx: u64) -> bool {
-        match &self.fleet_checkpoint {
-            Some(checkpoint) if checkpoint.tx == tx => {}
-            _ => return false,
-        }
-        let Some(checkpoint) = self.fleet_checkpoint.take() else {
+        let Some(checkpoint) = self.fleet_checkpoint.take_if(|c| c.tx == tx) else {
             return false;
         };
-        self.system = checkpoint.system;
-        self.source = checkpoint.source;
-        // The probe cache may be keyed to the reverted version.
-        self.examples.invalidate();
-        self.faults = checkpoint.faults;
-        self.undo_stack = checkpoint.undo_stack;
-        self.redo_stack = checkpoint.redo_stack;
-        self.updates_applied = checkpoint.updates_applied;
-        self.updates_rejected = checkpoint.updates_rejected;
-        self.pending_txs = checkpoint.pending_txs;
-        self.next_tx = checkpoint.next_tx;
-        if let Some(memo) = self.memo.as_mut() {
-            // The cache holds entries keyed to the reverted version;
-            // rebuild it against the restored program.
-            *memo = MemoCache::new(self.system.program());
-        }
-        // The view memo is display-generation-keyed and the restored
-        // system's generation rolls *backward* — a stale memo would
-        // serve the canary frame for a restored generation. Forget it.
-        self.view = None;
+        self.state = checkpoint.state;
+        self.forget_derived();
         self.refresh();
         // Replay the mid-canary traffic against the restored program.
         // The checkpoint is `None` now, so nothing re-journals.
@@ -827,14 +821,11 @@ impl LiveSession {
     /// the new program is this session's baseline now. Returns `false`
     /// if no checkpoint for `tx` is pending.
     pub fn fleet_promote(&mut self, tx: u64) -> bool {
-        match &self.fleet_checkpoint {
-            Some(checkpoint) if checkpoint.tx == tx => {
-                self.fleet_checkpoint = None;
-                self.metrics.record_fleet_promote();
-                true
-            }
-            _ => false,
+        if self.fleet_checkpoint.take_if(|c| c.tx == tx).is_none() {
+            return false;
         }
+        self.metrics.record_fleet_promote();
+        true
     }
 
     /// Book a command [`LiveSession::apply`] is about to run: count it,
@@ -861,7 +852,7 @@ impl LiveSession {
     /// one frame out to many observers with refcount bumps, no copying.
     pub fn display_tree(&mut self) -> Option<Arc<BoxNode>> {
         self.refresh();
-        self.system.display().content_shared().cloned()
+        self.state.system.display().content_shared().cloned()
     }
 
     /// Render the current display as text — the live view. Total: a
@@ -876,9 +867,9 @@ impl LiveSession {
         self.refresh();
         let eval_us = std::mem::take(&mut self.unframed_eval_us);
         let compile_us = std::mem::take(&mut self.unframed_compile_us);
-        let generation = self.system.display_generation();
-        let Some(root) = self.system.display().content() else {
-            return match self.faults.latest() {
+        let generation = self.state.system.display_generation();
+        let Some(root) = self.state.system.display().content() else {
+            return match self.state.faults.latest() {
                 Some(fault) => format!("(no view: {fault})\n"),
                 None => "(no view)\n".to_string(),
             };
@@ -918,7 +909,7 @@ impl LiveSession {
         action: impl FnOnce(&mut System) -> Result<T, ActionError>,
     ) -> Result<T, SessionError> {
         self.refresh();
-        let result = action(&mut self.system).map_err(SessionError::Action)?;
+        let result = action(&mut self.state.system).map_err(SessionError::Action)?;
         self.refresh();
         Ok(result)
     }
@@ -935,10 +926,10 @@ impl LiveSession {
     /// [`SessionError::Action`] ([`ActionError::NoPageToPop`]) at the
     /// root page.
     pub(crate) fn back(&mut self) -> Result<(), SessionError> {
-        if self.system.page_stack().len() <= 1 {
+        if self.state.system.page_stack().len() <= 1 {
             return Err(SessionError::Action(ActionError::NoPageToPop));
         }
-        self.system.back();
+        self.state.system.back();
         self.refresh();
         Ok(())
     }
@@ -1466,6 +1457,44 @@ page broken() {
         assert_eq!(fleet.undo_depth(), 0);
         assert_eq!(fleet.update_counts(), (0, 0));
         assert_eq!(fleet.fault_log().total(), 0);
+    }
+
+    #[test]
+    fn fleet_revert_restores_a_repair_offer_parked_before_the_update() {
+        use crate::protocol::SessionEffect;
+        use crate::trace::tests::APP as BASE;
+        let canary = BASE.replace("count is ", "count = ");
+        let program = Arc::new(compile(&canary).expect("canary compiles"));
+        let mut fleet = LiveSession::new(BASE).expect("starts");
+        let mut solo = LiveSession::new(BASE).expect("starts");
+        // The offer is parked against the base source, before the update.
+        for s in [&mut fleet, &mut solo] {
+            let effects = s.apply(SessionCommand::ManipulateAt {
+                path: vec![0],
+                leaf: 0,
+                value: "n = 0".to_string(),
+            });
+            assert!(
+                matches!(effects[..], [SessionEffect::Repairs(_)]),
+                "{effects:?}"
+            );
+        }
+        assert_eq!(
+            fleet.fleet_update(1, BASE, &canary, program),
+            FleetUpdateOutcome::Applied { faulted: false }
+        );
+        // The canary's source moved on, so it withdraws the offer; the
+        // solo session applies it.
+        fleet.apply(SessionCommand::ApplyRepair(0));
+        let effects = solo.apply(SessionCommand::ApplyRepair(0));
+        assert!(
+            matches!(effects[0], SessionEffect::EditApplied(_)),
+            "{effects:?}"
+        );
+        assert!(fleet.fleet_revert(1));
+        // The revert restored the offer, so the replayed repair applies.
+        assert_eq!(fleet.source(), solo.source());
+        assert_eq!(fleet.live_view(), solo.live_view());
     }
 
     #[test]

@@ -368,6 +368,88 @@ fn observation_window_defers_the_decision_to_a_status_poll() {
 }
 
 #[test]
+fn rollback_replays_a_repair_offered_before_the_commit() {
+    let clock = Arc::new(ManualClock::with_auto_step(1));
+    let window_us = 60_000_000;
+    let host = SessionHost::with_clock(
+        HostConfig {
+            rollout: RolloutConfig {
+                canary_percent: 10,
+                observation_window_us: window_us,
+                fault_threshold: 1,
+            },
+            system: FUEL,
+            ..HostConfig::with_workers(2)
+        },
+        clock.clone(),
+    );
+    let ids: Vec<_> = (0..10)
+        .map(|_| host.create_session(APP).expect("compiles"))
+        .collect();
+    let canary = ids[0];
+    // The same commands go to the canary and to a solo session.
+    let manipulate = SessionCommand::ManipulateAt {
+        path: vec![0],
+        leaf: 0,
+        value: "n = 1".to_string(),
+    };
+    let mut solo = LiveSession::new(APP).expect("starts");
+    solo.apply(manipulate.clone());
+
+    // The repair offer is parked on the base source, before the commit.
+    let effects = host.apply(canary, manipulate).expect("live");
+    assert!(
+        matches!(effects[..], [SessionEffect::Repairs(_)]),
+        "{effects:?}"
+    );
+    let tx = host.tx_open(canary).expect("opens");
+    host.tx_edit(
+        tx,
+        &[edit_replacing(
+            APP,
+            "count := count + 10;",
+            "while true { count := count + 1; }",
+        )],
+    )
+    .expect("stages");
+    assert_eq!(
+        host.tx_commit(tx).expect("commit parks in the window"),
+        TxPhase::Canary {
+            canary: 1,
+            fleet: 10
+        }
+    );
+
+    // Inside the window: the repair (withdrawn, since the canary's
+    // source moved on) and a tap whose new handler faults.
+    for command in [
+        SessionCommand::ApplyRepair(0),
+        SessionCommand::TapPath(vec![0]),
+    ] {
+        host.apply(canary, command.clone()).expect("live");
+        solo.apply(command);
+    }
+
+    clock.advance_us(2 * window_us);
+    let phase = host.tx_status(tx).expect("poll decides");
+    assert!(
+        matches!(phase, TxPhase::RolledBack { reverted: 1, .. }),
+        "{phase:?}"
+    );
+
+    // The revert restored the offer, so the replayed repair applied.
+    let (source, frame) = host
+        .inspect_session(canary, |session| {
+            (session.source().to_string(), session.frame_snapshot())
+        })
+        .expect("live");
+    assert_eq!(source, solo.source());
+    assert_eq!(frame, solo.frame_snapshot());
+    assert_eq!(frame.view, "n = 11\n");
+    host.shutdown();
+}
+
+#[test]
 fn diverged_sessions_are_left_out_of_the_fleet() {
     let host = SessionHost::new(HostConfig::with_workers(2));
     let ids: Vec<_> = (0..4)
