@@ -20,8 +20,9 @@ use crate::program::Program;
 use crate::provenance::Provenance;
 use crate::store::Store;
 use crate::types::{Effect, Name};
-use crate::value::{Closure, Value};
+use crate::value::{collect_env, CapturedEnv, Closure, Value};
 use alive_syntax::ast::{BinOp, UnOp};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Default step budget for one transition's worth of evaluation.
@@ -471,24 +472,28 @@ impl Evaluator<'_> {
         if crate::provenance::is_literal_expr(expr) {
             return Some(Provenance::Literal(expr.span));
         }
-        let env: Vec<(Name, Value)> = crate::provenance::free_locals(expr)
+        // Names that do not resolve (impossible once type-checked) are
+        // skipped, as the VM compiler skips them.
+        let names = crate::provenance::free_locals(expr);
+        let found = names
+            .iter()
+            .filter(|n| self.lookup_local(n).is_some())
+            .count();
+        let mut pairs = names
             .into_iter()
-            .filter_map(|n| self.lookup_local(&n).cloned().map(|v| (n, v)))
-            .collect();
+            .filter_map(|n| self.lookup_local(&n).cloned().map(|v| (n, v)));
         Some(Provenance::Expr {
             span: expr.span,
-            env: Arc::new(env),
+            env: collect_env(found, || pairs.next()).unwrap_or_default(),
         })
     }
 
     /// Snapshot all visible bindings for closure capture, outermost
     /// first so later (inner) bindings shadow earlier ones on lookup.
-    fn capture_env(&self) -> Arc<Vec<(Name, Value)>> {
-        let mut captured = Vec::new();
-        for frame in &self.scopes {
-            captured.extend(frame.iter().cloned());
-        }
-        Arc::new(captured)
+    fn capture_env(&self) -> CapturedEnv {
+        let len = self.scopes.iter().map(Vec::len).sum();
+        let mut bindings = self.scopes.iter().flatten().cloned();
+        collect_env(len, || bindings.next()).unwrap_or_default()
     }
 
     fn eval(&mut self, expr: &Expr) -> Result<Value, RuntimeError> {
@@ -526,7 +531,7 @@ impl Evaluator<'_> {
                     params: f.params.clone(),
                     effect: f.effect,
                     body: f.body.clone(),
-                    env: Arc::new(Vec::new()),
+                    env: CapturedEnv::default(),
                     version: self.version,
                 })))
             }
@@ -904,7 +909,7 @@ impl Evaluator<'_> {
                 }
                 // Enter the closure's environment: captured bindings plus
                 // parameters. The caller's locals are not visible.
-                let mut frame: Frame = c.env.as_ref().clone();
+                let mut frame: Frame = c.env.to_vec();
                 frame.extend(c.params.iter().zip(args).map(|(p, v)| (p.name.clone(), v)));
                 let saved = std::mem::replace(&mut self.scopes, vec![frame]);
                 let result = self.eval(&c.body);
@@ -925,6 +930,27 @@ impl Evaluator<'_> {
     }
 }
 
+/// Append the display text of one `++` operand to `out`: the writer
+/// behind both `apply_binop`'s `Concat` and the VM's n-ary `Concat`, so
+/// every engine builds the same bytes. Only strings, numbers, bools and
+/// colors concatenate.
+pub(crate) fn push_concat_operand(out: &mut String, v: &Value) -> Result<(), RuntimeError> {
+    match v {
+        Value::Str(s) => out.push_str(s),
+        Value::Number(_) | Value::Bool(_) | Value::Color(_) => {
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "{v}");
+        }
+        other => {
+            return Err(RuntimeError::TypeMismatch {
+                expected: "string, number, bool, or color",
+                found: other.display_text(),
+            })
+        }
+    }
+    Ok(())
+}
+
 /// Apply a (non-short-circuit) binary operator to values.
 pub fn apply_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, RuntimeError> {
     use BinOp::*;
@@ -942,18 +968,10 @@ pub fn apply_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, RuntimeErro
         Div => Value::Number(num(l)? / num(r)?),
         Mod => Value::Number(num(l)?.rem_euclid(num(r)?)),
         Concat => {
-            let coerce = |v: &Value| -> Result<String, RuntimeError> {
-                match v {
-                    Value::Str(_) | Value::Number(_) | Value::Bool(_) | Value::Color(_) => {
-                        Ok(v.display_text())
-                    }
-                    other => Err(RuntimeError::TypeMismatch {
-                        expected: "string, number, bool, or color",
-                        found: other.display_text(),
-                    }),
-                }
-            };
-            Value::str(format!("{}{}", coerce(l)?, coerce(r)?))
+            let mut text = String::new();
+            push_concat_operand(&mut text, l)?;
+            push_concat_operand(&mut text, r)?;
+            Value::Str(Arc::from(text))
         }
         Eq => Value::Bool(l == r),
         Ne => Value::Bool(l != r),

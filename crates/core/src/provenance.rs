@@ -35,8 +35,9 @@ pub enum Provenance {
     Expr {
         /// Span of the producing expression.
         span: Span,
-        /// `(name, value)` snapshot of the expression's free locals.
-        env: Arc<Vec<(Name, Value)>>,
+        /// `(name, value)` snapshot of the expression's free locals, in
+        /// one allocation (none when there are no free locals).
+        env: Arc<[(Name, Value)]>,
     },
 }
 

@@ -25,7 +25,7 @@ use crate::expr::{Expr, ExprKind, LambdaExpr};
 use crate::program::Program;
 use crate::store::Store;
 use crate::types::{Effect, Name};
-use crate::value::{Closure, Value};
+use crate::value::{CapturedEnv, Closure, Value};
 use alive_syntax::ast::{BinOp, UnOp};
 use alive_syntax::Span;
 use std::sync::Arc;
@@ -399,7 +399,7 @@ pub fn expr_to_value(expr: &Expr) -> Result<Value, RuntimeError> {
             params: lam.params.clone(),
             effect: lam.effect,
             body: lam.body.clone(),
-            env: Arc::new(Vec::new()),
+            env: CapturedEnv::default(),
             version: 0,
         }))),
         _ => Err(RuntimeError::NotInKernel("non-value expression")),

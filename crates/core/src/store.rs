@@ -47,10 +47,16 @@ impl Store {
         self.entries.get(name).map(|(value, _)| value)
     }
 
-    /// Write a global (`S[g ↦ v]`) under a fresh stamp.
+    /// Write a global (`S[g ↦ v]`) under a fresh stamp. Overwriting a
+    /// global keeps its key; only a new global allocates one.
     pub fn set(&mut self, name: impl AsRef<str>, value: Value) {
-        self.entries
-            .insert(Arc::from(name.as_ref()), (value, fresh_stamp()));
+        let name = name.as_ref();
+        match self.entries.get_mut(name) {
+            Some(entry) => *entry = (value, fresh_stamp()),
+            None => {
+                self.entries.insert(Arc::from(name), (value, fresh_stamp()));
+            }
+        }
     }
 
     /// The write stamp of a global: distinct for every write in the
@@ -144,6 +150,17 @@ mod tests {
         s.set("g", Value::Number(2.0));
         assert_eq!(s.get("g"), Some(&Value::Number(2.0)));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn overwriting_a_global_keeps_its_key() {
+        let mut s = Store::new();
+        s.set("g", Value::Number(1.0));
+        let key = s.iter().map(|(k, _)| k.clone()).next().expect("one entry");
+        s.set("g", Value::Number(2.0));
+        let kept = s.iter().map(|(k, _)| k.clone()).next().expect("one entry");
+        assert!(Arc::ptr_eq(&key, &kept), "an overwrite allocates no key");
+        assert_eq!(s.get("g"), Some(&Value::Number(2.0)));
     }
 
     #[test]

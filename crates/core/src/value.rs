@@ -70,8 +70,34 @@ impl fmt::Display for Color {
 }
 
 /// The environment captured by a closure: a by-value snapshot of the
-/// bindings visible at the lambda, innermost last.
-pub type CapturedEnv = Arc<Vec<(Name, Value)>>;
+/// bindings visible at the lambda, innermost last. One allocation holds
+/// the count and the bindings; an empty environment allocates nothing
+/// (`CapturedEnv::default()`).
+pub type CapturedEnv = Arc<[(Name, Value)]>;
+
+/// Collect `len` bindings from `next` into one [`CapturedEnv`]
+/// allocation, or `None` if `next` runs dry first. `Arc<[T]>` collects a
+/// mapped range in place, where from any other iterator it would fill a
+/// `Vec` first and copy it: two allocations instead of one. An empty
+/// environment allocates nothing.
+pub(crate) fn collect_env(
+    len: usize,
+    mut next: impl FnMut() -> Option<(Name, Value)>,
+) -> Option<CapturedEnv> {
+    if len == 0 {
+        return Some(CapturedEnv::default());
+    }
+    let mut complete = true;
+    let env = (0..len)
+        .map(|_| {
+            next().unwrap_or_else(|| {
+                complete = false;
+                (Name::default(), Value::Bool(false))
+            })
+        })
+        .collect();
+    complete.then_some(env)
+}
 
 /// A closure value: a lambda plus its captured environment.
 ///
@@ -182,30 +208,36 @@ impl Value {
 
     /// Render a value the way `post` displays it: numbers without a
     /// trailing `.0`, strings bare (no quotes), tuples/lists bracketed.
+    /// This is the [`fmt::Display`] text, which writers that append to a
+    /// buffer (`++`) use without building a `String` per value.
     pub fn display_text(&self) -> String {
-        match self {
-            Value::Number(n) => fmt_number(*n),
-            Value::Str(s) => s.to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Color(c) => c.to_string(),
-            Value::Tuple(vs) => {
-                let inner: Vec<String> = vs.iter().map(Value::display_text).collect();
-                format!("({})", inner.join(", "))
-            }
-            Value::List(vs) => {
-                let inner: Vec<String> = vs.iter().map(Value::display_text).collect();
-                format!("[{}]", inner.join(", "))
-            }
-            Value::Closure(_) => "<function>".to_string(),
-            Value::Prim(p) => format!("<{p}>"),
-            Value::WidgetRef(k) => format!("<{k}>"),
-        }
+        self.to_string()
     }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.display_text())
+        fn seq(f: &mut fmt::Formatter<'_>, open: &str, vs: &[Value], close: &str) -> fmt::Result {
+            f.write_str(open)?;
+            for (i, v) in vs.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(", ")?;
+                }
+                fmt::Display::fmt(v, f)?;
+            }
+            f.write_str(close)
+        }
+        match self {
+            Value::Number(n) => write_number(f, *n),
+            Value::Str(s) => f.write_str(s),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Color(c) => write!(f, "{c}"),
+            Value::Tuple(vs) => seq(f, "(", vs, ")"),
+            Value::List(vs) => seq(f, "[", vs, "]"),
+            Value::Closure(_) => f.write_str("<function>"),
+            Value::Prim(p) => write!(f, "<{p}>"),
+            Value::WidgetRef(k) => write!(f, "<{k}>"),
+        }
     }
 }
 
@@ -230,10 +262,20 @@ impl From<&str> for Value {
 /// Format a number the way the language displays it: integers without a
 /// decimal point, everything else in shortest-roundtrip form.
 pub fn fmt_number(n: f64) -> String {
+    let mut text = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = write_number(&mut text, n);
+    text
+}
+
+/// Write a number the way the language displays it (see [`fmt_number`])
+/// straight into `out`: the one number formatter behind `post`, `++`
+/// and the source printer.
+fn write_number(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
     if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+        write!(out, "{}", n as i64)
     } else {
-        format!("{n}")
+        write!(out, "{n}")
     }
 }
 

@@ -12,11 +12,18 @@
 //!
 //! The same object pools the render spine: the `Vec<BoxNode>` of open
 //! box frames is borrowed per run ([`Scratch::take_box_spine`]) and
-//! returned cleared, so steady-state renders reuse its capacity too.
+//! returned cleared, so steady-state renders reuse its capacity too;
+//! and the text buffer `Concat` writes a `++` chain into
+//! ([`Scratch::concat`]), so a chain's string costs one allocation.
 
+use std::sync::Arc;
+
+use crate::bigstep::push_concat_operand;
 use crate::boxtree::BoxNode;
 use crate::error::RuntimeError;
 use crate::value::Value;
+
+use super::Reg;
 
 /// Reusable register/arena storage for one session's VM runs.
 ///
@@ -28,6 +35,7 @@ use crate::value::Value;
 pub struct Scratch {
     regs: Vec<Value>,
     box_spine: Vec<BoxNode>,
+    text: String,
     hiwater: usize,
     epochs: u64,
 }
@@ -98,6 +106,21 @@ impl Scratch {
             .ok_or(RuntimeError::Internal("vm: register out of range"))
     }
 
+    /// Join the display texts of registers `ops` of the window at `base`
+    /// into one string: each operand is written into the pooled text
+    /// buffer, and the result is copied out in a single allocation.
+    pub(crate) fn concat(&mut self, base: usize, ops: &[Reg]) -> Result<Arc<str>, RuntimeError> {
+        self.text.clear();
+        for &r in ops {
+            let v = self
+                .regs
+                .get(base + r as usize)
+                .ok_or(RuntimeError::Internal("vm: register out of range"))?;
+            push_concat_operand(&mut self.text, v)?;
+        }
+        Ok(Arc::from(self.text.as_str()))
+    }
+
     /// Borrow the pooled render spine (open box frames) for one run.
     pub(crate) fn take_box_spine(&mut self) -> Vec<BoxNode> {
         let mut spine = std::mem::take(&mut self.box_spine);
@@ -145,6 +168,72 @@ mod tests {
         assert!(s.get(0).is_err());
         // Capacity is retained; high-water survives the epoch reset.
         assert_eq!(s.hiwater_bytes(), 6 * std::mem::size_of::<Value>() as u64);
+    }
+
+    /// `l ++ r` is the display text of `l` followed by that of `r`, in
+    /// `apply_binop` and in the VM's `Concat` alike, for every kind of
+    /// operand `++` accepts and the number forms that print specially.
+    #[test]
+    fn concat_writes_display_texts() {
+        use crate::bigstep::apply_binop;
+        use crate::value::Color;
+        use alive_syntax::ast::BinOp;
+
+        let operands = [
+            Value::Number(-0.0),
+            Value::Number(f64::NAN),
+            Value::Number(f64::INFINITY),
+            Value::Number(f64::NEG_INFINITY),
+            Value::Number(2.5),
+            Value::Number(1e15 - 1.0),
+            Value::Number(1e15 + 1.0),
+            Value::Number(1e21),
+            Value::Color(Color::new(170, 210, 240)),
+            Value::Color(Color::new(9, 9, 9)),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::str("é-日本"),
+            Value::str(""),
+        ];
+        let mut s = Scratch::new();
+        s.begin();
+        let base = s.push_window(2);
+        for l in &operands {
+            for r in &operands {
+                let expected = l.display_text() + &r.display_text();
+                let pair = apply_binop(BinOp::Concat, l, r).unwrap();
+                assert_eq!(pair, Value::str(&expected), "{l:?} ++ {r:?}");
+                s.set(base, l.clone()).unwrap();
+                s.set(base + 1, r.clone()).unwrap();
+                let joined = s.concat(base, &[0, 1]).unwrap();
+                assert_eq!(&*joined, expected, "{l:?} ++ {r:?}");
+            }
+        }
+        // The forms those texts take.
+        let texts: Vec<String> = operands.iter().map(Value::display_text).collect();
+        assert_eq!(
+            texts,
+            [
+                "0",
+                "NaN",
+                "inf",
+                "-inf",
+                "2.5",
+                "999999999999999",
+                "1000000000000001",
+                "1000000000000000000000",
+                "light_blue",
+                "#090909",
+                "true",
+                "false",
+                "é-日本",
+                "",
+            ]
+        );
+        // Only strings, numbers, bools and colors concatenate.
+        s.set(base, Value::unit()).unwrap();
+        assert!(s.concat(base, &[1, 0]).is_err());
+        assert!(apply_binop(BinOp::Concat, &Value::str("a"), &Value::unit()).is_err());
     }
 
     #[test]

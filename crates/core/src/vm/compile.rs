@@ -10,7 +10,9 @@
 //!
 //! Tuple and list literals of any width compile: one wider than
 //! [`LITERAL_BATCH`] registers is built batch by batch (`MakeTuple` /
-//! `MakeList` per batch, then one `Flatten`). What the compiler still
+//! `MakeList` per batch, then one `Flatten`). A left-associated `++`
+//! chain compiles to one n-ary `Concat`, batched the same way when it
+//! is wider than [`LITERAL_BATCH`]. What the compiler still
 //! cannot express exactly — a signature or frame beyond the 16-bit
 //! register file, or an unresolvable name in a program that bypassed
 //! the type checker — aborts the whole compile with [`CompileError`].
@@ -71,9 +73,10 @@ impl std::error::Error for CompileError {}
 /// Jump-target placeholder patched by `FnCompiler::patch`.
 const PENDING: u32 = u32::MAX;
 
-/// Most elements one `MakeTuple`/`MakeList` reads: a wider literal is
-/// built in batches of this many registers, so its width never hits the
-/// 16-bit register file.
+/// Most elements one `MakeTuple`/`MakeList` reads, and most operands
+/// one `Concat` joins: a wider literal or `++` chain is built in batches
+/// of this many registers, so its width never hits the 16-bit register
+/// file.
 const LITERAL_BATCH: usize = 256;
 
 /// Hash key for the small constant-dedup cache.
@@ -92,6 +95,7 @@ struct Builder<'p> {
     const_cache: HashMap<ConstKey, u32>,
     lambdas: Vec<LambdaInfo>,
     captures: Vec<Arc<[(u32, Reg)]>>,
+    concats: Vec<Box<[Reg]>>,
     provs: Vec<ProvSpec>,
     globals: Vec<GlobalSlot>,
     global_idx: HashMap<Name, u32>,
@@ -149,6 +153,12 @@ impl Builder<'_> {
     fn capture_set(&mut self, set: Vec<(u32, Reg)>) -> u32 {
         let i = self.captures.len() as u32;
         self.captures.push(set.into());
+        i
+    }
+
+    fn concat_ops(&mut self, ops: Vec<Reg>) -> u32 {
+        let i = self.concats.len() as u32;
+        self.concats.push(ops.into());
         i
     }
 
@@ -216,6 +226,21 @@ fn mutates(e: &Expr, name: &Name) -> bool {
         }
     });
     found
+}
+
+/// The operands of the `++` chain rooted at `e`, left to right. `++` is
+/// left-associative, so `a ++ b ++ c` is `(a ++ b) ++ c` and the chain
+/// is the left spine; it is walked with a loop, whatever its length.
+fn concat_chain(e: &Expr) -> Vec<&Expr> {
+    let mut operands = Vec::new();
+    let mut spine = e;
+    while let ExprKind::Binary(BinOp::Concat, lhs, rhs) = &spine.kind {
+        operands.push(&**rhs);
+        spine = lhs;
+    }
+    operands.push(spine);
+    operands.reverse();
+    operands
 }
 
 /// May `e` be compiled directly into a destination register that holds
@@ -764,6 +789,7 @@ impl FnCompiler<'_, '_> {
                     self.restore(w);
                     Ok(())
                 }
+                BinOp::Concat => self.emit_concat(&concat_chain(e), dst),
                 _ => {
                     let w = self.save();
                     let a = self.emit_operand(lhs, &[rhs])?;
@@ -829,6 +855,42 @@ impl FnCompiler<'_, '_> {
         } else {
             make(d, base, len)
         });
+        self.restore(w);
+        Ok(())
+    }
+
+    /// Build a `++` chain's string with one `Concat` over its operands.
+    /// A local operand is read straight from its binding register unless
+    /// a later operand may assign it, the hazard rule of `Bin`. A chain
+    /// wider than [`LITERAL_BATCH`] is joined batch by batch into
+    /// temporaries, which one more `Concat` joins into `dst`; a trailing
+    /// one-operand batch is read directly, so every `Concat` joins at
+    /// least two operands and the chain's `Concat`s replace exactly its
+    /// `++`s.
+    fn emit_concat(&mut self, operands: &[&Expr], dst: Option<Reg>) -> Result<(), CompileError> {
+        let w = self.save();
+        let mut regs = Vec::new();
+        if operands.len() > LITERAL_BATCH {
+            for batch in operands.chunks(LITERAL_BATCH) {
+                let r = match batch {
+                    [single] => self.emit_operand(single, &[])?,
+                    _ => {
+                        let t = self.alloc()?;
+                        self.emit_concat(batch, Some(t))?;
+                        t
+                    }
+                };
+                regs.push(r);
+            }
+        } else {
+            for (i, e) in operands.iter().enumerate() {
+                let later = operands.get(i + 1..).unwrap_or_default();
+                regs.push(self.emit_operand(e, later)?);
+            }
+        }
+        let d = self.sink(dst)?;
+        let ops = self.b.concat_ops(regs);
+        self.push(Instr::Concat { dst: d, ops });
         self.restore(w);
         Ok(())
     }
@@ -976,6 +1038,7 @@ pub(crate) fn compile_program(p: &Program) -> Result<VmProgram, CompileError> {
         const_cache: HashMap::new(),
         lambdas: Vec::new(),
         captures: Vec::new(),
+        concats: Vec::new(),
         provs: Vec::new(),
         globals: Vec::new(),
         global_idx: HashMap::new(),
@@ -1078,6 +1141,7 @@ pub(crate) fn compile_program(p: &Program) -> Result<VmProgram, CompileError> {
     vmp.consts = b.consts;
     vmp.lambdas = b.lambdas;
     vmp.captures = b.captures;
+    vmp.concats = b.concats;
     vmp.provs = b.provs;
     vmp.globals = b.globals;
     vmp.examples = examples;

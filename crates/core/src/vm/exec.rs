@@ -26,13 +26,13 @@ use crate::expr::{BoxSourceId, RememberId};
 use crate::fault::FaultInjector;
 use crate::store::Store;
 use crate::types::{Effect, Name};
-use crate::value::{Closure, Value};
+use crate::value::{collect_env, CapturedEnv, Closure, Value};
 use crate::widget::WidgetStore;
 
 use crate::provenance::Provenance;
 
 use super::arena::Scratch;
-use super::{GuardOp, Instr, ProvSpec, VmProgram};
+use super::{GuardOp, Instr, ProvSpec, Reg, VmProgram};
 
 /// Execution statistics for one VM run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,17 +132,23 @@ impl<'a> Vm<'a> {
         self.vmp.syms.get(sym as usize).ok_or(BAD_CODE)
     }
 
+    /// Snapshot the `(symbol, register)` pairs `set` of the window at
+    /// `base` in one allocation: a closure environment, a provenance
+    /// environment, or the locals a render hook keys a box on.
+    fn snapshot(&self, base: usize, set: &[(u32, Reg)]) -> Result<CapturedEnv, RuntimeError> {
+        let mut pairs = set.iter().map(|&(sym, r)| {
+            let name = self.vmp.syms.get(sym as usize)?;
+            let v = self.scratch.get(base + r as usize).ok()?;
+            Some((name.clone(), v.clone()))
+        });
+        collect_env(set.len(), || pairs.next().flatten()).ok_or(BAD_CODE)
+    }
+
     /// Materialize a compile-time capture set into bigstep's
     /// `capture_env` shape (outermost first, shadowed included).
-    fn capture_locals(&self, base: usize, cap: u32) -> Result<Vec<(Name, Value)>, RuntimeError> {
+    fn capture_locals(&self, base: usize, cap: u32) -> Result<CapturedEnv, RuntimeError> {
         let set = self.vmp.captures.get(cap as usize).ok_or(BAD_CODE)?;
-        let mut locals = Vec::with_capacity(set.len());
-        for &(sym, r) in set.iter() {
-            let name = self.sym_name(sym)?.clone();
-            let v = self.scratch.get(base + r as usize)?.clone();
-            locals.push((name, v));
-        }
-        Ok(locals)
+        self.snapshot(base, set)
     }
 
     /// Materialize a compile-time [`ProvSpec`] into a runtime
@@ -153,18 +159,10 @@ impl<'a> Vm<'a> {
         let spec = self.vmp.provs.get(prov as usize).ok_or(BAD_CODE)?;
         Ok(Some(match spec {
             ProvSpec::Literal(span) => Provenance::Literal(*span),
-            ProvSpec::Expr { span, free } => {
-                let mut env = Vec::with_capacity(free.len());
-                for &(sym, r) in free.iter() {
-                    let name = self.sym_name(sym)?.clone();
-                    let v = self.scratch.get(base + r as usize)?.clone();
-                    env.push((name, v));
-                }
-                Provenance::Expr {
-                    span: *span,
-                    env: Arc::new(env),
-                }
-            }
+            ProvSpec::Expr { span, free } => Provenance::Expr {
+                span: *span,
+                env: self.snapshot(base, free)?,
+            },
         }))
     }
 
@@ -217,17 +215,11 @@ impl<'a> Vm<'a> {
                 }
                 Instr::MakeClosure { dst, l } => {
                     let info = vmp.lambdas.get(l as usize).ok_or(BAD_CODE)?;
-                    let mut env = Vec::with_capacity(info.captures.len());
-                    for &(sym, r) in info.captures.iter() {
-                        let name = vmp.syms.get(sym as usize).ok_or(BAD_CODE)?.clone();
-                        let v = self.scratch.get(base + r as usize)?.clone();
-                        env.push((name, v));
-                    }
                     let v = Value::Closure(Arc::new(Closure {
                         params: info.params.clone(),
                         effect: info.effect,
                         body: info.body.clone(),
-                        env: Arc::new(env),
+                        env: self.snapshot(base, &info.captures)?,
                         version: self.version,
                     }));
                     self.scratch.set(base + dst as usize, v)?;
@@ -333,6 +325,16 @@ impl<'a> Vm<'a> {
                         apply_binop(op, av, bv)?
                     };
                     self.scratch.set(base + dst as usize, v)?;
+                }
+                Instr::Concat { dst, ops } => {
+                    let ops = vmp.concats.get(ops as usize).ok_or(BAD_CODE)?;
+                    // The dispatch above paid for the chain's first `++`.
+                    for _ in 2..ops.len() {
+                        self.instructions += 1;
+                        self.tick()?;
+                    }
+                    let text = self.scratch.concat(base, ops)?;
+                    self.scratch.set(base + dst as usize, Value::Str(text))?;
                 }
                 Instr::Neg { dst, src } => {
                     let v = match self.scratch.get(base + src as usize)? {
@@ -652,7 +654,7 @@ impl<'a> Vm<'a> {
         l: u32,
         args_at: usize,
         argc: u16,
-        env: Option<&Arc<Vec<(Name, Value)>>>,
+        env: Option<&[(Name, Value)]>,
     ) -> Result<Value, RuntimeError> {
         let vmp = self.vmp;
         let info = vmp.lambdas.get(l as usize).ok_or(BAD_CODE)?;

@@ -114,6 +114,12 @@ pub(crate) enum Instr {
     CheckNum { src: Reg },
     /// `dst = a op b` for non-short-circuit operators.
     Bin { op: BinOp, dst: Reg, a: Reg, b: Reg },
+    /// `dst = r[o₁] ++ … ++ r[oₙ]` over the registers listed in
+    /// `concats[ops]`: one left-associated `++` chain, built into one
+    /// string. It ticks once and counts one instruction per `++` it
+    /// replaces (n − 1), so fuel and instruction counts are those of the
+    /// chain compiled one `Bin` per `++`.
+    Concat { dst: Reg, ops: u32 },
     /// `dst = -src` (number-checked).
     Neg { dst: Reg, src: Reg },
     /// `dst = !src` (bool-checked).
@@ -263,6 +269,8 @@ pub struct VmProgram {
     pub(crate) lambdas: Vec<LambdaInfo>,
     /// Render-hook capture sets for `boxed` sites.
     pub(crate) captures: Vec<Arc<[(u32, Reg)]>>,
+    /// Operand registers of each `Concat`, left to right.
+    pub(crate) concats: Vec<Box<[Reg]>>,
     /// Constant-provenance table indexed by the `prov` operand of
     /// `PostLeaf`/`SetAttr`.
     pub(crate) provs: Vec<ProvSpec>,
@@ -295,6 +303,7 @@ impl VmProgram {
             consts: Vec::new(),
             lambdas: Vec::new(),
             captures: Vec::new(),
+            concats: Vec::new(),
             provs: Vec::new(),
             globals: Vec::new(),
             examples: Vec::new(),

@@ -24,6 +24,7 @@ use alive_core::store::Store;
 use alive_core::system::{EvalEngine, System, SystemConfig};
 use alive_core::widget::WidgetStore;
 use alive_core::{bigstep, compile, smallstep, vm};
+use alive_core::{Attr, BoxItem, BoxNode, Expr, ExprKind, Value};
 use alive_testkit::{prop, prop_assert, prop_assert_eq, FaultPlan, NoShrink, Rng};
 
 const FUEL: u64 = 5_000_000;
@@ -637,4 +638,329 @@ fn vm_system_walk_matches_bigstep_on_every_corpus_program() {
             },
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// 5. `++` chains: one VM `Concat` per chain, one `++` at a time elsewhere
+// ---------------------------------------------------------------------
+
+/// Init then render the start page on the VM and bigstep, and on
+/// smallstep when `kernel` is set (the substitution machine has no
+/// local assignment). Values, stores, queues and frames must agree: the
+/// VM's and bigstep's frames byte for byte, provenance and handler
+/// environments included, and smallstep's as [`frame_lines`].
+/// Returns the program, the agreed post-init store, and the frames the
+/// VM and bigstep rendered.
+fn assert_start_page_agrees(
+    src: &str,
+    kernel: bool,
+) -> (alive_core::Program, Store, BoxNode, BoxNode) {
+    let program = compile(src).expect("chain programs are well-typed");
+    let page = program.page("start").expect("start page").clone();
+    let vmp = program.vm().expect("chain programs compile to bytecode");
+    let mut scratch = vm::Scratch::new();
+
+    let mut bs_store = Store::new();
+    let mut bs_queue = EventQueue::new();
+    let (bs_value, _) = bigstep::run_state(
+        &program,
+        &mut bs_store,
+        &mut bs_queue,
+        0,
+        FUEL,
+        vec![],
+        &page.init,
+    )
+    .expect("big-step init");
+    let bs_root = bigstep::run_render(&program, &bs_store, 0, FUEL, vec![], &page.render)
+        .expect("big-step render")
+        .root;
+
+    let mut vm_store = Store::new();
+    let mut vm_queue = EventQueue::new();
+    let mut widgets = WidgetStore::new();
+    let init = vm::transition_page_init(
+        &vmp,
+        &mut scratch,
+        &mut vm_store,
+        &mut vm_queue,
+        0,
+        FUEL,
+        "start",
+        &[],
+        Some(&mut widgets),
+        None,
+    )
+    .expect("start page is compiled");
+    assert_eq!(dbg(init.result.expect("vm init")), dbg(&bs_value));
+    assert_eq!(dbg(&vm_store), dbg(&bs_store), "vm/bigstep stores");
+    assert_eq!(dbg(&vm_queue), dbg(&bs_queue), "vm/bigstep queues");
+    let render = vm::transition_page_render(
+        &vmp,
+        &mut scratch,
+        &vm_store,
+        0,
+        FUEL,
+        "start",
+        &[],
+        None,
+        Some(&mut widgets),
+        None,
+    )
+    .expect("start page is compiled");
+    let vm_root = render.result.expect("vm render");
+    assert_eq!(dbg(&vm_root), dbg(&bs_root), "vm/bigstep frame bytes");
+
+    if kernel {
+        let mut ss_store = Store::new();
+        let mut ss_queue = EventQueue::new();
+        let ss = smallstep::eval_state(&program, &mut ss_store, &mut ss_queue, FUEL, &page.init)
+            .expect("small-step init");
+        assert_eq!(dbg(&ss.value), dbg(&bs_value));
+        assert_eq!(dbg(&ss_store), dbg(&bs_store), "smallstep/bigstep stores");
+        assert_eq!(dbg(&ss_queue), dbg(&bs_queue), "smallstep/bigstep queues");
+        let ss_root = smallstep::eval_render(&program, &mut ss_store, FUEL, &page.render)
+            .expect("small-step render")
+            .root
+            .expect("box content");
+        assert_eq!(
+            frame_lines(&ss_root),
+            frame_lines(&bs_root),
+            "smallstep/bigstep box trees"
+        );
+    }
+    (program, bs_store, vm_root, bs_root)
+}
+
+/// The first `on tap` handler in `root`, depth first.
+fn first_handler(root: &BoxNode) -> Option<Value> {
+    root.items.iter().find_map(|item| match item {
+        BoxItem::Attr(Attr::OnTap, v, _) => Some(v.clone()),
+        BoxItem::Child(child) => first_handler(child),
+        _ => None,
+    })
+}
+
+/// `root` as one line per item, depth first. A handler shows as
+/// `<function>`: substitution leaves a smallstep closure no environment
+/// to compare with the other engines' captured ones.
+fn frame_lines(root: &BoxNode) -> Vec<String> {
+    let mut out = Vec::new();
+    for item in &root.items {
+        match item {
+            BoxItem::Leaf(v, _) => out.push(format!("post {v}")),
+            BoxItem::Attr(a, v, _) => out.push(format!("{a:?} := {v}")),
+            BoxItem::Child(child) => {
+                out.push("boxed {".to_string());
+                out.extend(frame_lines(child));
+                out.push("}".to_string());
+            }
+        }
+    }
+    out
+}
+
+/// The leaves of `root`, depth first, as display text.
+fn leaf_texts(root: &BoxNode) -> Vec<String> {
+    let mut out = Vec::new();
+    for item in &root.items {
+        match item {
+            BoxItem::Leaf(v, _) => out.push(v.display_text()),
+            BoxItem::Child(child) => out.extend(leaf_texts(child)),
+            BoxItem::Attr(..) => {}
+        }
+    }
+    out
+}
+
+/// Render, handler and example chains over strings, numbers (∞ and
+/// fractions included), bools, colors, multibyte text, globals, a
+/// `foreach` variable and a captured local.
+const CHAINS: &str = r#"
+global ga : number = 7
+global gb : string = "é"
+global hue : color = colors.light_blue
+global label : string = ""
+fun tag(x : number) : string pure { "<" ++ x ++ ">" }
+example chained = "n=" ++ ga ++ "," ++ true ++ "," ++ colors.red ++ tag(2.5) expect "n=7,true,red<2.5>"
+example nested = ("[" ++ gb ++ "]") ++ ("[" ++ (ga / 0) ++ "]") expect "[é][inf]"
+page start() {
+    init { label := "init " ++ ga ++ "/" ++ gb ++ "/" ++ (0 - ga / 0); }
+    render {
+        boxed { post "g " ++ ga ++ " " ++ gb ++ " " ++ hue ++ " " ++ (ga / 4) ++ " " ++ false; }
+        foreach s in ["a", "ü", "日本"] {
+            boxed {
+                post s ++ "-" ++ s ++ ga;
+                on tap { label := s ++ ":" ++ ga ++ "/" ++ label; }
+            }
+        }
+        boxed { post label; }
+    }
+}
+"#;
+
+#[test]
+fn concat_chains_agree_on_all_three_machines() {
+    let (program, store, vm_root, bs_root) = assert_start_page_agrees(CHAINS, true);
+    assert_eq!(
+        leaf_texts(&bs_root),
+        [
+            "g 7 é light_blue 1.75 false",
+            "a-a7",
+            "ü-ü7",
+            "日本-日本7",
+            "init 7/é/-inf",
+        ]
+    );
+
+    // A chain inside a handler, over the `foreach` variable it captured.
+    let vmp = program.vm().expect("compiles to bytecode");
+    let mut scratch = vm::Scratch::new();
+    let vm_thunk = first_handler(&vm_root).expect("vm frame has a handler");
+    let bs_thunk = first_handler(&bs_root).expect("bigstep frame has a handler");
+    let mut vm_store = store.clone();
+    let mut vm_queue = EventQueue::new();
+    let run = vm::transition_thunk(
+        &vmp,
+        &mut scratch,
+        &mut vm_store,
+        &mut vm_queue,
+        0,
+        FUEL,
+        &vm_thunk,
+        &[],
+        None,
+        None,
+    )
+    .expect("the handler is compiled");
+    run.result.expect("vm handler");
+    let mut bs_store = store.clone();
+    let mut bs_queue = EventQueue::new();
+    let (bs, _) = bigstep::transition_thunk(
+        &program,
+        &mut bs_store,
+        &mut bs_queue,
+        0,
+        FUEL,
+        &bs_thunk,
+        vec![],
+        None,
+        None,
+    );
+    bs.expect("bigstep handler");
+    let mut ss_store = store.clone();
+    let mut ss_queue = EventQueue::new();
+    let span = alive_syntax::Span::DUMMY;
+    let call = Expr::new(
+        ExprKind::Call(Box::new(smallstep::value_to_expr(&bs_thunk, span)), vec![]),
+        span,
+    );
+    smallstep::eval_state(&program, &mut ss_store, &mut ss_queue, FUEL, &call)
+        .expect("small-step handler");
+    assert_eq!(dbg(&vm_store), dbg(&bs_store), "vm/bigstep handler stores");
+    assert_eq!(
+        dbg(&ss_store),
+        dbg(&bs_store),
+        "smallstep/bigstep handler stores"
+    );
+    assert_eq!(
+        bs_store.get("label"),
+        Some(&Value::str("a:7/init 7/é/-inf"))
+    );
+
+    // Chains inside examples, and their `expect` clauses.
+    for (index, def) in program.examples().iter().enumerate() {
+        let vm_value = vm::run_example(&vmp, &mut scratch, &store, 0, FUEL, index, false)
+            .expect("example slot exists")
+            .result
+            .expect("vm example");
+        let (bs_value, _) =
+            bigstep::run_pure(&program, &store, 0, FUEL, &def.body).expect("bigstep example");
+        let ss_value = smallstep::eval_pure(&program, &mut store.clone(), FUEL, &def.body)
+            .expect("small-step example")
+            .value;
+        let expected = vm::run_example(&vmp, &mut scratch, &store, 0, FUEL, index, true)
+            .expect("example has an expect clause")
+            .result
+            .expect("vm expect");
+        assert_eq!(dbg(&vm_value), dbg(&bs_value), "example `{}`", def.name);
+        assert_eq!(dbg(&ss_value), dbg(&bs_value), "example `{}`", def.name);
+        assert_eq!(
+            vm_value, expected,
+            "example `{}` meets its expect",
+            def.name
+        );
+    }
+}
+
+/// A later operand assigns a local that an earlier operand reads: the
+/// earlier operand must keep the value it had when it was evaluated, so
+/// the VM may not read it from its binding register at the `Concat`.
+#[test]
+fn concat_chain_reads_a_local_before_a_later_operand_assigns_it() {
+    let src = r#"
+        global ga : number = 1
+        global out : string = ""
+        page start() {
+            init {
+                let x = "a";
+                out := x ++ (if ga > 0 { x := "b"; "c" } else { "d" }) ++ x;
+            }
+            render {
+                let y = ga;
+                boxed { post y ++ "," ++ (if ga > 0 { y := y + 1; "+" } else { "-" }) ++ y; }
+            }
+        }"#;
+    let (_, store, _, bs_root) = assert_start_page_agrees(src, false);
+    assert_eq!(store.get("out"), Some(&Value::str("acb")));
+    assert_eq!(leaf_texts(&bs_root), ["1,+2"]);
+}
+
+/// Chains wider than one `Concat` batch (256 operands): 513 operands
+/// leave a one-operand last batch, 700 a partial one. Operands mix a
+/// local, numbers and multibyte strings.
+#[test]
+fn wide_concat_chains_agree_on_all_three_machines() {
+    // Lowering and typechecking still recurse down the chain's spine.
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(|| {
+            for width in [513, 700] {
+                let chain = |local: &str| {
+                    (0..width)
+                        .map(|i| match i % 3 {
+                            0 => local.to_string(),
+                            1 => i.to_string(),
+                            _ => "\"·\"".to_string(),
+                        })
+                        .collect::<Vec<_>>()
+                        .join(" ++ ")
+                };
+                let src = format!(
+                    "global ga : number = 3
+                     global wide : string = \"\"
+                     page start() {{
+                         init {{ let n = ga; wide := {}; }}
+                         render {{ let m = ga + 1; boxed {{ post {}; }} }}
+                     }}",
+                    chain("n"),
+                    chain("m")
+                );
+                let (_, store, _, bs_root) = assert_start_page_agrees(&src, true);
+                let expected = |local: &str| {
+                    (0..width)
+                        .map(|i| match i % 3 {
+                            0 => local.to_string(),
+                            1 => i.to_string(),
+                            _ => "·".to_string(),
+                        })
+                        .collect::<String>()
+                };
+                assert_eq!(store.get("wide"), Some(&Value::str(expected("3"))));
+                assert_eq!(leaf_texts(&bs_root), [expected("4")]);
+            }
+        })
+        .expect("spawn a big-stack thread")
+        .join()
+        .expect("wide chains agree");
 }

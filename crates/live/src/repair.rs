@@ -1167,11 +1167,10 @@ mod tests {
         let start = source.find(frag).expect("fragment present") as u32;
         Provenance::Expr {
             span: Span::new(start, start + frag.len() as u32),
-            env: Arc::new(
-                env.into_iter()
-                    .map(|(n, v)| (Arc::<str>::from(n), v))
-                    .collect(),
-            ),
+            env: env
+                .into_iter()
+                .map(|(n, v)| (Arc::<str>::from(n), v))
+                .collect(),
         }
     }
 

@@ -24,6 +24,7 @@ use alive_obs::{Histogram, HistogramSnapshot, ManualClock, MetricsSnapshot, Regi
 use alive_serve::{HostConfig, SessionHost};
 use alive_testkit::{prop, prop_assert, prop_assert_eq, Rng};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 const APP: &str = r#"
 global count : number = 0
@@ -235,15 +236,23 @@ fn host_snapshot_is_the_sum_of_sessions_under_concurrent_load() {
 
     // One driver thread per CPU hammers its own session while a reader
     // thread snapshots the host continuously, checking the torn-read
-    // direction on every histogram it ever sees.
+    // direction on every histogram it ever sees. The drivers start only
+    // after the reader's first snapshot, so the reader has taken one
+    // however late it is scheduled.
     let stop = AtomicBool::new(false);
+    let started = Barrier::new(ids.len() + 1);
     std::thread::scope(|scope| {
         let host = &host;
         let stop = &stop;
+        let started = &started;
         let reader = scope.spawn(move || {
             let mut snapshots_taken = 0u64;
             while !stop.load(Ordering::Acquire) {
                 let snapshot = host.metrics_snapshot();
+                snapshots_taken += 1;
+                if snapshots_taken == 1 {
+                    started.wait();
+                }
                 for (name, h) in &snapshot.histograms {
                     assert!(
                         h.buckets_total() >= h.count,
@@ -252,12 +261,12 @@ fn host_snapshot_is_the_sum_of_sessions_under_concurrent_load() {
                         h.count
                     );
                 }
-                snapshots_taken += 1;
             }
             snapshots_taken
         });
         for id in &ids {
             scope.spawn(move || {
+                started.wait();
                 for step in 0..COMMANDS_PER_SESSION {
                     let command = if step % 3 == 0 {
                         SessionCommand::Frame
