@@ -21,9 +21,9 @@
 
 use alive_core::system::SystemConfig;
 use alive_live::{
-    box_source_at, boxes_for_cursor, format_frame_stats, format_metrics_snapshot, parse_commands,
-    span_for_box, FrameSnapshot, LiveSession, Registry, SessionCommand, SessionEffect,
-    SessionError, SessionTrace, TxPhase, UndoOutcome,
+    box_source_at, boxes_for_cursor, format_metrics_snapshot, parse_commands, span_for_box,
+    FrameSnapshot, LiveSession, Registry, SessionCommand, SessionEffect, SessionError,
+    SessionTrace, TxPhase, UndoOutcome,
 };
 use alive_ui::{layout, render_to_ansi};
 use std::io::{self, BufRead, Write};
@@ -47,10 +47,11 @@ commands:
   :where <path...>      box -> code: show the boxed statement for a box
   :find <line>:<col>    code -> boxes: which boxes does this cursor make?
   :stack                show the page stack and model store
-  :stats                frame counters: memo reuse, stage times, view-memo hits
   :examples             evaluate the program's `example` probes against
                         the live model (expect clauses report ok/fail)
-  :metrics              session metrics snapshot (counters + latency quantiles)
+  :metrics              session metrics snapshot: counters (frames rendered,
+                        VM cache hits) and histograms (frame eval, layout
+                        and paint µs, memo reuse per frame)
   :trace                dump the session trace (replayable)
   :save <file>          snapshot the model (persistent data) to a file
   :restore <file>       restore a model snapshot against the current code
@@ -327,7 +328,6 @@ fn emit(effects: Vec<SessionEffect>, fail_ctx: &str) {
                     },
                 }
             }
-            SessionEffect::Stats(stats) => println!("{}", format_frame_stats(&stats)),
             SessionEffect::Metrics(snapshot) => {
                 println!("{}", format_metrics_snapshot(&snapshot));
             }

@@ -194,15 +194,15 @@ impl Workload {
     }
 }
 
-/// Median wall time of `runs` repetitions of `f`, in ns.
-fn median_ns(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as f64
-        })
-        .collect();
+/// Wall time of one call of `f`, in ns.
+fn time_ns(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_nanos() as f64
+}
+
+/// The median of `samples` (the upper one of an even count).
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
 }
@@ -291,15 +291,24 @@ fn measure(name: &str, src: &str, runs: usize) -> Workload {
         black_box(run_vm(&mut store, &mut scratch));
     });
 
-    // Interleaved timing: each engine's median over `runs`.
-    let bigstep_ns = median_ns(runs, || {
-        let mut store = Store::new();
-        black_box(run_bigstep(&mut store));
-    });
-    let vm_ns = median_ns(runs, || {
-        let mut store = Store::new();
-        black_box(run_vm(&mut store, &mut scratch));
-    });
+    // Interleaved timing: each round times one repetition of each
+    // engine, so a slow spell on a shared machine lands on both engines'
+    // samples instead of on one engine's whole block. Each engine's
+    // median over `runs` rounds.
+    let mut bigstep_samples = Vec::with_capacity(runs);
+    let mut vm_samples = Vec::with_capacity(runs);
+    for _ in 0..runs {
+        bigstep_samples.push(time_ns(|| {
+            let mut store = Store::new();
+            black_box(run_bigstep(&mut store));
+        }));
+        vm_samples.push(time_ns(|| {
+            let mut store = Store::new();
+            black_box(run_vm(&mut store, &mut scratch));
+        }));
+    }
+    let bigstep_ns = median(bigstep_samples);
+    let vm_ns = median(vm_samples);
 
     let w = Workload {
         name: name.to_string(),

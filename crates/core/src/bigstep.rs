@@ -975,43 +975,50 @@ pub fn apply_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, RuntimeErro
         }
         Eq => Value::Bool(l == r),
         Ne => Value::Bool(l != r),
-        Lt | Le | Gt | Ge => {
-            let ordering = match (l, r) {
-                (Value::Number(a), Value::Number(b)) => a.partial_cmp(b),
-                (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-                _ => {
-                    return Err(RuntimeError::TypeMismatch {
-                        expected: "two numbers or two strings",
-                        found: format!("{} and {}", l.display_text(), r.display_text()),
-                    })
-                }
-            };
-            let Some(ordering) = ordering else {
-                // NaN comparisons are false, as in IEEE.
-                return Ok(Value::Bool(false));
-            };
-            Value::Bool(match op {
-                Lt => ordering.is_lt(),
-                Le => ordering.is_le(),
-                Gt => ordering.is_gt(),
-                Ge => ordering.is_ge(),
-                _ => unreachable!(),
-            })
+        Lt => compare(l, r, std::cmp::Ordering::is_lt)?,
+        Le => compare(l, r, std::cmp::Ordering::is_le)?,
+        Gt => compare(l, r, std::cmp::Ordering::is_gt)?,
+        Ge => compare(l, r, std::cmp::Ordering::is_ge)?,
+        And => {
+            let (a, b) = bools(l, r)?;
+            Value::Bool(a && b)
         }
-        And | Or => {
-            let (Value::Bool(a), Value::Bool(b)) = (l, r) else {
-                return Err(RuntimeError::TypeMismatch {
-                    expected: "bool",
-                    found: format!("{} and {}", l.display_text(), r.display_text()),
-                });
-            };
-            Value::Bool(match op {
-                And => *a && *b,
-                Or => *a || *b,
-                _ => unreachable!(),
-            })
+        Or => {
+            let (a, b) = bools(l, r)?;
+            Value::Bool(a || b)
         }
     })
+}
+
+/// An ordering operator over two numbers or two strings: whether their
+/// ordering `holds`. NaN comparisons are false, as in IEEE.
+fn compare(
+    l: &Value,
+    r: &Value,
+    holds: impl FnOnce(std::cmp::Ordering) -> bool,
+) -> Result<Value, RuntimeError> {
+    let ordering = match (l, r) {
+        (Value::Number(a), Value::Number(b)) => a.partial_cmp(b),
+        (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
+        _ => {
+            return Err(RuntimeError::TypeMismatch {
+                expected: "two numbers or two strings",
+                found: format!("{} and {}", l.display_text(), r.display_text()),
+            })
+        }
+    };
+    Ok(Value::Bool(ordering.is_some_and(holds)))
+}
+
+/// The operands of a boolean operator.
+fn bools(l: &Value, r: &Value) -> Result<(bool, bool), RuntimeError> {
+    match (l, r) {
+        (Value::Bool(a), Value::Bool(b)) => Ok((*a, *b)),
+        _ => Err(RuntimeError::TypeMismatch {
+            expected: "bool",
+            found: format!("{} and {}", l.display_text(), r.display_text()),
+        }),
+    }
 }
 
 #[cfg(test)]

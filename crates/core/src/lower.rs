@@ -134,7 +134,8 @@ impl Lowerer {
                 ast::Item::Page(_) => {
                     self.pages.insert(name.text.clone());
                 }
-                ast::Item::Example(_) => unreachable!("examples handled above"),
+                // Collected into their own namespace above.
+                ast::Item::Example(_) => {}
             }
         }
     }
@@ -305,8 +306,10 @@ impl Lowerer {
     fn stmt(&mut self, stmt: &ast::Stmt) -> Expr {
         let span = stmt.span;
         match &stmt.kind {
+            // A binding scopes over the rest of its block, so
+            // `block_rest` lowers it; alone, it scopes over nothing.
             ast::StmtKind::Let { .. } | ast::StmtKind::Remember { .. } => {
-                unreachable!("handled in block_rest")
+                self.block_rest(std::slice::from_ref(stmt), None, span)
             }
             ast::StmtKind::Assign { target, value } => {
                 let value = Box::new(self.expr(value));

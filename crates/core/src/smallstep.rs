@@ -407,20 +407,25 @@ pub fn expr_to_value(expr: &Expr) -> Result<Value, RuntimeError> {
 }
 
 /// Convert a [`Value`] to a value-expression (for EP-GLOBAL reads).
-pub fn value_to_expr(value: &Value, span: Span) -> Expr {
+///
+/// # Errors
+///
+/// [`RuntimeError::NotInKernel`] for a view-state reference, which has
+/// no substitution semantics (the kernel machine rejects `remember`
+/// before one can appear).
+pub fn value_to_expr(value: &Value, span: Span) -> Result<Expr, RuntimeError> {
+    let exprs = |vs: &[Value]| -> Result<Vec<Expr>, RuntimeError> {
+        vs.iter().map(|v| value_to_expr(v, span)).collect()
+    };
     let kind = match value {
         Value::Number(n) => ExprKind::Num(*n),
         Value::Str(s) => ExprKind::Str(s.clone()),
         Value::Bool(b) => ExprKind::Bool(*b),
         Value::Color(c) => ExprKind::ColorLit(*c),
         Value::Prim(p) => ExprKind::PrimRef(*p),
-        Value::Tuple(vs) => ExprKind::Tuple(vs.iter().map(|v| value_to_expr(v, span)).collect()),
-        Value::List(vs) => ExprKind::ListLit(vs.iter().map(|v| value_to_expr(v, span)).collect()),
-        Value::WidgetRef(_) => {
-            // View-state references have no substitution semantics; the
-            // kernel machine rejects `remember` before one can appear.
-            unreachable!("widget references never reach the kernel machine")
-        }
+        Value::Tuple(vs) => ExprKind::Tuple(exprs(vs)?),
+        Value::List(vs) => ExprKind::ListLit(exprs(vs)?),
+        Value::WidgetRef(_) => return Err(RuntimeError::NotInKernel("view state (remember)")),
         Value::Closure(c) => {
             // Closures re-enter the machine as lambdas whose captured
             // environment is substituted into the body.
@@ -430,7 +435,7 @@ pub fn value_to_expr(value: &Value, span: Span) -> Expr {
                 if param_names.contains(&name) {
                     continue; // parameter shadows the captured binding
                 }
-                body = subst(&body, name, &value_to_expr(captured, span));
+                body = subst(&body, name, &value_to_expr(captured, span)?);
             }
             ExprKind::Lambda(Arc::new(LambdaExpr {
                 params: c.params.clone(),
@@ -439,7 +444,7 @@ pub fn value_to_expr(value: &Value, span: Span) -> Expr {
             }))
         }
     };
-    Expr::new(kind, span)
+    Ok(Expr::new(kind, span))
 }
 
 /// Capture-avoiding substitution `e[v/x]` where `v` is a closed value
@@ -689,7 +694,7 @@ impl Machine<'_> {
                 if let Some(v) = self.store.get(&name).cloned() {
                     // (EP-GLOBAL-1)
                     self.tick(Effect::Pure, Rule::EpGlobal1)?;
-                    Ok(value_to_expr(&v, span))
+                    value_to_expr(&v, span)
                 } else {
                     // (EP-GLOBAL-2)
                     self.tick(Effect::Pure, Rule::EpGlobal2)?;
@@ -729,7 +734,7 @@ impl Machine<'_> {
                         let argv: Result<Vec<Value>, _> = args.iter().map(expr_to_value).collect();
                         let mut ctx = crate::prim::PrimCtx::default();
                         let result = p.apply(&argv?, &mut ctx)?;
-                        Ok(value_to_expr(&result, span))
+                        value_to_expr(&result, span)
                     }
                     other => Err(RuntimeError::NotAFunction(format!("{other:?}"))),
                 }
@@ -857,7 +862,7 @@ impl Machine<'_> {
                 self.current_box()?
                     .items
                     .push(BoxItem::Child(std::sync::Arc::new(node)));
-                Ok(value_to_expr(&value, span))
+                value_to_expr(&value, span)
             }
             // -- conservative extensions --------------------------------
             ExprKind::Let {
@@ -1041,7 +1046,7 @@ impl Machine<'_> {
                 let lv = expr_to_value(&l)?;
                 let rv = expr_to_value(&r)?;
                 let result = crate::bigstep::apply_binop(op, &lv, &rv)?;
-                Ok(value_to_expr(&result, span))
+                value_to_expr(&result, span)
             }
             ExprKind::Unary(op, e) => {
                 if !is_value(&e) {
@@ -1069,7 +1074,7 @@ impl Machine<'_> {
             | ExprKind::Bool(_)
             | ExprKind::ColorLit(_)
             | ExprKind::Lambda(_)
-            | ExprKind::PrimRef(_) => unreachable!("step called on a value"),
+            | ExprKind::PrimRef(_) => Err(RuntimeError::Internal("step called on a value")),
         }
     }
 

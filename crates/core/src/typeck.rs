@@ -758,7 +758,11 @@ impl Checker<'_> {
                 self.check_expect(env, mode, &args[1], &list_ty);
                 Some(list_ty.clone())
             }
-            other => unreachable!("`{other}` is monomorphic"),
+            // `infer` sends only the primitives without a signature here.
+            other => {
+                self.error(span, format!("`{other}` is not a polymorphic primitive"));
+                None
+            }
         }
     }
 }

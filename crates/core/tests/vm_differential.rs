@@ -852,7 +852,10 @@ fn concat_chains_agree_on_all_three_machines() {
     let mut ss_queue = EventQueue::new();
     let span = alive_syntax::Span::DUMMY;
     let call = Expr::new(
-        ExprKind::Call(Box::new(smallstep::value_to_expr(&bs_thunk, span)), vec![]),
+        ExprKind::Call(
+            Box::new(smallstep::value_to_expr(&bs_thunk, span).expect("a closure converts")),
+            vec![],
+        ),
         span,
     );
     smallstep::eval_state(&program, &mut ss_store, &mut ss_queue, FUEL, &call)

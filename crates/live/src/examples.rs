@@ -70,51 +70,8 @@ impl fmt::Display for ExampleProbe {
     }
 }
 
-/// Counters for the probe cache: how often [`crate::LiveSession::examples`]
-/// answered from cache vs re-evaluated.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExampleStats {
-    /// Full recomputations (cache misses).
-    pub computes: u64,
-    /// Answers served from the `(version, generation)`-keyed cache.
-    pub hits: u64,
-}
-
-/// The session-side probe cache. Results are keyed by `(program
-/// version, display generation)`: every model change is followed by a
-/// RENDER that bumps the display generation, and every code change
-/// bumps the version, so equal keys mean equal probe inputs.
-#[derive(Debug, Default)]
-pub(crate) struct ExampleCache {
-    key: Option<(u64, u64)>,
-    probes: Vec<ExampleProbe>,
-    pub(crate) stats: ExampleStats,
-}
-
-impl ExampleCache {
-    /// Evaluate every example of the system's program, reusing the
-    /// cached result when neither code nor model changed.
-    pub(crate) fn probes(&mut self, system: &mut System) -> Vec<ExampleProbe> {
-        let key = (system.version(), system.display_generation());
-        if self.key == Some(key) {
-            self.stats.hits += 1;
-            return self.probes.clone();
-        }
-        self.stats.computes += 1;
-        self.probes = evaluate_examples(system);
-        self.key = Some(key);
-        self.probes.clone()
-    }
-
-    /// Drop the cached result (used when a rollback restores an older
-    /// system, whose version and generation roll backward).
-    pub(crate) fn invalidate(&mut self) {
-        self.key = None;
-    }
-}
-
 /// Evaluate every example of the system's program against its model.
-fn evaluate_examples(system: &mut System) -> Vec<ExampleProbe> {
+pub(crate) fn evaluate_examples(system: &mut System) -> Vec<ExampleProbe> {
     let program = Arc::clone(system.program_shared());
     let mut out = Vec::with_capacity(program.examples().len());
     for (index, def) in program.examples().iter().enumerate() {

@@ -16,8 +16,9 @@
 //! * **Render memoization** ([`memo`]): the §5 optimization that reuses
 //!   box subtrees whose inputs have not changed. Layout and paint run
 //!   from scratch on every new display; an unchanged display is served
-//!   from a generation-keyed view memo ([`session::FrameStats`]
-//!   counts both).
+//!   from a generation-keyed view memo. The session records each
+//!   painted frame's stage times and memo reuse in its registry
+//!   ([`metrics`]).
 //! * **Fault containment** ([`fault_log`], [`session`]): runtime faults
 //!   degrade the session (last good view + fault banner) instead of
 //!   killing it; faulting edits are quarantined and auto-reverted.
@@ -54,7 +55,14 @@
 // process — failures are typed and contained. Tests may assert freely.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
 )]
 
 pub mod editor;
@@ -69,13 +77,13 @@ pub mod session;
 pub mod trace;
 
 pub use editor::{highlight_line, split_view, Selection, SplitViewOptions};
-pub use examples::{ExampleProbe, ExampleStats, ProbeStatus};
+pub use examples::{ExampleProbe, ProbeStatus};
 pub use fault_log::{FaultLog, FAULT_LOG_CAPACITY};
 pub use memo::{MemoCache, MemoStats, RenderDeps};
 pub use navigation::{box_source_at, boxes_for_cursor, boxes_for_source, span_for_box};
 pub use protocol::{
-    format_frame_stats, format_metrics_snapshot, parse_commands, FrameSnapshot, ProtocolParseError,
-    SessionCommand, SessionEffect, TxPhase,
+    format_metrics_snapshot, parse_commands, FrameSnapshot, ProtocolParseError, SessionCommand,
+    SessionEffect, TxPhase,
 };
 pub use repair::{
     attribute_edit, remove_attribute_edit, repairs_for, CandidateRepair, ManipulateError,
@@ -84,7 +92,7 @@ pub use repair::{
 // Re-exported so frontends can attach observability without a direct
 // alive-obs dependency.
 pub use alive_obs::{ManualClock, MetricsSnapshot, Registry};
-pub use session::{FleetUpdateOutcome, FrameStats, LiveSession, SessionError, UndoOutcome};
+pub use session::{FleetUpdateOutcome, LiveSession, SessionError, UndoOutcome};
 pub use trace::SessionTrace;
 
 // A live session must be able to live behind a host's per-session

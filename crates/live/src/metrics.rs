@@ -4,9 +4,8 @@
 //! Where the system's metrics ([`alive_core::metrics`]) count what the
 //! transition machine does, the session's measure the developer
 //! experience on top of it: edit outcomes, undo/redo outcomes, and the
-//! frame pipeline's stage timings and memo reuse ratio — fed from
-//! [`crate::session::FrameStats`] into latency histograms each time a
-//! frame is actually rendered.
+//! frame pipeline's stage timings and memo reuse ratio — recorded into
+//! histograms each time a frame is actually rendered.
 //!
 //! Both metric bundles resolve from the *same* [`Registry`], so one
 //! [`alive_obs::MetricsSnapshot`] describes the whole session — that is
@@ -14,7 +13,7 @@
 
 use alive_obs::{Counter, Histogram, Registry};
 
-use crate::session::{EditOutcome, FrameStats, UndoOutcome};
+use crate::session::{EditOutcome, UndoOutcome};
 
 /// Metric names recorded by [`crate::LiveSession`]. Public so tests and
 /// dashboards reference the same strings the session writes.
@@ -148,18 +147,27 @@ impl SessionMetrics {
         self.fleet_promotes.inc();
     }
 
-    /// Feed one rendered frame's [`FrameStats`] into the histograms.
-    /// Called only when a frame was actually rendered (view-memo hits
-    /// describe no new work).
-    pub(crate) fn record_frame(&self, stats: &FrameStats) {
+    /// Record one rendered frame: its stage times in µs, and the share
+    /// of its `boxed` evaluations that the render memo served, from the
+    /// memo's `(hits, misses)` in the settles the frame shows. Called
+    /// only when a frame was actually rendered (view-memo hits describe
+    /// no new work).
+    pub(crate) fn record_frame(
+        &self,
+        eval_us: u64,
+        layout_us: u64,
+        paint_us: u64,
+        (memo_hits, memo_misses): (u64, u64),
+    ) {
         self.frames_rendered.inc();
-        self.frame_eval_us.record(stats.eval_us);
-        self.frame_layout_us.record(stats.layout_us);
-        self.frame_paint_us.record(stats.paint_us);
+        self.frame_eval_us.record(eval_us);
+        self.frame_layout_us.record(layout_us);
+        self.frame_paint_us.record(paint_us);
         // The ratio is only meaningful when the memo did any work.
-        if stats.eval_hits + stats.eval_misses > 0 {
+        let evaluated = memo_hits + memo_misses;
+        if evaluated > 0 {
             self.frame_eval_reuse_pct
-                .record((stats.eval_reuse() * 100.0).round() as u64);
+                .record((memo_hits as f64 / evaluated as f64 * 100.0).round() as u64);
         }
     }
 }

@@ -24,7 +24,7 @@
 
 use crate::examples::ExampleProbe;
 use crate::repair::CandidateRepair;
-use crate::session::{no_open_tx, EditOutcome, FrameStats, LiveSession, UndoOutcome};
+use crate::session::{no_open_tx, EditOutcome, LiveSession, UndoOutcome};
 use alive_core::boxtree::BoxNode;
 use alive_core::fixup::FixupReport;
 use alive_core::persist::LoadReport;
@@ -72,9 +72,6 @@ pub enum SessionCommand {
     Redo,
     /// Ask for the current source text.
     Source,
-    /// Ask for frame-pipeline statistics (settles and renders first, so
-    /// the counters describe the current frame).
-    Stats,
     /// Ask for a [`MetricsSnapshot`] of every metric the session (and
     /// its system) has recorded. Settles first, so the counters
     /// reconcile with the session's observable history (fault log,
@@ -236,8 +233,6 @@ pub enum SessionEffect {
     },
     /// The current source text.
     Source(String),
-    /// Frame-pipeline statistics for the current frame.
-    Stats(FrameStats),
     /// A snapshot of every metric the session has recorded.
     Metrics(MetricsSnapshot),
     /// Live-example probes, one per `example` item, in program order.
@@ -320,12 +315,6 @@ impl LiveSession {
             SessionCommand::Undo => self.history_effects(false),
             SessionCommand::Redo => self.history_effects(true),
             SessionCommand::Source => vec![SessionEffect::Source(self.source().to_string())],
-            SessionCommand::Stats => {
-                // Settle and render once so the counters describe the
-                // current frame, not a stale one.
-                self.live_view();
-                vec![SessionEffect::Stats(self.frame_stats())]
-            }
             SessionCommand::Metrics => {
                 // Settle (containing any pending faults) so the
                 // snapshot reconciles with the session's history; no
@@ -334,8 +323,8 @@ impl LiveSession {
                 vec![SessionEffect::Metrics(self.metrics_snapshot())]
             }
             SessionCommand::Examples => {
-                // Settle and render first so the probes (and the cache
-                // key's display generation) see the current model.
+                // Settle and render first so the probes see the
+                // current model.
                 self.live_view();
                 vec![SessionEffect::Examples(self.examples())]
             }
@@ -480,28 +469,6 @@ impl LiveSession {
     }
 }
 
-/// Render frame-pipeline statistics in the standard multi-line form
-/// shared by frontends (the repl's `:stats`, host inspection).
-pub fn format_frame_stats(stats: &FrameStats) -> String {
-    format!(
-        "frame pipeline (last frame):\n\
-         \x20 eval reuse:   {:>5.1}%  ({} hits, {} misses)\n\
-         \x20 stage time:   eval {} µs (compile {} + run {}), layout {} µs, paint {} µs\n\
-         \x20 lifetime:     {} frames rendered, {} view-memo hits, {} vm cache hits",
-        stats.eval_reuse() * 100.0,
-        stats.eval_hits,
-        stats.eval_misses,
-        stats.eval_us,
-        stats.eval_compile_us,
-        stats.eval_exec_us,
-        stats.layout_us,
-        stats.paint_us,
-        stats.frames,
-        stats.view_hits,
-        stats.vm_cache_hits,
-    )
-}
-
 /// Render a [`MetricsSnapshot`] in the standard human-readable form
 /// shared by frontends (the repl's `:metrics`, the watch footer).
 /// Deterministic: `BTreeMap` order, fixed quantiles. An empty snapshot
@@ -604,7 +571,6 @@ impl SessionCommand {
             SessionCommand::Undo => out.push_str("undo\n"),
             SessionCommand::Redo => out.push_str("redo\n"),
             SessionCommand::Source => out.push_str("source\n"),
-            SessionCommand::Stats => out.push_str("stats\n"),
             SessionCommand::Metrics => out.push_str("metrics\n"),
             SessionCommand::Examples => out.push_str("examples\n"),
             SessionCommand::Snapshot => out.push_str("snapshot\n"),
@@ -740,7 +706,6 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
             "undo" => bare(SessionCommand::Undo)?,
             "redo" => bare(SessionCommand::Redo)?,
             "source" => bare(SessionCommand::Source)?,
-            "stats" => bare(SessionCommand::Stats)?,
             "metrics" => bare(SessionCommand::Metrics)?,
             "examples" => bare(SessionCommand::Examples)?,
             "snapshot" => bare(SessionCommand::Snapshot)?,
@@ -948,10 +913,6 @@ impl SessionEffect {
                 }
             }
             SessionEffect::Source(src) => push_block(&mut out, "sourcetext", src),
-            SessionEffect::Stats(stats) => {
-                out.push_str(&format_frame_stats(stats));
-                out.push('\n');
-            }
             SessionEffect::Metrics(snapshot) => {
                 // The payload is the snapshot's own wire form, carried
                 // as a length-prefixed block like views and sources —
@@ -1046,7 +1007,6 @@ page start() {
             SessionCommand::Undo, // history exhausted
             SessionCommand::Redo,
             SessionCommand::Source,
-            SessionCommand::Stats,
             SessionCommand::Metrics,
             SessionCommand::Examples,
             SessionCommand::Snapshot,
@@ -1185,7 +1145,6 @@ page start() {
             SessionCommand::Undo,
             SessionCommand::Redo,
             SessionCommand::Source,
-            SessionCommand::Stats,
             SessionCommand::Metrics,
             SessionCommand::Examples,
             SessionCommand::Snapshot,
@@ -1251,8 +1210,7 @@ page start() {
         assert!(parse_commands("attredit 0 margin 4\n").is_err()); // no separator
         assert!(parse_commands("attredit q margin -- 4\n").is_err()); // bad path
         for keyword in [
-            "frame", "back", "undo", "redo", "source", "stats", "metrics", "examples", "snapshot",
-            "txopen",
+            "frame", "back", "undo", "redo", "source", "metrics", "examples", "snapshot", "txopen",
         ] {
             // Trailing arguments are refused, never silently dropped.
             let err = parse_commands(&format!("{keyword} 3\n")).expect_err(keyword);
@@ -1272,7 +1230,6 @@ page start() {
             SessionCommand::Back,
             SessionCommand::EditSource("bad".to_string()),
             SessionCommand::Undo,
-            SessionCommand::Stats,
             SessionCommand::Examples,
             SessionCommand::Snapshot,
             SessionCommand::TxOpen,

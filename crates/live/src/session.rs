@@ -178,51 +178,6 @@ pub(crate) fn no_open_tx(tx: u64) -> String {
     format!("no open transaction tx#{tx}")
 }
 
-/// Observability counters for the frame pipeline: evaluation (memo, VM
-/// cache), layout, paint, and the generation-keyed view memo. Per-frame
-/// fields describe the *last* frame actually rendered; `frames` and
-/// `view_hits` accumulate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameStats {
-    /// Frames rendered (view-memo misses).
-    pub frames: u64,
-    /// View reads answered from the generation-keyed string memo.
-    pub view_hits: u64,
-    /// `boxed` evaluations answered from the render memo cache
-    /// (lifetime total; zero when the session runs without a memo).
-    pub eval_hits: u64,
-    /// `boxed` evaluations that ran and populated the memo cache.
-    pub eval_misses: u64,
-    /// Microseconds spent settling the system (evaluation) since the
-    /// previous view read, up to the last frame.
-    pub eval_us: u64,
-    /// The slice of [`FrameStats::eval_us`] spent compiling bytecode
-    /// (zero once the VM cache is warm).
-    pub eval_compile_us: u64,
-    /// The slice of [`FrameStats::eval_us`] spent actually executing —
-    /// `eval_us` minus the compile slice.
-    pub eval_exec_us: u64,
-    /// Lifetime VM bytecode-cache hits (dispatches that reused the
-    /// already-compiled program).
-    pub vm_cache_hits: u64,
-    /// Microseconds spent in layout last frame.
-    pub layout_us: u64,
-    /// Microseconds spent in paint last frame.
-    pub paint_us: u64,
-}
-
-impl FrameStats {
-    /// Fraction of `boxed` evaluations served by the memo cache, 0–1.
-    pub fn eval_reuse(&self) -> f64 {
-        let total = self.eval_hits + self.eval_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.eval_hits as f64 / total as f64
-        }
-    }
-}
-
 /// A live programming session: its replayable state (source text,
 /// running system, history), the caches derived from that state, its
 /// instrumentation, and the pending fleet checkpoint, if any.
@@ -237,27 +192,21 @@ pub struct LiveSession {
     /// is a string clone. Every new generation is laid out and painted
     /// from scratch.
     view: Option<(u64, String)>,
-    /// Counters and stage timings of the frames rendered so far.
-    frame: FrameStats,
     /// Observability handles, resolved at construction from the
     /// session's registry ([`LiveSession::with_shared_program_observed`]).
     metrics: SessionMetrics,
     /// The registry's clock, which frame timings are taken against.
     clock: Arc<dyn Clock>,
-    /// Settle time (and its compile slice, the
-    /// [`alive_core::system::VmStats::compile_us`] delta) accumulated by
-    /// every `refresh` since the last [`LiveSession::live_view`]: a tap
-    /// settles inside [`LiveSession::apply`], before the frame is drawn.
+    /// Settle time, and the render memo's `(hits, misses)`, accumulated
+    /// by every `refresh` since the last [`LiveSession::live_view`]: a
+    /// tap settles inside [`LiveSession::apply`], before the frame is
+    /// drawn. A frame records them; a view-memo hit drops them.
     unframed_eval_us: u64,
-    unframed_compile_us: u64,
+    unframed_memo: (u64, u64),
     /// Pre-transaction checkpoint while a fleet UPDATE awaits its
     /// promote/revert decision. At most one — a session runs at most one
     /// fleet transaction at a time.
     fleet_checkpoint: Option<FleetCheckpoint>,
-    /// Babylonian live-example probes, cached per
-    /// `(version, display generation)` so continuous evaluation costs
-    /// nothing while neither code nor model changes.
-    examples: crate::examples::ExampleCache,
 }
 
 impl LiveSession {
@@ -327,13 +276,11 @@ impl LiveSession {
             memo,
             compiler: IncrementalCompiler::new(),
             view: None,
-            frame: FrameStats::default(),
             metrics: SessionMetrics::new(registry),
             clock: registry.clock(),
             unframed_eval_us: 0,
-            unframed_compile_us: 0,
+            unframed_memo: (0, 0),
             fleet_checkpoint: None,
-            examples: crate::examples::ExampleCache::default(),
         };
         session.refresh();
         session
@@ -387,19 +334,6 @@ impl LiveSession {
         self.memo.as_ref().map(MemoCache::stats)
     }
 
-    /// Frame-pipeline statistics: the stage timings of the last
-    /// [`LiveSession::live_view`] frame, plus the memo, VM-cache and
-    /// view-memo reuse counters.
-    pub fn frame_stats(&self) -> FrameStats {
-        let mut stats = self.frame;
-        stats.vm_cache_hits = self.state.system.vm_stats().cache_hits;
-        if let Some(memo) = self.memo_stats() {
-            stats.eval_hits = memo.hits;
-            stats.eval_misses = memo.misses;
-        }
-        stats
-    }
-
     /// A point-in-time copy of every metric the session (and its
     /// system) has recorded — what [`crate::SessionCommand::Metrics`]
     /// answers with.
@@ -410,19 +344,9 @@ impl LiveSession {
     /// Evaluate the program's Babylonian live examples against the
     /// running model — every `example` item's body (and `expect`
     /// clause, when present), through the session's configured engine.
-    /// Results are cached per `(program version, display generation)`:
-    /// every state change is followed by a render that bumps the
-    /// generation and every edit bumps the version, so the continuous
-    /// re-evaluation the probes promise costs nothing while the program
-    /// and model stand still.
+    /// Every call evaluates them afresh.
     pub fn examples(&mut self) -> Vec<crate::examples::ExampleProbe> {
-        self.examples.probes(&mut self.state.system)
-    }
-
-    /// Probe-cache counters: recomputations vs cache hits across
-    /// [`LiveSession::examples`] calls.
-    pub fn example_stats(&self) -> crate::examples::ExampleStats {
-        self.examples.stats
+        crate::examples::evaluate_examples(&mut self.state.system)
     }
 
     /// The log of contained faults.
@@ -442,15 +366,14 @@ impl LiveSession {
     /// good tree. This never fails — a session is always settleable.
     pub(crate) fn refresh(&mut self) {
         let start = self.clock.now_us();
-        let compile_before = self.state.system.vm_stats().compile_us;
+        let memo_before = self.memo_stats();
         self.settle();
         self.unframed_eval_us += self.clock.now_us().saturating_sub(start);
-        self.unframed_compile_us += self
-            .state
-            .system
-            .vm_stats()
-            .compile_us
-            .saturating_sub(compile_before);
+        // Nothing resets the memo's counts inside a settle.
+        if let (Some(before), Some(after)) = (memo_before, self.memo_stats()) {
+            self.unframed_memo.0 += after.hits.saturating_sub(before.hits);
+            self.unframed_memo.1 += after.misses.saturating_sub(before.misses);
+        }
     }
 
     fn settle(&mut self) {
@@ -582,7 +505,7 @@ impl LiveSession {
         // shares the program `Arc` and the injector, so this is cheap
         // relative to an update, unlike copying the whole history.)
         let checkpoint = self.state.system.clone();
-        let (report, old_source, faulted) = match self.install(new_source, program) {
+        let (report, old_source, fault) = match self.install(new_source, program) {
             Ok(installed) => installed,
             Err(other) => {
                 // After refresh() the queue is drained, so NotStable
@@ -597,17 +520,11 @@ impl LiveSession {
                 return EditOutcome::Rejected(diags);
             }
         };
-        if faulted {
+        if let Some(fault) = fault {
             // The new code faulted the moment it ran (UPDATE wiped the
             // display, so only the new version's init/render executed
             // here). Quarantine the edit: revert the machine and the
             // source, report like a rejection.
-            let fault = self
-                .state
-                .faults
-                .latest()
-                .cloned()
-                .unwrap_or_else(|| unreachable!("total() grew, so a fault was recorded"));
             self.state.system = checkpoint;
             self.state.source = old_source;
             self.forget_derived();
@@ -621,14 +538,14 @@ impl LiveSession {
 
     /// UPDATE the running system to `program`, the compilation of
     /// `new_source`, swap the source in and settle under the new code.
-    /// Returns the fix-up report, the replaced source and whether the
-    /// new code faulted the moment it ran — what a fault means is the
-    /// caller's call. The queue must be drained (refresh first).
+    /// Returns the fix-up report, the replaced source and the fault the
+    /// new code raised the moment it ran, if any — what a fault means is
+    /// the caller's call. The queue must be drained (refresh first).
     fn install(
         &mut self,
         new_source: &str,
         program: Arc<Program>,
-    ) -> Result<(FixupReport, String, bool), ActionError> {
+    ) -> Result<(FixupReport, String, Option<Fault>), ActionError> {
         let report = self.state.system.update_shared(program)?;
         if let Some(memo) = self.memo.as_mut() {
             memo.on_update(self.state.system.program(), self.state.system.version());
@@ -636,17 +553,20 @@ impl LiveSession {
         let old_source = std::mem::replace(&mut self.state.source, new_source.to_string());
         let faults_before = self.state.faults.total();
         self.refresh();
-        let faulted = self.state.faults.total() > faults_before;
-        Ok((report, old_source, faulted))
+        let fault = if self.state.faults.total() > faults_before {
+            self.state.faults.latest().cloned()
+        } else {
+            None
+        };
+        Ok((report, old_source, fault))
     }
 
-    /// Drop every cache derived from the state: the example probes, the
-    /// render memo and the view memo. Every rollback calls it after
-    /// restoring an older system, whose version and display generation
-    /// roll *backward*: a kept cache could answer a restored key with
-    /// the rolled-back code's probes, boxes or frame.
+    /// Drop every cache derived from the state: the render memo and the
+    /// view memo. Every rollback calls it after restoring an older
+    /// system, whose version and display generation roll *backward*: a
+    /// kept cache could answer a restored key with the rolled-back
+    /// code's boxes or frame.
     fn forget_derived(&mut self) {
-        self.examples.invalidate();
         if let Some(memo) = self.memo.as_mut() {
             *memo = MemoCache::new(self.state.system.program());
         }
@@ -778,7 +698,7 @@ impl LiveSession {
         self.refresh();
         let state = self.state.clone();
         let faulted = match self.install(new_source, program) {
-            Ok((_, _, faulted)) => faulted,
+            Ok((_, _, fault)) => fault.is_some(),
             Err(e) => return FleetUpdateOutcome::Failed(e.to_string()),
         };
         self.state.updates_applied += 1;
@@ -866,7 +786,7 @@ impl LiveSession {
     pub fn live_view(&mut self) -> String {
         self.refresh();
         let eval_us = std::mem::take(&mut self.unframed_eval_us);
-        let compile_us = std::mem::take(&mut self.unframed_compile_us);
+        let memo = std::mem::take(&mut self.unframed_memo);
         let generation = self.state.system.display_generation();
         let Some(root) = self.state.system.display().content() else {
             return match self.state.faults.latest() {
@@ -876,7 +796,6 @@ impl LiveSession {
         };
         if let Some((drawn, text)) = &self.view {
             if *drawn == generation {
-                self.frame.view_hits += 1;
                 return text.clone();
             }
         }
@@ -885,13 +804,12 @@ impl LiveSession {
         let paint_start = self.clock.now_us();
         let text = alive_ui::render_to_text(&tree);
         let paint_end = self.clock.now_us();
-        self.frame.frames += 1;
-        self.frame.eval_us = eval_us;
-        self.frame.eval_compile_us = compile_us;
-        self.frame.eval_exec_us = eval_us.saturating_sub(compile_us);
-        self.frame.layout_us = paint_start.saturating_sub(layout_start);
-        self.frame.paint_us = paint_end.saturating_sub(paint_start);
-        self.metrics.record_frame(&self.frame_stats());
+        self.metrics.record_frame(
+            eval_us,
+            paint_start.saturating_sub(layout_start),
+            paint_end.saturating_sub(paint_start),
+            memo,
+        );
         self.view = Some((generation, text.clone()));
         text
     }
@@ -1004,20 +922,22 @@ page start() {
         let registry = Registry::with_clock(alive_obs::ManualClock::with_auto_step(STEP).shared());
         let mut s =
             LiveSession::observed(APP, SystemConfig::default(), false, &registry).expect("starts");
+        let eval_us = |s: &LiveSession| {
+            let snapshot = s.metrics_snapshot();
+            let h = snapshot.histogram(crate::metrics::names::FRAME_EVAL_US);
+            h.map_or((0, 0), |h| (h.count, h.sum))
+        };
         s.live_view();
+        let (frames, sum) = eval_us(&s);
         tap(&mut s, &[0]);
         assert_eq!(s.live_view(), "count is 11\n");
         // The tap settles before and after delivering the event (the
         // handler and the re-render run there), and the frame it answers
         // with settles once more: the frame's eval time spans all three,
         // not just the last.
-        let stats = s.frame_stats();
-        assert!(stats.eval_us >= 3 * STEP, "{stats:?}");
-        assert_eq!(
-            stats.eval_exec_us + stats.eval_compile_us,
-            stats.eval_us,
-            "{stats:?}"
-        );
+        let (frames_after, sum_after) = eval_us(&s);
+        assert_eq!(frames_after, frames + 1, "the tap painted one frame");
+        assert!(sum_after - sum >= 3 * STEP, "{}", sum_after - sum);
     }
 
     #[test]
@@ -1175,9 +1095,8 @@ page start() {
         assert_eq!(s.step_history(true), UndoOutcome::NothingToUndo);
     }
 
-    #[test]
-    fn frame_stats_show_cross_frame_reuse() {
-        let src = r#"
+    /// A header that reads `sel`, then 12 listing rows that do not.
+    const LISTINGS: &str = r#"
 global sel : number = 0
 global items : list (string, number) = []
 page start() {
@@ -1190,23 +1109,47 @@ page start() {
     }
 }
 "#;
-        let mut s = LiveSession::with_memo(src).expect("starts");
+
+    #[test]
+    fn frame_stats_show_cross_frame_reuse() {
+        let mut s = LiveSession::with_memo(LISTINGS).expect("starts");
+        let frames = |s: &LiveSession| {
+            s.metrics_snapshot()
+                .counter(crate::metrics::names::FRAMES_RENDERED)
+        };
         let before = s.live_view();
-        // A repeated read of the unchanged display is a view-memo hit.
+        // A repeated read of the unchanged display is a view-memo hit:
+        // no frame is rendered.
+        let rendered = frames(&s);
         let again = s.live_view();
         assert_eq!(before, again);
-        assert!(s.frame_stats().view_hits >= 1, "{:?}", s.frame_stats());
+        assert_eq!(frames(&s), rendered);
 
         // Steady state: a tap changes one header row; the listing rows
         // are memo splices, so evaluation reuses them.
         tap(&mut s, &[1]);
         let view = s.live_view();
         assert!(view.starts_with("selected 1"), "{view}");
-        let stats = s.frame_stats();
-        assert!(
-            stats.eval_hits > 0,
-            "memo splices feed the reuse: {stats:?}"
-        );
+        let stats = s.memo_stats().expect("memo session");
+        assert!(stats.hits > 0, "memo splices feed the reuse: {stats:?}");
+    }
+
+    #[test]
+    fn eval_reuse_pct_samples_each_frame_not_the_running_ratio() {
+        let mut s = LiveSession::with_memo(LISTINGS).expect("starts");
+        let reuse = |s: &LiveSession| {
+            let snapshot = s.metrics_snapshot();
+            let h = snapshot.histogram(crate::metrics::names::FRAME_EVAL_REUSE_PCT);
+            h.map_or((0, 0), |h| (h.count, h.sum))
+        };
+        // The first frame evaluated all 13 boxes.
+        s.live_view();
+        assert_eq!(reuse(&s), (1, 0));
+        // The tap frame evaluated the header again and spliced the 12
+        // rows: 12 of 13 is 92%, in the 90–100 bucket. The running
+        // ratio, 12 of 26 = 46%, would land in the 40–50 bucket.
+        tap(&mut s, &[1]);
+        assert_eq!(reuse(&s), (2, 92));
     }
 
     #[test]

@@ -36,7 +36,14 @@
 // the slot or intact).
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
 )]
 
 pub mod rollout;
@@ -76,13 +83,6 @@ pub mod names {
     pub const READY_QUEUE_HWM: &str = "host.ready_queue_hwm";
     /// Total µs workers spent draining session mailboxes.
     pub const WORKER_BUSY_US: &str = "host.worker_busy_us";
-    /// Total µs workers spent without a session to drain:
-    /// [`WORKER_PARKED_US`] + [`WORKER_STEAL_SCAN_US`]. Before the
-    /// sharded scheduler this counter also absorbed time spent blocked
-    /// on the shared ready-queue mutex — contention masquerading as
-    /// idleness; now there is no shared receiver to contend on and
-    /// idle means idle.
-    pub const WORKER_IDLE_US: &str = "host.worker_idle_us";
     /// Total µs workers spent parked on the scheduler condvar (no work
     /// anywhere). The cheap half of idle: a parked worker burns no CPU.
     pub const WORKER_PARKED_US: &str = "host.worker_parked_us";
@@ -103,7 +103,9 @@ pub mod names {
     pub const OVERLOADS: &str = "host.overloads";
     /// Program-cache lookups answered without compiling.
     pub const PROGRAM_CACHE_HITS: &str = "host.program_cache.hits";
-    /// Program-cache lookups that compiled a new version.
+    /// Program-cache lookups that compiled a new version without
+    /// errors (lookups of a source that does not compile count as
+    /// neither hits nor misses).
     pub const PROGRAM_CACHE_MISSES: &str = "host.program_cache.misses";
     /// Sessions created over the host's lifetime.
     pub const SESSIONS_CREATED: &str = "host.sessions_created";
@@ -136,7 +138,6 @@ struct HostMetrics {
     clock: Arc<dyn Clock>,
     ready_queue_hwm: Gauge,
     worker_busy_us: Counter,
-    worker_idle_us: Counter,
     worker_parked_us: Counter,
     worker_steal_scan_us: Counter,
     worker_wall_us: Counter,
@@ -162,7 +163,6 @@ impl HostMetrics {
         HostMetrics {
             ready_queue_hwm: registry.gauge(names::READY_QUEUE_HWM),
             worker_busy_us: registry.counter(names::WORKER_BUSY_US),
-            worker_idle_us: registry.counter(names::WORKER_IDLE_US),
             worker_parked_us: registry.counter(names::WORKER_PARKED_US),
             worker_steal_scan_us: registry.counter(names::WORKER_STEAL_SCAN_US),
             worker_wall_us: registry.counter(names::WORKER_WALL_US),
@@ -602,7 +602,6 @@ fn worker_loop(inner: &HostInner, worker: usize) {
         let scan_ended = metrics.clock.now_us();
         let scan_us = scan_ended.saturating_sub(scan_started);
         metrics.worker_steal_scan_us.add(scan_us);
-        metrics.worker_idle_us.add(scan_us);
         match claim {
             Some(claim) => {
                 if claim.stolen {
@@ -616,9 +615,7 @@ fn worker_loop(inner: &HostInner, worker: usize) {
             None => {
                 let waited = inner.scheduler.park();
                 let now = metrics.clock.now_us();
-                let parked_us = now.saturating_sub(scan_ended);
-                metrics.worker_parked_us.add(parked_us);
-                metrics.worker_idle_us.add(parked_us);
+                metrics.worker_parked_us.add(now.saturating_sub(scan_ended));
                 metrics.worker_wall_us.add(now.saturating_sub(scan_started));
                 if waited {
                     metrics.parks.inc();
@@ -733,10 +730,12 @@ impl SessionHost {
         lock(&self.inner.slots).len()
     }
 
-    /// How many distinct source versions have been compiled. With K
-    /// sessions on one source this stays 1 — the host's whole point.
+    /// How many distinct source versions have been compiled: the
+    /// [`names::PROGRAM_CACHE_MISSES`] counter, which counts successful
+    /// compiles only. With K sessions on one source this stays 1 — the
+    /// host's whole point.
     pub fn programs_compiled(&self) -> u64 {
-        self.inner.store.compiles()
+        self.inner.metrics.program_cache_misses.get()
     }
 
     /// How many distinct source versions the host has seen (compiled
@@ -1727,8 +1726,11 @@ page start() {
             host.create_session("not a program"),
             Err(HostError::Compile(_))
         ));
+        // A failed compile is not counted as a compiled program.
+        assert_eq!(host.programs_compiled(), 0);
         // The host keeps serving.
         let id = host.create_session(APP).expect("compiles");
+        assert_eq!(host.programs_compiled(), 1);
         assert!(host.apply(id, SessionCommand::Frame).is_ok());
     }
 }

@@ -34,7 +34,6 @@ use alive_core::{compile, Program};
 use alive_live::TxPhase;
 use alive_syntax::Diagnostics;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::lock;
@@ -89,9 +88,6 @@ pub(crate) struct CompileOutcome {
 /// transaction name its base version by source text alone.
 pub(crate) struct ProgramStore {
     versions: Mutex<Versions>,
-    /// Successful compiles performed (cache misses), observable so
-    /// tests can pin "compile once per version, not per session".
-    compiles: AtomicU64,
 }
 
 struct Versions {
@@ -109,7 +105,6 @@ impl ProgramStore {
                 by_source: HashMap::new(),
                 entries: Vec::new(),
             }),
-            compiles: AtomicU64::new(0),
         }
     }
 
@@ -135,9 +130,6 @@ impl ProgramStore {
             compiled_here = true;
             compile(source).map(Arc::new)
         });
-        if compiled_here && result.is_ok() {
-            self.compiles.fetch_add(1, Ordering::AcqRel);
-        }
         CompileOutcome {
             result: match result {
                 Ok(program) => Ok(Arc::clone(program)),
@@ -145,11 +137,6 @@ impl ProgramStore {
             },
             compiled_here,
         }
-    }
-
-    /// Successful compiles performed over the store's lifetime.
-    pub(crate) fn compiles(&self) -> u64 {
-        self.compiles.load(Ordering::Acquire)
     }
 
     /// Distinct source versions seen (compiled or failed).
@@ -243,22 +230,21 @@ page start() {
         ));
         assert_eq!(store.version_of(APP), Some(1));
         assert_eq!(store.version_count(), 1);
-        assert_eq!(store.compiles(), 1);
 
         let edited = APP.replace("n = ", "value: ");
         assert!(store.lookup(&edited).result.is_ok());
         assert_eq!(store.version_of(&edited), Some(2));
         assert_eq!(store.version_count(), 2);
-        assert_eq!(store.compiles(), 2);
         assert_eq!(store.version_of("never seen"), None);
     }
 
     #[test]
-    fn failed_versions_are_cached_but_not_counted_as_compiles() {
+    fn failed_versions_are_cached() {
         let store = ProgramStore::new();
-        assert!(store.lookup("not a program").result.is_err());
-        assert!(store.lookup("not a program").result.is_err());
-        assert_eq!(store.compiles(), 0);
+        assert!(store.lookup("not a program").compiled_here);
+        let again = store.lookup("not a program");
+        assert!(!again.compiled_here, "the failure answers from cache");
+        assert!(again.result.is_err());
         assert_eq!(store.version_count(), 1, "the failure is a version too");
         assert_eq!(store.version_of("not a program"), Some(1));
     }

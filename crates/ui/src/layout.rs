@@ -445,19 +445,22 @@ fn place(node: &BoxNode, measured: &Measured, origin: Point, path: Vec<usize>) -
     let mut cursor = content_origin;
     let mut items = Vec::new();
     let mut child_index = 0usize;
-    let mut measured_items = measured.items.iter();
-    for item in &node.items {
-        match item {
-            BoxItem::Attr(..) => continue,
-            BoxItem::Leaf(..) => {
-                let Some(MeasuredItem::Text {
+    // `measure_items` measured the leaves and children in order, one
+    // item each, so every child meets its own measurement.
+    let content = node
+        .items
+        .iter()
+        .filter(|item| !matches!(item, BoxItem::Attr(..)));
+    for (item, measured_item) in content.zip(&measured.items) {
+        match (item, measured_item) {
+            (
+                _,
+                MeasuredItem::Text {
                     size,
                     lines,
                     font_size,
-                }) = measured_items.next()
-                else {
-                    unreachable!("measure and place see the same items");
-                };
+                },
+            ) => {
                 let text_rect = Rect {
                     origin: cursor,
                     size: *size,
@@ -473,10 +476,7 @@ fn place(node: &BoxNode, measured: &Measured, origin: Point, path: Vec<usize>) -
                     cursor.y += size.h;
                 }
             }
-            BoxItem::Child(child) => {
-                let Some(MeasuredItem::Child(child_measured)) = measured_items.next() else {
-                    unreachable!("measure and place see the same items");
-                };
+            (BoxItem::Child(child), MeasuredItem::Child(child_measured)) => {
                 let child_style = Style::from_box(child);
                 let child_origin =
                     Point::new(cursor.x + child_style.margin, cursor.y + child_style.margin);
@@ -491,6 +491,7 @@ fn place(node: &BoxNode, measured: &Measured, origin: Point, path: Vec<usize>) -
                 }
                 items.push(LayoutItem::Child(laid));
             }
+            (_, MeasuredItem::Child(_)) => {}
         }
     }
     LayoutBox {

@@ -93,40 +93,27 @@ example live_count = count
 example doubled = count * 2 expect count + count
 "#;
 
-/// The probe cache serves repeat reads without recomputing, and both
-/// the cached read and a forced recompute (after a version-bumping
-/// edit) render the same bytes.
+/// Probes evaluate on every read: a repeat read and a read after a
+/// version-bumping edit render the same bytes.
 #[test]
 fn memo_hits_and_recomputes_render_identical_probe_lines() {
     let mut session = LiveSession::new(APP).expect("starts");
     let first = probe_lines(&mut session);
     assert_eq!(first, vec!["live_count = 0", "doubled = 0 ok"]);
-    let fresh = session.example_stats();
-    assert!(fresh.computes >= 1, "first read computes");
-    assert_eq!(fresh.hits, 0);
 
-    // Second read: pure cache hit, identical bytes.
+    // Second read: identical bytes.
     let again = probe_lines(&mut session);
-    let cached = session.example_stats();
-    assert_eq!(cached.computes, fresh.computes, "no recompute on a hit");
-    assert_eq!(cached.hits, fresh.hits + 1);
     assert_eq!(first, again);
 
-    // A benign edit bumps the program version: the cache key misses,
-    // the probes recompute — to the same bytes, since the model is
-    // untouched.
+    // A benign edit bumps the program version; the probes evaluate to
+    // the same bytes, since the model is untouched.
     let touched = format!("{APP}// touched\n");
     assert!(edit_applied(&mut session, &touched));
     let after_edit = probe_lines(&mut session);
-    let recomputed = session.example_stats();
-    assert!(
-        recomputed.computes > cached.computes,
-        "edit forces a recompute"
-    );
     assert_eq!(first, after_edit);
 
-    // A model change recomputes to the new values — continuously live,
-    // not stale-cached.
+    // A model change shows the new values: the probes are continuously
+    // live.
     tap(&mut session, &[0]);
     assert_eq!(
         probe_lines(&mut session),
