@@ -119,8 +119,10 @@ impl Default for SystemConfig {
     }
 }
 
-/// Cumulative bytecode-VM accounting for one system — the source for
-/// `eval.vm.*` metrics and the repl `:stats` VM line.
+/// Cumulative bytecode-VM accounting for one system, read through
+/// [`System::vm_stats`]. The system's `SystemMetrics` records the
+/// `eval.vm.*` metrics from the same events, and the metrics invariant
+/// suite reconciles the two.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VmStats {
     /// Transitions executed on the VM.

@@ -92,7 +92,7 @@ pub use repair::{
 // Re-exported so frontends can attach observability without a direct
 // alive-obs dependency.
 pub use alive_obs::{ManualClock, MetricsSnapshot, Registry};
-pub use session::{FleetUpdateOutcome, LiveSession, SessionError, UndoOutcome};
+pub use session::{LiveSession, SessionError, UndoOutcome};
 pub use trace::SessionTrace;
 
 // A live session must be able to live behind a host's per-session

@@ -448,11 +448,14 @@ impl LiveSession {
     }
 
     /// Settle and capture the current frame as a shareable snapshot.
+    /// The tree comes from the display [`LiveSession::live_view`] just
+    /// settled: settling once more would charge a no-op settle to the
+    /// next painted frame.
     pub fn frame_snapshot(&mut self) -> FrameSnapshot {
         let view = self.live_view();
         FrameSnapshot {
             generation: self.system().display_generation(),
-            tree: self.display_tree(),
+            tree: self.system().display().content_shared().cloned(),
             banner: self.fault_banner(),
             view,
         }

@@ -91,32 +91,6 @@ impl UndoOutcome {
     }
 }
 
-/// Outcome of a host-driven fleet UPDATE on one session
-/// ([`LiveSession::fleet_update`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FleetUpdateOutcome {
-    /// The UPDATE transition ran; the session now runs the new program
-    /// with a pre-transaction checkpoint parked for revert/promote.
-    Applied {
-        /// Whether the new code faulted the moment it ran (its
-        /// init/render, before any further traffic). The session keeps
-        /// running the new program — degraded, banner up — so the host's
-        /// rollout state machine, not the session, decides the revert.
-        faulted: bool,
-    },
-    /// The session's source no longer matches the transaction's base
-    /// version (it edited locally since the transaction opened); it was
-    /// left untouched.
-    Diverged,
-    /// Another fleet transaction's checkpoint is still pending on this
-    /// session; it was left untouched.
-    Busy,
-    /// The UPDATE transition itself refused (internal surprise — after a
-    /// refresh the queue is drained, so this should not happen); the
-    /// session was left untouched.
-    Failed(String),
-}
-
 /// The replayable state of a session: everything a solo replay of its
 /// commands reproduces, so everything a rollback must restore. The rest
 /// of a [`LiveSession`] derives from it (caches) or observes it
@@ -666,41 +640,40 @@ impl LiveSession {
 
     /// Apply a host-compiled program as a Fig. 12 UPDATE, parking a
     /// pre-transaction checkpoint for the transaction's promote/revert
-    /// decision. The caller vouches that `program` is the compilation of
-    /// `new_source` and passed the typechecker (the host compiled it
-    /// once for the whole fleet); `base_source` is the source version the
-    /// transaction was opened against — a session that has since edited
-    /// away from it reports [`FleetUpdateOutcome::Diverged`] and is left
-    /// untouched.
+    /// decision, and answer whether it applied. The caller vouches that
+    /// `program` is the compilation of `new_source` and passed the
+    /// typechecker (the host compiled it once for the whole fleet);
+    /// `base_source` is the source version the transaction was opened
+    /// against. The session is left untouched, answering `false`, if it
+    /// has since edited away from that version, if another
+    /// transaction's checkpoint is still pending on it, or if the
+    /// UPDATE transition refuses.
     ///
     /// Unlike a [`SessionCommand::EditSource`], an immediately-faulting
     /// update is **not** auto-quarantined here: the session keeps
     /// running the new program degraded (banner up, last good view) and
-    /// reports `faulted: true` — whether one canary fault rolls the
-    /// whole fleet's transaction back is the host's call, not the
-    /// session's. Fleet updates do not touch the undo/redo history:
-    /// they are deploys, not local edits.
+    /// the fault lands in its [`FaultLog`], which the host reads around
+    /// the call — whether one canary fault rolls the whole fleet's
+    /// transaction back is the host's call, not the session's. Fleet
+    /// updates do not touch the undo/redo history: they are deploys,
+    /// not local edits.
     pub fn fleet_update(
         &mut self,
         tx: u64,
         base_source: &str,
         new_source: &str,
         program: Arc<Program>,
-    ) -> FleetUpdateOutcome {
-        if self.fleet_checkpoint.is_some() {
-            return FleetUpdateOutcome::Busy;
-        }
-        if self.state.source != base_source {
-            return FleetUpdateOutcome::Diverged;
+    ) -> bool {
+        if self.fleet_checkpoint.is_some() || self.state.source != base_source {
+            return false;
         }
         // UPDATE requires a drained queue; settling also renders, so the
         // checkpoint below is the freshest good pre-transaction state.
         self.refresh();
         let state = self.state.clone();
-        let faulted = match self.install(new_source, program) {
-            Ok((_, _, fault)) => fault.is_some(),
-            Err(e) => return FleetUpdateOutcome::Failed(e.to_string()),
-        };
+        if self.install(new_source, program).is_err() {
+            return false;
+        }
         self.state.updates_applied += 1;
         self.fleet_checkpoint = Some(FleetCheckpoint {
             tx,
@@ -709,7 +682,7 @@ impl LiveSession {
             journal_overflow: false,
         });
         self.metrics.record_fleet_update();
-        FleetUpdateOutcome::Applied { faulted }
+        true
     }
 
     /// Roll a fleet UPDATE back: restore the parked pre-transaction
@@ -938,6 +911,30 @@ page start() {
         let (frames_after, sum_after) = eval_us(&s);
         assert_eq!(frames_after, frames + 1, "the tap painted one frame");
         assert!(sum_after - sum >= 3 * STEP, "{}", sum_after - sum);
+    }
+
+    #[test]
+    fn a_frame_command_charges_no_settle_to_the_next_frame() {
+        // Every clock read advances STEP µs, and a settle reads the
+        // clock twice, so each settle measures exactly STEP.
+        const STEP: u64 = 7;
+        let registry = Registry::with_clock(alive_obs::ManualClock::with_auto_step(STEP).shared());
+        let mut s =
+            LiveSession::observed(APP, SystemConfig::default(), false, &registry).expect("starts");
+        let eval_us = |s: &LiveSession| {
+            let snapshot = s.metrics_snapshot();
+            let h = snapshot.histogram(crate::metrics::names::FRAME_EVAL_US);
+            h.map_or((0, 0), |h| (h.count, h.sum))
+        };
+        s.apply(SessionCommand::Frame);
+        let (frames, sum) = eval_us(&s);
+        tap(&mut s, &[0]);
+        // The tap frame's settles: before the event, after it, and the
+        // one its frame effect runs. The `Frame` command settled once,
+        // for its own frame, and left nothing behind.
+        let (frames_after, sum_after) = eval_us(&s);
+        assert_eq!(frames_after, frames + 1, "the tap painted one frame");
+        assert_eq!(sum_after - sum, 3 * STEP);
     }
 
     #[test]
@@ -1353,10 +1350,7 @@ page broken() {
         let canary = BASE.replace("count is ", "count = ");
         let program = Arc::new(compile(&canary).expect("canary compiles"));
         let mut s = LiveSession::new(BASE).expect("starts");
-        assert_eq!(
-            s.fleet_update(tx, BASE, &canary, program),
-            FleetUpdateOutcome::Applied { faulted: false }
-        );
+        assert!(s.fleet_update(tx, BASE, &canary, program));
         s
     }
 
@@ -1422,10 +1416,7 @@ page broken() {
                 "{effects:?}"
             );
         }
-        assert_eq!(
-            fleet.fleet_update(1, BASE, &canary, program),
-            FleetUpdateOutcome::Applied { faulted: false }
-        );
+        assert!(fleet.fleet_update(1, BASE, &canary, program));
         // The canary's source moved on, so it withdraws the offer; the
         // solo session applies it.
         fleet.apply(SessionCommand::ApplyRepair(0));

@@ -27,6 +27,10 @@
 //! Everything a frontend does travels as [`SessionCommand`] →
 //! [`SessionEffect`] — the same total protocol the local frontends use,
 //! so hosting changes *where* a session runs, not *what* it answers.
+//! The host's own work on a session (an edit transaction's update,
+//! revert, promote and fault probe) is a closure queued on the same
+//! mailbox, so it lands between client commands, never inside one; one
+//! fan-out queues it on every target before awaiting any answer.
 
 #![warn(missing_docs)]
 // Same fault-containment discipline as alive-core: the host must never
@@ -51,9 +55,7 @@ mod scheduler;
 
 use alive_core::system::SystemConfig;
 use alive_core::Program;
-use alive_live::{
-    FleetUpdateOutcome, FrameSnapshot, LiveSession, SessionCommand, SessionEffect, TxPhase,
-};
+use alive_live::{FrameSnapshot, LiveSession, SessionCommand, SessionEffect, TxPhase};
 use alive_obs::{Clock, Counter, Gauge, Histogram, MetricsSnapshot, MonotonicClock, Registry};
 use alive_syntax::{apply_edits, Diagnostics, EditError, TextEdit};
 use rollout::{CanaryState, ProgramStore, RolloutConfig, Transaction, TxState};
@@ -304,51 +306,13 @@ struct Envelope {
     reply: Sender<Vec<SessionEffect>>,
 }
 
-/// A host-internal fleet operation, delivered through the same mailbox
-/// as client commands so it serializes with them per session (a fleet
-/// UPDATE lands between client commands, never inside one). Fleet items
-/// bypass the mailbox capacity: they are host-originated and bounded
-/// (at most a few per session per transaction phase), so shedding them
-/// would only wedge a rollout that backpressure already slowed.
-enum FleetOp {
-    /// Apply a host-compiled program as a Fig. 12 UPDATE (parks a
-    /// checkpoint in the session for the later promote/revert).
-    Update {
-        tx: u64,
-        base: Arc<str>,
-        source: Arc<str>,
-        program: Arc<Program>,
-    },
-    /// Restore the checkpoint parked by `Update` (auto-rollback).
-    Revert { tx: u64 },
-    /// Drop the checkpoint parked by `Update` (the version stuck).
-    Promote { tx: u64 },
-    /// Read the session's fault-log total (canary health probe).
-    Probe,
-    /// Run arbitrary instrumentation against the session, in mailbox
-    /// order. Test-only reachability (see `SessionHost::inspect_session`).
-    Inspect(Box<dyn FnOnce(&mut LiveSession) + Send>),
-}
-
-/// The worker's answer to one [`FleetOp`].
-enum FleetReply {
-    Updated {
-        outcome: FleetUpdateOutcome,
-        /// Fault-log totals around the update: the immediate fault
-        /// delta and the baseline for the observation window.
-        faults_before: u64,
-        faults_after: u64,
-    },
-    Reverted(bool),
-    Promoted,
-    Faults(u64),
-    Inspected,
-}
-
-struct FleetEnvelope {
-    op: FleetOp,
-    reply: Sender<FleetReply>,
-}
+/// Host-originated work on one session: an edit transaction's update,
+/// revert, promote or fault probe, or a test's inspection. It runs in
+/// the session's mailbox order, so it serializes with client commands
+/// (a fleet UPDATE lands between them, never inside one), and it gets
+/// the slot so it can publish the frame it changed. `SessionHost::run_on`
+/// builds every one.
+type HostWork = Box<dyn FnOnce(&Slot, &mut LiveSession) + Send>;
 
 /// Tally of one fleet UPDATE wave.
 struct UpdateWave {
@@ -379,10 +343,14 @@ pub fn effect_for_error(error: &HostError) -> SessionEffect {
     }
 }
 
-/// Everything a session's mailbox can hold.
+/// Everything a session's mailbox can hold: a client command or host
+/// work. Host work bypasses the mailbox capacity: it is host-originated
+/// and bounded (at most a few items per session per transaction phase),
+/// so shedding it would only wedge a rollout that backpressure already
+/// slowed.
 enum WorkItem {
     Client(Envelope),
-    Fleet(FleetEnvelope),
+    Host(HostWork),
 }
 
 /// Per-session state: the mailbox, the session itself (present when no
@@ -416,6 +384,13 @@ impl Slot {
         self.scheduled
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
+    }
+
+    /// Publish the session's current frame: host work that changes
+    /// what the session shows calls this, as a client command publishes
+    /// the frame among its effects.
+    fn publish(&self, session: &mut LiveSession) {
+        *lock(&self.latest) = Some(Arc::new(session.frame_snapshot()));
     }
 }
 
@@ -521,7 +496,7 @@ impl HostInner {
     }
 
     /// Serve one mailbox item against the drained session and send its
-    /// reply.
+    /// reply (host work carries its own: see `SessionHost::run_on`).
     fn serve(&self, slot: &Slot, session: &mut LiveSession, item: WorkItem) {
         match item {
             WorkItem::Client(envelope) => {
@@ -541,45 +516,7 @@ impl HostInner {
                 // The submitter may have dropped its ticket; fine.
                 let _ = envelope.reply.send(effects);
             }
-            WorkItem::Fleet(envelope) => {
-                let reply = match envelope.op {
-                    FleetOp::Update {
-                        tx,
-                        base,
-                        source,
-                        program,
-                    } => {
-                        let faults_before = session.fault_log().total();
-                        let outcome = session.fleet_update(tx, &base, &source, program);
-                        let faults_after = session.fault_log().total();
-                        *lock(&slot.latest) = Some(Arc::new(session.frame_snapshot()));
-                        FleetReply::Updated {
-                            outcome,
-                            faults_before,
-                            faults_after,
-                        }
-                    }
-                    FleetOp::Revert { tx } => {
-                        let reverted = session.fleet_revert(tx);
-                        if reverted {
-                            *lock(&slot.latest) = Some(Arc::new(session.frame_snapshot()));
-                        }
-                        FleetReply::Reverted(reverted)
-                    }
-                    FleetOp::Promote { tx } => {
-                        let _ = session.fleet_promote(tx);
-                        FleetReply::Promoted
-                    }
-                    FleetOp::Probe => FleetReply::Faults(session.fault_log().total()),
-                    FleetOp::Inspect(run) => {
-                        run(session);
-                        FleetReply::Inspected
-                    }
-                };
-                sync_source(slot, session);
-                // The transaction driver may have given up; fine.
-                let _ = envelope.reply.send(reply);
-            }
+            WorkItem::Host(work) => work(slot, session),
         }
     }
 }
@@ -1059,61 +996,33 @@ impl SessionHost {
         let config = self.inner.config.rollout;
         let percent = usize::from(config.canary_percent.clamp(1, 100));
         let canary_n = (fleet.len() * percent).div_ceil(100).clamp(1, fleet.len());
-        let canary_ids: Vec<u64> = fleet[..canary_n].to_vec();
-        let rest: Vec<u64> = fleet[canary_n..].to_vec();
         self.inner
             .metrics
             .rollout_canary_sessions
             .observe_max(i64::try_from(canary_n).unwrap_or(i64::MAX));
-        let wave = self.update_wave(&canary_ids, tx, &base, &source, &program);
-        let phase = if wave.fault_delta >= config.fault_threshold {
-            self.rollback(
-                tx,
-                &wave.applied,
-                format!(
-                    "canary fault spike: {} new fault(s) across {} canary session(s)",
-                    wave.fault_delta,
-                    wave.applied.len()
-                ),
-            )
-        } else if config.observation_window_us == 0 {
-            self.promote(
-                tx,
-                &wave.applied,
-                &rest,
-                &base,
-                &source,
-                &program,
-                wave.skipped,
-            )
-        } else {
-            let canary_count = wave.applied.len();
-            let fleet_count = fleet.len();
-            let state = TxState::Canary(CanaryState {
-                canary: wave.applied,
-                rest,
-                base,
-                source,
-                program,
-                deadline_us: self
-                    .inner
-                    .metrics
-                    .clock
-                    .now_us()
-                    .saturating_add(config.observation_window_us),
-                baseline_faults: wave.faults_after,
-                skipped: wave.skipped,
-                fleet: fleet_count,
-            });
-            if let Some(transaction) = lock(&self.inner.txs).get_mut(&tx) {
-                transaction.state = state;
-            }
-            return Ok(TxPhase::Canary {
-                canary: canary_count,
-                fleet: fleet_count,
-            });
+        let wave = self.update_wave(&fleet[..canary_n], tx, &base, &source, &program);
+        let canary = CanaryState {
+            canary: wave.applied,
+            rest: fleet[canary_n..].to_vec(),
+            base,
+            source,
+            program,
+            deadline_us: self
+                .inner
+                .metrics
+                .clock
+                .now_us()
+                .saturating_add(config.observation_window_us),
+            baseline_faults: wave.faults_after,
+            skipped: wave.skipped,
+            fleet: fleet.len(),
         };
-        self.close_tx(tx, phase.clone());
+        let phase = self.decide(tx, &canary, wave.fault_delta, false);
+        if matches!(phase, TxPhase::Canary { .. }) {
+            if let Some(transaction) = lock(&self.inner.txs).get_mut(&tx) {
+                transaction.state = TxState::Canary(canary);
+            }
+        }
         Ok(phase)
     }
 
@@ -1176,39 +1085,47 @@ impl SessionHost {
         };
         // Probe the canaries' fault logs over their mailboxes: the
         // probe serializes after any in-flight client traffic.
-        let mut fault_total = 0u64;
-        for &id in &pending.canary {
-            if let Some(rx) = self.submit_fleet(id, FleetOp::Probe) {
-                if let Ok(FleetReply::Faults(total)) = rx.recv() {
-                    fault_total += total;
-                }
-            }
-        }
+        let faults: u64 = self
+            .fan_out(&pending.canary, |_, session| session.fault_log().total())
+            .into_iter()
+            .map(|(_, total)| total)
+            .sum();
+        let delta = faults.saturating_sub(pending.baseline_faults);
+        Ok(self.decide(tx, &pending, delta, true))
+    }
+
+    /// Decide a committed transaction on its canaries' `delta` new
+    /// faults. At or past the threshold every canary is rolled back;
+    /// otherwise the rest of the fleet is updated and the transaction
+    /// promotes. Either way the transaction closes with the phase.
+    ///
+    /// `window_closed` says a status poll past the observation deadline
+    /// is deciding. At commit it is false, and a clean canary wave with
+    /// a non-zero window answers [`TxPhase::Canary`] without closing:
+    /// the caller parks the transaction to be watched.
+    fn decide(&self, tx: u64, canary: &CanaryState, delta: u64, window_closed: bool) -> TxPhase {
         let config = self.inner.config.rollout;
-        let delta = fault_total.saturating_sub(pending.baseline_faults);
         let phase = if delta >= config.fault_threshold {
-            self.rollback(
-                tx,
-                &pending.canary,
-                format!(
-                    "canary fault spike: {delta} new fault(s) across {} canary session(s) \
-                     inside the observation window",
-                    pending.canary.len()
-                ),
-            )
+            let within = if window_closed {
+                " inside the observation window"
+            } else {
+                ""
+            };
+            let reason = format!(
+                "canary fault spike: {delta} new fault(s) across {} canary session(s){within}",
+                canary.canary.len()
+            );
+            self.rollback(tx, &canary.canary, reason)
+        } else if window_closed || config.observation_window_us == 0 {
+            self.promote(tx, canary)
         } else {
-            self.promote(
-                tx,
-                &pending.canary,
-                &pending.rest,
-                &pending.base,
-                &pending.source,
-                &pending.program,
-                pending.skipped,
-            )
+            return TxPhase::Canary {
+                canary: canary.canary.len(),
+                fleet: canary.fleet,
+            };
         };
         self.close_tx(tx, phase.clone());
-        Ok(phase)
+        phase
     }
 
     /// Map protocol `Tx*` commands onto the host transaction API,
@@ -1256,22 +1173,52 @@ impl SessionHost {
         })
     }
 
-    /// Queue a fleet op on a session's mailbox (bypassing the client
-    /// capacity limit — fleet ops are host-originated and bounded).
-    /// `None` if the session is gone; the op is then simply skipped.
-    fn submit_fleet(&self, id: u64, op: FleetOp) -> Option<Receiver<FleetReply>> {
+    /// Queue `work` on a session's mailbox, behind everything already
+    /// queued there, and return the channel its answer arrives on. The
+    /// work syncs the slot's source tag before it answers, as a client
+    /// command does. `None` if the session is gone; the answer never
+    /// arrives if the session is dropped first.
+    fn run_on<R: Send + 'static>(
+        &self,
+        id: u64,
+        work: impl FnOnce(&Slot, &mut LiveSession) -> R + Send + 'static,
+    ) -> Option<Receiver<R>> {
         let slot = self.inner.slot(id)?;
         let (reply, rx) = mpsc::channel();
-        lock(&slot.mailbox).push_back(WorkItem::Fleet(FleetEnvelope { op, reply }));
+        let work: HostWork = Box::new(move |slot: &Slot, session: &mut LiveSession| {
+            let answer = work(slot, session);
+            sync_source(slot, session);
+            // The caller may have given up; fine.
+            let _ = reply.send(answer);
+        });
+        lock(&slot.mailbox).push_back(WorkItem::Host(work));
         if slot.try_schedule() {
             self.inner.enqueue_ready(id);
         }
         Some(rx)
     }
 
-    /// Fan a fleet UPDATE to `ids` (all mailboxes enqueued before any
-    /// reply is awaited, so the wave lands in parallel across workers)
-    /// and tally the outcome.
+    /// Run `work` on every session in `ids`, queueing it on all of them
+    /// before awaiting any answer, so the wave runs in parallel across
+    /// workers. Answers come back in `ids` order; a session that is gone
+    /// or dropped mid-wave gives none.
+    fn fan_out<R: Send + 'static>(
+        &self,
+        ids: &[u64],
+        work: impl FnOnce(&Slot, &mut LiveSession) -> R + Clone + Send + 'static,
+    ) -> Vec<(u64, R)> {
+        let pending: Vec<_> = ids
+            .iter()
+            .map(|&id| (id, self.run_on(id, work.clone())))
+            .collect();
+        pending
+            .into_iter()
+            .filter_map(|(id, rx)| Some((id, rx?.recv().ok()?)))
+            .collect()
+    }
+
+    /// Fan a fleet UPDATE to `ids` and tally the outcome. Each session
+    /// the update applied to publishes its new frame.
     fn update_wave(
         &self,
         ids: &[u64],
@@ -1280,64 +1227,51 @@ impl SessionHost {
         source: &Arc<str>,
         program: &Arc<Program>,
     ) -> UpdateWave {
-        let pending: Vec<(u64, Option<Receiver<FleetReply>>)> = ids
-            .iter()
-            .map(|&id| {
-                let op = FleetOp::Update {
-                    tx,
-                    base: Arc::clone(base),
-                    source: Arc::clone(source),
-                    program: Arc::clone(program),
-                };
-                (id, self.submit_fleet(id, op))
-            })
-            .collect();
-        let mut wave = UpdateWave {
-            applied: Vec::new(),
-            fault_delta: 0,
-            faults_after: 0,
-            skipped: 0,
-        };
-        for (id, rx) in pending {
-            match rx.and_then(|rx| rx.recv().ok()) {
-                Some(FleetReply::Updated {
-                    outcome: FleetUpdateOutcome::Applied { .. },
-                    faults_before,
-                    faults_after,
-                }) => {
-                    wave.applied.push(id);
-                    wave.fault_delta += faults_after.saturating_sub(faults_before);
-                    wave.faults_after += faults_after;
-                }
-                // Diverged, busy, failed, or the session disappeared
-                // mid-wave: skipped, never updated.
-                _ => wave.skipped += 1,
+        let (base, source, program) = (Arc::clone(base), Arc::clone(source), Arc::clone(program));
+        let answers = self.fan_out(ids, move |slot, session| {
+            let faults_before = session.fault_log().total();
+            if !session.fleet_update(tx, &base, &source, program) {
+                return None;
             }
+            let faults_after = session.fault_log().total();
+            slot.publish(session);
+            Some((faults_before, faults_after))
+        });
+        let mut applied = Vec::new();
+        let (mut fault_delta, mut faults_after) = (0, 0);
+        for (id, faults) in answers {
+            // Diverged or busy: skipped, never updated.
+            let Some((before, after)) = faults else {
+                continue;
+            };
+            applied.push(id);
+            fault_delta += after.saturating_sub(before);
+            faults_after += after;
         }
-        self.inner
-            .metrics
-            .rollout_updates
-            .add(wave.applied.len() as u64);
-        wave
+        self.inner.metrics.rollout_updates.add(applied.len() as u64);
+        UpdateWave {
+            skipped: ids.len() - applied.len(),
+            applied,
+            fault_delta,
+            faults_after,
+        }
     }
 
     /// Roll a transaction's applied updates back: every session in
     /// `applied` restores the checkpoint its `fleet_update` parked
     /// (byte-identical pre-transaction state, mid-canary client
-    /// traffic replayed).
+    /// traffic replayed) and publishes the restored frame.
     fn rollback(&self, tx: u64, applied: &[u64], reason: String) -> TxPhase {
-        let pending: Vec<Option<Receiver<FleetReply>>> = applied
-            .iter()
-            .map(|&id| self.submit_fleet(id, FleetOp::Revert { tx }))
-            .collect();
-        let reverted = pending
-            .into_iter()
-            .filter(|rx| {
-                matches!(
-                    rx.as_ref().map(|rx| rx.recv()),
-                    Some(Ok(FleetReply::Reverted(true)))
-                )
+        let reverted = self
+            .fan_out(applied, move |slot, session| {
+                let reverted = session.fleet_revert(tx);
+                if reverted {
+                    slot.publish(session);
+                }
+                reverted
             })
+            .into_iter()
+            .filter(|&(_, reverted)| reverted)
             .count();
         self.inner.metrics.rollbacks_total.inc();
         self.inner.metrics.rollout_reverts.add(reverted as u64);
@@ -1347,27 +1281,20 @@ impl SessionHost {
     /// Promote a transaction: update the rest of the fleet, then drop
     /// every updated session's checkpoint — the new version is the
     /// fleet's baseline now.
-    #[allow(clippy::too_many_arguments)]
-    fn promote(
-        &self,
-        tx: u64,
-        canary: &[u64],
-        rest: &[u64],
-        base: &Arc<str>,
-        source: &Arc<str>,
-        program: &Arc<Program>,
-        skipped_so_far: usize,
-    ) -> TxPhase {
-        let wave = self.update_wave(rest, tx, base, source, program);
-        for &id in canary.iter().chain(&wave.applied) {
-            if let Some(rx) = self.submit_fleet(id, FleetOp::Promote { tx }) {
-                let _ = rx.recv();
-            }
-        }
+    fn promote(&self, tx: u64, canary: &CanaryState) -> TxPhase {
+        let wave = self.update_wave(
+            &canary.rest,
+            tx,
+            &canary.base,
+            &canary.source,
+            &canary.program,
+        );
+        let updated: Vec<u64> = canary.canary.iter().chain(&wave.applied).copied().collect();
+        self.fan_out(&updated, move |_, session| session.fleet_promote(tx));
         self.inner.metrics.tx_promoted.inc();
         TxPhase::Promoted {
-            updated: canary.len() + wave.applied.len(),
-            skipped: skipped_so_far + wave.skipped,
+            updated: updated.len(),
+            skipped: canary.skipped + wave.skipped,
         }
     }
 
@@ -1392,13 +1319,10 @@ impl SessionHost {
         id: SessionId,
         run: impl FnOnce(&mut LiveSession) -> R + Send + 'static,
     ) -> Result<R, HostError> {
-        let (result_tx, result_rx) = mpsc::channel();
-        let op = FleetOp::Inspect(Box::new(move |session: &mut LiveSession| {
-            let _ = result_tx.send(run(session));
-        }));
-        self.submit_fleet(id.0, op)
-            .ok_or(HostError::UnknownSession(id))?;
-        result_rx.recv().map_err(|_| HostError::Stopped)
+        self.run_on(id.0, move |_, session| run(session))
+            .ok_or(HostError::UnknownSession(id))?
+            .recv()
+            .map_err(|_| HostError::Stopped)
     }
 
     /// One hosted session's metrics snapshot — the same registry the

@@ -341,6 +341,11 @@ fn observation_window_defers_the_decision_to_a_status_poll() {
         .expect("live");
     assert_eq!(hosted_frame, solo.frame_snapshot());
     assert_eq!(hosted_frame.view, "count is 31\n");
+    // Observers see the same frame: the revert published it.
+    assert_eq!(
+        *host.latest_frame(canary).expect("live").expect("settled"),
+        solo.frame_snapshot()
+    );
 
     // A clean transaction through the same window promotes.
     let tx = host.tx_open(ids[1]).expect("opens");
@@ -361,6 +366,13 @@ fn observation_window_defers_the_decision_to_a_status_poll() {
             skipped: 0
         }
     );
+    // Every session publishes the promoted version: the canary since
+    // its update at commit, the rest since the promote wave.
+    for &id in &ids {
+        let frame = host.latest_frame(id).expect("live").expect("settled");
+        let count = if id == canary { 31 } else { 1 };
+        assert_eq!(frame.view, format!("n = {count}\n"), "{id}");
+    }
 
     let snapshot = host.shutdown();
     assert_eq!(snapshot.counter(names::ROLLBACKS_TOTAL), 1);

@@ -185,6 +185,13 @@ fn injected_canary_faults_roll_back_to_solo_replay_byte_identity() {
             solo.frame_snapshot(),
             "session {slot} diverged from its solo replay (seed {seed:#x})"
         );
+        // What observers see, too: a canary's revert published its
+        // restored frame, a bystander's last tap its own.
+        assert_eq!(
+            *host.latest_frame(id).expect("live").expect("settled"),
+            solo.frame_snapshot(),
+            "session {slot} published a frame its solo replay does not show (seed {seed:#x})"
+        );
     }
 
     // Only canaries carry rollout scars — and only in monotone

@@ -1,9 +1,8 @@
 //! Pretty-printer: formats an AST back to canonical source text.
 //!
-//! Used by direct manipulation (paper §3, "the code view is updated
-//! automatically") when the environment synthesizes or rewrites
-//! statements, and by tests as a round-trip oracle:
-//! `pretty(parse(pretty(p))) == pretty(p)`.
+//! Only tests call it, as a round-trip oracle:
+//! `pretty(parse(pretty(p))) == pretty(p)`. Direct manipulation does
+//! not print: its repairs are span-addressed text edits.
 
 use crate::ast::*;
 use std::fmt::Write as _;

@@ -77,15 +77,6 @@ pub fn hit_test_leaf(tree: &LayoutTree, point: Point) -> Option<(Vec<usize>, usi
     found
 }
 
-/// The deepest box under `point` with an edit handler.
-pub fn hit_test_editable(tree: &LayoutTree, point: Point) -> Option<Vec<usize>> {
-    hit_boxes(tree, point)
-        .into_iter()
-        .rev()
-        .find(|node| node.style.editable)
-        .map(|node| node.path.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +137,5 @@ mod tests {
         assert_eq!(hit_test_tappable(&tree, Point::new(0, 1)), Some(vec![1]));
         // Box a has no handler anywhere in its chain.
         assert_eq!(hit_test_tappable(&tree, Point::new(0, 0)), None);
-        assert_eq!(hit_test_editable(&tree, Point::new(0, 1)), None);
     }
 }

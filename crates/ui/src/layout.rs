@@ -42,8 +42,6 @@ pub struct Style {
     pub height: Option<i32>,
     /// Whether the box has a tap handler (hit-testing cares).
     pub tappable: bool,
-    /// Whether the box has an edit handler.
-    pub editable: bool,
 }
 
 impl Default for Style {
@@ -59,7 +57,6 @@ impl Default for Style {
             width: None,
             height: None,
             tappable: false,
-            editable: false,
         }
     }
 }
@@ -87,7 +84,6 @@ impl Style {
             width: num(Attr::Width),
             height: num(Attr::Height),
             tappable: node.attr(Attr::OnTap).is_some(),
-            editable: node.attr(Attr::OnEdit).is_some(),
         }
     }
 }
@@ -618,7 +614,6 @@ mod tests {
         ));
         let style = Style::from_box(&b);
         assert!(style.tappable);
-        assert!(!style.editable);
     }
 
     #[test]

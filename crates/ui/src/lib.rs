@@ -52,7 +52,7 @@ pub mod render_text;
 
 pub use diff::{damage_ratio, damage_rects, diff_displays, BoxChange};
 pub use geom::{Point, Rect, Size};
-pub use hittest::{hit_stack, hit_test, hit_test_editable, hit_test_leaf, hit_test_tappable};
+pub use hittest::{hit_stack, hit_test, hit_test_leaf, hit_test_tappable};
 pub use layout::{
     layout, layout_incremental, LayoutBox, LayoutCache, LayoutItem, LayoutStats, LayoutTree, Style,
 };
@@ -78,27 +78,6 @@ pub fn tap_at(system: &mut System, point: Point) -> Result<bool, ActionError> {
     match hit_test_tappable(&tree, point) {
         Some(path) => {
             system.tap(&path)?;
-            Ok(true)
-        }
-        None => Ok(false),
-    }
-}
-
-/// Edit the box at a point: deliver `text` to the deepest box with an
-/// `onedit` handler under the point. Returns whether an editable box
-/// was found.
-///
-/// # Errors
-///
-/// [`ActionError::DisplayInvalid`] if the display is stale.
-pub fn edit_at(system: &mut System, point: Point, text: &str) -> Result<bool, ActionError> {
-    let Some(root) = system.display().content() else {
-        return Err(ActionError::DisplayInvalid);
-    };
-    let tree = layout(root);
-    match hit_test_editable(&tree, point) {
-        Some(path) => {
-            system.edit_box(&path, text)?;
             Ok(true)
         }
         None => Ok(false),
@@ -135,28 +114,6 @@ mod tests {
         assert_eq!(tap_at(&mut system, Point::new(0, 1)), Ok(true));
         system.run_to_stable().expect("handles tap");
         assert_eq!(system.store().get("n"), Some(&Value::Number(1.0)));
-    }
-
-    #[test]
-    fn edit_at_drives_onedit() {
-        let mut system = System::new(
-            compile(
-                "global term : string = \"30\"
-                 page start() {
-                     render {
-                         boxed {
-                             post term;
-                             on edited(text: string) { term := text; }
-                         }
-                     }
-                 }",
-            )
-            .expect("compiles"),
-        );
-        system.run_to_stable().expect("starts");
-        assert_eq!(edit_at(&mut system, Point::new(0, 0), "15"), Ok(true));
-        system.run_to_stable().expect("handles edit");
-        assert_eq!(system.store().get("term"), Some(&Value::str("15")));
     }
 
     #[test]
