@@ -23,8 +23,8 @@
 //! $ cargo run -p alive-apps --bin alive-watch -- app.alive --commands cmds.txt
 //! ```
 //!
-//! `--once` renders once (applying any command file once) and exits
-//! (used by tests and CI).
+//! `--once` renders once (applying any command file once) and exits;
+//! `tests/watch_once.rs` drives the binary this way.
 
 use alive_live::{parse_commands, FrameSnapshot, LiveSession, SessionCommand, SessionEffect};
 use alive_ui::{layout, AnsiFramebuffer};

@@ -59,11 +59,33 @@ fn main() {
         let page = p.page("start").expect("page");
         let mut store = Store::new();
         let mut queue = EventQueue::new();
-        bigstep::run_state(&p, &mut store, &mut queue, 0, u64::MAX, vec![], &page.init)
-            .expect("init");
+        bigstep::transition_state(
+            &p,
+            &mut store,
+            &mut queue,
+            0,
+            u64::MAX,
+            vec![],
+            &page.init,
+            None,
+            None,
+        )
+        .0
+        .expect("init");
         let render = page.render.clone();
         bench.bench(&format!("bigstep_render/{n}"), || {
-            black_box(bigstep::run_render(&p, &store, 0, u64::MAX, vec![], &render).expect("runs"))
+            let run = bigstep::transition_render(
+                &p,
+                &store,
+                0,
+                u64::MAX,
+                vec![],
+                &render,
+                None,
+                None,
+                None,
+            );
+            black_box(run.0.expect("runs"))
         });
         bench.bench(&format!("smallstep_render/{n}"), || {
             let mut scratch = store.clone();

@@ -220,11 +220,20 @@ fn measure(name: &str, src: &str, runs: usize) -> Workload {
 
     let run_bigstep = |store: &mut Store| {
         let mut queue = EventQueue::new();
-        let (v, _) = bigstep::run_state(&program, store, &mut queue, 0, FUEL, vec![], &init)
-            .expect("bigstep init");
-        let out =
-            bigstep::run_render(&program, store, 0, FUEL, vec![], &render).expect("bigstep render");
-        (v, out.root)
+        let (v, _) = bigstep::transition_state(
+            &program,
+            store,
+            &mut queue,
+            0,
+            FUEL,
+            vec![],
+            &init,
+            None,
+            None,
+        );
+        let (root, _) =
+            bigstep::transition_render(&program, store, 0, FUEL, vec![], &render, None, None, None);
+        (v.expect("bigstep init"), root.expect("bigstep render"))
     };
     let run_vm = |store: &mut Store, scratch: &mut Scratch| {
         let mut queue = EventQueue::new();
@@ -240,8 +249,7 @@ fn measure(name: &str, src: &str, runs: usize) -> Workload {
             &[],
             None,
             None,
-        )
-        .expect("start page is compiled");
+        );
         let v = init_run.result.expect("vm init");
         let render_run = vm::transition_page_render(
             &vmp,
@@ -254,8 +262,7 @@ fn measure(name: &str, src: &str, runs: usize) -> Workload {
             None,
             Some(&mut widgets),
             None,
-        )
-        .expect("start page is compiled");
+        );
         let root = render_run.result.expect("vm render");
         (
             v,

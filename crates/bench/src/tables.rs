@@ -276,12 +276,26 @@ pub fn table_e7_eval_ablation() -> String {
     let page = p.page("start").expect("page");
     let mut store = Store::new();
     let mut queue = EventQueue::new();
-    bigstep::run_state(&p, &mut store, &mut queue, 0, u64::MAX, vec![], &page.init).expect("init");
+    bigstep::transition_state(
+        &p,
+        &mut store,
+        &mut queue,
+        0,
+        u64::MAX,
+        vec![],
+        &page.init,
+        None,
+        None,
+    )
+    .0
+    .expect("init");
     let render = page.render.clone();
     let mut big_cost = 0u64;
     let big_ms = time_ms(|| {
-        let out = bigstep::run_render(&p, &store, 0, u64::MAX, vec![], &render).expect("runs");
-        big_cost = out.cost.steps;
+        let (root, cost) =
+            bigstep::transition_render(&p, &store, 0, u64::MAX, vec![], &render, None, None, None);
+        root.expect("runs");
+        big_cost = cost.steps;
     });
     let mut small_counts = smallstep::StepCounts::default();
     let small_ms = time_ms(|| {

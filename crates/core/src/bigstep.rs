@@ -9,6 +9,13 @@
 //! evaluator runs in one of the three modes and *dynamically* refuses
 //! wrong-mode operations, witnessing the static effect discipline: for
 //! type-checked programs the dynamic checks never fire.
+//!
+//! There is one entry point per kind of run: [`run_pure`] for a live
+//! example, and [`transition_state`], [`transition_thunk`] and
+//! [`transition_render`] for Fig. 9's PUSH, THUNK and RENDER. Each
+//! reports its cost even when the run fails and takes the render hook,
+//! `remember` slots and fault injector as options (`None` when a caller
+//! has none); all four start their run with one constructor.
 
 use crate::boxtree::{BoxItem, BoxNode};
 use crate::error::RuntimeError;
@@ -18,7 +25,7 @@ use crate::fault::FaultInjector;
 use crate::prim::PrimCtx;
 use crate::program::Program;
 use crate::provenance::Provenance;
-use crate::store::Store;
+use crate::store::{Store, StoreView};
 use crate::types::{Effect, Name};
 use crate::value::{collect_env, CapturedEnv, Closure, Value};
 use alive_syntax::ast::{BinOp, UnOp};
@@ -58,39 +65,11 @@ impl Cost {
 /// One local scope frame.
 type Frame = Vec<(Name, Value)>;
 
-/// Store access for one run: mutable in state mode, shared otherwise.
-/// Render and pure code hold only a shared reference, so immutability of
-/// the model during rendering is enforced by the borrow checker on top
-/// of the dynamic mode checks.
-enum StoreAccess<'a> {
-    Mut(&'a mut Store),
-    Ref(&'a Store),
-}
-
-impl StoreAccess<'_> {
-    fn get(&self, name: &str) -> Option<&Value> {
-        match self {
-            StoreAccess::Mut(s) => s.get(name),
-            StoreAccess::Ref(s) => s.get(name),
-        }
-    }
-
-    fn set(&mut self, name: &str, value: Value) -> Result<(), ()> {
-        match self {
-            StoreAccess::Mut(s) => {
-                s.set(name, value);
-                Ok(())
-            }
-            StoreAccess::Ref(_) => Err(()),
-        }
-    }
-}
-
-/// The evaluator. Construct one per run via the `run_*` and
+/// The evaluator. Construct one per run via the `run_pure` and
 /// `transition_*` entry points.
 pub struct Evaluator<'a> {
     program: &'a Program,
-    store: StoreAccess<'a>,
+    store: StoreView<'a>,
     queue: Option<&'a mut EventQueue>,
     mode: Effect,
     /// Render frames; `boxes[0]` is the implicit top-level box.
@@ -141,94 +120,13 @@ pub trait RenderHook {
     );
 }
 
-/// Result of a render run: the box tree plus accumulated cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RenderOutput {
-    /// The top-level box content built by the render code.
-    pub root: BoxNode,
-    /// Cost of the run.
-    pub cost: Cost,
-}
-
-/// Evaluate `expr` in state mode (`→s`): may write globals and enqueue
-/// navigation events. `bindings` are the initial locals (page params).
+/// Evaluate `expr` in pure mode (`→p`): reads code and store only.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError`] on divergence (fuel), partial primitives, or
 /// — for programs that bypassed the type checker — dynamic type/effect
 /// violations.
-pub fn run_state(
-    program: &Program,
-    store: &mut Store,
-    queue: &mut EventQueue,
-    version: u64,
-    fuel: u64,
-    bindings: Frame,
-    expr: &Expr,
-) -> Result<(Value, Cost), RuntimeError> {
-    let mut ev = Evaluator {
-        program,
-        store: StoreAccess::Mut(store),
-        queue: Some(queue),
-        mode: Effect::State,
-        boxes: Vec::new(),
-        scopes: vec![bindings],
-        fuel,
-        version,
-        cost: Cost::default(),
-        hook: None,
-        widgets: None,
-        faults: None,
-    };
-    let value = ev.eval(expr)?;
-    Ok((value, ev.cost))
-}
-
-/// Evaluate `expr` in render mode (`→r`): builds box content, may read
-/// but not write the store.
-///
-/// # Errors
-///
-/// See [`run_state`].
-pub fn run_render(
-    program: &Program,
-    store: &Store,
-    version: u64,
-    fuel: u64,
-    bindings: Frame,
-    expr: &Expr,
-) -> Result<RenderOutput, RuntimeError> {
-    let mut ev = Evaluator {
-        program,
-        store: StoreAccess::Ref(store),
-        queue: None,
-        mode: Effect::Render,
-        boxes: vec![BoxNode::new(None)],
-        scopes: vec![bindings],
-        fuel,
-        version,
-        cost: Cost::default(),
-        hook: None,
-        widgets: None,
-        faults: None,
-    };
-    ev.eval(expr)?;
-    let root = ev
-        .boxes
-        .pop()
-        .ok_or(RuntimeError::Internal("top-level box frame missing"))?;
-    Ok(RenderOutput {
-        root,
-        cost: ev.cost,
-    })
-}
-
-/// Evaluate `expr` in pure mode (`→p`): reads code and store only.
-///
-/// # Errors
-///
-/// See [`run_state`].
 pub fn run_pure(
     program: &Program,
     store: &Store,
@@ -236,74 +134,26 @@ pub fn run_pure(
     fuel: u64,
     expr: &Expr,
 ) -> Result<(Value, Cost), RuntimeError> {
-    let mut ev = Evaluator {
+    let mut ev = Evaluator::new(
         program,
-        store: StoreAccess::Ref(store),
-        queue: None,
-        mode: Effect::Pure,
-        boxes: Vec::new(),
-        scopes: vec![Vec::new()],
+        StoreView::Ref(store),
+        Effect::Pure,
+        Vec::new(),
         fuel,
         version,
-        cost: Cost::default(),
-        hook: None,
-        widgets: None,
-        faults: None,
-    };
+    );
     let value = ev.eval(expr)?;
     Ok((value, ev.cost))
 }
 
-/// Reborrow adapter: a trait object's lifetime bound is invariant
-/// behind `&mut`, so passing a caller's `&mut dyn FaultInjector`
-/// straight into [`Evaluator`] would drag the caller's lifetime into
-/// every other borrow of the run. Wrapping it in a fresh concrete type
-/// lets the unsize coercion pick a run-local bound instead.
-pub(crate) struct ReborrowFaults<'r, 'f>(pub(crate) &'r mut (dyn FaultInjector + 'f));
-
-impl FaultInjector for ReborrowFaults<'_, '_> {
-    fn fuel_for(&mut self, kind: crate::fault::TransitionKind, default_fuel: u64) -> u64 {
-        self.0.fuel_for(kind, default_fuel)
-    }
-
-    fn before_prim(&mut self, prim: crate::prim::Prim) -> Option<crate::prim::PrimError> {
-        self.0.before_prim(prim)
-    }
-}
-
-impl std::fmt::Debug for ReborrowFaults<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-/// Reborrow adapter for [`RenderHook`]; see [`ReborrowFaults`].
-pub(crate) struct ReborrowHook<'r, 'h>(pub(crate) &'r mut (dyn RenderHook + 'h));
-
-impl RenderHook for ReborrowHook<'_, '_> {
-    fn enter_boxed(
-        &mut self,
-        id: crate::expr::BoxSourceId,
-        locals: &[(Name, Value)],
-    ) -> Option<(Arc<BoxNode>, Value)> {
-        self.0.enter_boxed(id, locals)
-    }
-
-    fn after_boxed(
-        &mut self,
-        id: crate::expr::BoxSourceId,
-        locals: &[(Name, Value)],
-        node: &Arc<BoxNode>,
-        value: &Value,
-    ) {
-        self.0.after_boxed(id, locals, node, value)
-    }
-}
-
 /// Transactional entry point for the PUSH transition's `init` body:
-/// like [`run_state`], but the cost is reported even when the run fails
-/// (so a contained fault can record the fuel it burned), and an optional
-/// [`FaultInjector`] can make primitives fail deterministically.
+/// evaluate `expr` in state mode (`→s`), which may write globals,
+/// enqueue navigation events and, given a
+/// [`crate::widget::WidgetStore`], write `remember` slots. `bindings`
+/// are the initial locals (page params). The cost is reported even when
+/// the run fails (so a contained fault can record the fuel it burned),
+/// and an optional [`FaultInjector`] can make primitives fail
+/// deterministically.
 #[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
 pub fn transition_state(
     program: &Program,
@@ -316,21 +166,17 @@ pub fn transition_state(
     widgets: Option<&mut crate::widget::WidgetStore>,
     faults: Option<&mut (dyn FaultInjector + '_)>,
 ) -> (Result<Value, RuntimeError>, Cost) {
-    let mut faults = faults.map(ReborrowFaults);
-    let mut ev = Evaluator {
+    let mut ev = Evaluator::new(
         program,
-        store: StoreAccess::Mut(store),
-        queue: Some(queue),
-        mode: Effect::State,
-        boxes: Vec::new(),
-        scopes: vec![bindings],
+        StoreView::Mut(store),
+        Effect::State,
+        bindings,
         fuel,
         version,
-        cost: Cost::default(),
-        hook: None,
-        widgets,
-        faults: faults.as_mut().map(|f| f as &mut dyn FaultInjector),
-    };
+    );
+    ev.queue = Some(queue);
+    ev.widgets = widgets;
+    ev.faults = faults.map(|f| f as &mut dyn FaultInjector);
     let result = ev.eval(expr);
     (result, ev.cost)
 }
@@ -352,31 +198,28 @@ pub fn transition_thunk(
     widgets: Option<&mut crate::widget::WidgetStore>,
     faults: Option<&mut (dyn FaultInjector + '_)>,
 ) -> (Result<Value, RuntimeError>, Cost) {
-    let mut faults = faults.map(ReborrowFaults);
-    let mut ev = Evaluator {
+    let mut ev = Evaluator::new(
         program,
-        store: StoreAccess::Mut(store),
-        queue: Some(queue),
-        mode: Effect::State,
-        boxes: Vec::new(),
-        scopes: vec![Vec::new()],
+        StoreView::Mut(store),
+        Effect::State,
+        Vec::new(),
         fuel,
         version,
-        cost: Cost::default(),
-        hook: None,
-        widgets,
-        faults: faults.as_mut().map(|f| f as &mut dyn FaultInjector),
-    };
+    );
+    ev.queue = Some(queue);
+    ev.widgets = widgets;
+    ev.faults = faults.map(|f| f as &mut dyn FaultInjector);
     let result = ev.apply(thunk.clone(), args, alive_syntax::Span::DUMMY);
     (result, ev.cost)
 }
 
-/// Transactional entry point for the RENDER transition: like
-/// [`run_render`], with both optional extras — a [`RenderHook`] (the §5
-/// reuse cache) and a [`crate::widget::WidgetStore`] (the §7 `remember`
-/// view state, whose occurrence counters the caller resets before each
-/// render pass). The cost is reported even on failure, and a
-/// [`FaultInjector`] can be supplied.
+/// Transactional entry point for the RENDER transition: evaluate `expr`
+/// in render mode (`→r`), which builds box content and may read but
+/// not write the store. Both extras are optional: a [`RenderHook`] (the
+/// §5 reuse cache) and a [`crate::widget::WidgetStore`] (the §7
+/// `remember` view state, whose occurrence counters the caller resets
+/// before each render pass). The cost is reported even on failure, and
+/// a [`FaultInjector`] can be supplied.
 #[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
 pub fn transition_render(
     program: &Program,
@@ -389,28 +232,53 @@ pub fn transition_render(
     widgets: Option<&mut crate::widget::WidgetStore>,
     faults: Option<&mut (dyn FaultInjector + '_)>,
 ) -> (Result<BoxNode, RuntimeError>, Cost) {
-    let mut hook = hook.map(ReborrowHook);
-    let mut faults = faults.map(ReborrowFaults);
-    let mut ev = Evaluator {
+    let mut ev = Evaluator::new(
         program,
-        store: StoreAccess::Ref(store),
-        queue: None,
-        mode: Effect::Render,
-        boxes: vec![BoxNode::new(None)],
-        scopes: vec![bindings],
+        StoreView::Ref(store),
+        Effect::Render,
+        bindings,
         fuel,
         version,
-        cost: Cost::default(),
-        hook: hook.as_mut().map(|h| h as &mut dyn RenderHook),
-        widgets,
-        faults: faults.as_mut().map(|f| f as &mut dyn FaultInjector),
-    };
+    );
+    ev.boxes.push(BoxNode::new(None));
+    ev.hook = hook.map(|h| h as &mut dyn RenderHook);
+    ev.widgets = widgets;
+    ev.faults = faults.map(|f| f as &mut dyn FaultInjector);
     let result = ev.eval(expr).and_then(|_| {
         ev.boxes
             .pop()
             .ok_or(RuntimeError::Internal("top-level box frame missing"))
     });
     (result, ev.cost)
+}
+
+impl<'a> Evaluator<'a> {
+    /// Start a run over `store` in `mode`, with `bindings` as its one
+    /// scope and no queue, render frame, hook, widget store or fault
+    /// injector: each entry point adds the ones its transition uses.
+    fn new(
+        program: &'a Program,
+        store: StoreView<'a>,
+        mode: Effect,
+        bindings: Frame,
+        fuel: u64,
+        version: u64,
+    ) -> Self {
+        Evaluator {
+            program,
+            store,
+            queue: None,
+            mode,
+            boxes: Vec::new(),
+            scopes: vec![bindings],
+            fuel,
+            version,
+            cost: Cost::default(),
+            hook: None,
+            widgets: None,
+            faults: None,
+        }
+    }
 }
 
 impl Evaluator<'_> {
@@ -1053,7 +921,7 @@ mod tests {
             .zip(args)
             .map(|(p, v)| (p.name.clone(), v))
             .collect();
-        let (v, _) = run_state(
+        let (v, _) = transition_state(
             program,
             &mut store,
             &mut queue,
@@ -1061,9 +929,10 @@ mod tests {
             DEFAULT_FUEL,
             bindings,
             &f.body,
-        )
-        .expect("evaluation succeeds");
-        v
+            None,
+            None,
+        );
+        v.expect("evaluation succeeds")
     }
 
     const START: &str = "page start() { render { } }";
@@ -1150,7 +1019,7 @@ mod tests {
         let mut store = Store::new();
         store.set("count", Value::Number(41.0));
         let mut queue = EventQueue::new();
-        run_state(
+        transition_state(
             &p,
             &mut store,
             &mut queue,
@@ -1158,7 +1027,10 @@ mod tests {
             DEFAULT_FUEL,
             vec![],
             &page.init,
+            None,
+            None,
         )
+        .0
         .expect("init runs");
         assert_eq!(store.get("count"), Some(&Value::Number(42.0)));
         assert_eq!(queue.len(), 1);
@@ -1193,14 +1065,24 @@ mod tests {
         );
         let page = p.page("start").expect("page");
         let store = Store::new();
-        let out =
-            run_render(&p, &store, 0, DEFAULT_FUEL, vec![], &page.render).expect("render runs");
-        assert_eq!(out.root.box_count(), 5); // root + header + 3 items
-        assert_eq!(out.cost.boxes_created, 4);
-        let header = out.root.descendant(&[0]).expect("header box");
+        let (root, cost) = transition_render(
+            &p,
+            &store,
+            0,
+            DEFAULT_FUEL,
+            vec![],
+            &page.render,
+            None,
+            None,
+            None,
+        );
+        let root = root.expect("render runs");
+        assert_eq!(root.box_count(), 5); // root + header + 3 items
+        assert_eq!(cost.boxes_created, 4);
+        let header = root.descendant(&[0]).expect("header box");
         assert_eq!(header.attr(Attr::Margin), Some(&Value::Number(2.0)));
         assert_eq!(header.leaves().next(), Some(&Value::str("header")));
-        let b = out.root.descendant(&[2]).expect("second item");
+        let b = root.descendant(&[2]).expect("second item");
         assert_eq!(b.leaves().next(), Some(&Value::str("b")));
     }
 
@@ -1216,8 +1098,9 @@ mod tests {
             alive_syntax::Span::DUMMY,
         );
         let store = Store::new();
-        let err =
-            run_render(&p, &store, 0, DEFAULT_FUEL, vec![], &bad).expect_err("must be refused");
+        let err = transition_render(&p, &store, 0, DEFAULT_FUEL, vec![], &bad, None, None, None)
+            .0
+            .expect_err("must be refused");
         assert!(matches!(err, RuntimeError::EffectViolation { .. }));
     }
 
@@ -1233,8 +1116,19 @@ mod tests {
         );
         let mut store = Store::new();
         let mut queue = EventQueue::new();
-        let err = run_state(&p, &mut store, &mut queue, 0, DEFAULT_FUEL, vec![], &bad)
-            .expect_err("must be refused");
+        let err = transition_state(
+            &p,
+            &mut store,
+            &mut queue,
+            0,
+            DEFAULT_FUEL,
+            vec![],
+            &bad,
+            None,
+            None,
+        )
+        .0
+        .expect_err("must be refused");
         assert!(matches!(err, RuntimeError::EffectViolation { .. }));
     }
 
@@ -1246,8 +1140,19 @@ mod tests {
         let f = p.fun("spin").expect("fun");
         let mut store = Store::new();
         let mut queue = EventQueue::new();
-        let err = run_state(&p, &mut store, &mut queue, 0, 10_000, vec![], &f.body)
-            .expect_err("must exhaust");
+        let err = transition_state(
+            &p,
+            &mut store,
+            &mut queue,
+            0,
+            10_000,
+            vec![],
+            &f.body,
+            None,
+            None,
+        )
+        .0
+        .expect_err("must exhaust");
         assert_eq!(err, RuntimeError::FuelExhausted);
     }
 
@@ -1268,8 +1173,20 @@ mod tests {
         );
         let page = p.page("start").expect("page");
         let store = Store::new();
-        let out = run_render(&p, &store, 0, DEFAULT_FUEL, vec![], &page.render).expect("render");
-        let second = out.root.descendant(&[1]).expect("second box");
+        let root = transition_render(
+            &p,
+            &store,
+            0,
+            DEFAULT_FUEL,
+            vec![],
+            &page.render,
+            None,
+            None,
+            None,
+        )
+        .0
+        .expect("render");
+        let second = root.descendant(&[1]).expect("second box");
         let handler = second.attr(Attr::OnTap).expect("handler").clone();
         let mut store = Store::new();
         let mut queue = EventQueue::new();
@@ -1320,9 +1237,21 @@ mod tests {
         );
         let page = p.page("start").expect("page");
         let store = Store::new();
-        let out = run_render(&p, &store, 0, DEFAULT_FUEL, vec![], &page.render).expect("render");
+        let root = transition_render(
+            &p,
+            &store,
+            0,
+            DEFAULT_FUEL,
+            vec![],
+            &page.render,
+            None,
+            None,
+            None,
+        )
+        .0
+        .expect("render");
         // The root has one child box and one leaf `42`.
-        assert_eq!(out.root.box_count(), 2);
-        assert_eq!(out.root.leaves().next(), Some(&Value::Number(42.0)));
+        assert_eq!(root.box_count(), 2);
+        assert_eq!(root.leaves().next(), Some(&Value::Number(42.0)));
     }
 }

@@ -1124,8 +1124,18 @@ mod tests {
 
         let mut store2 = Store::new();
         let mut q2 = EventQueue::new();
-        let (big, _) = bigstep::run_state(&p, &mut store2, &mut q2, 0, 10_000_000, vec![], &body)
-            .expect("big-step evaluates");
+        let (big, _) = bigstep::transition_state(
+            &p,
+            &mut store2,
+            &mut q2,
+            0,
+            10_000_000,
+            vec![],
+            &body,
+            None,
+            None,
+        );
+        let big = big.expect("big-step evaluates");
 
         assert_eq!(small.value, expected, "small-step result");
         assert_eq!(big, expected, "big-step result");
@@ -1219,9 +1229,19 @@ mod tests {
         let small =
             eval_render(&p, &mut store, 10_000_000, &page.render).expect("small-step renders");
         let store2 = Store::new();
-        let big = bigstep::run_render(&p, &store2, 0, 10_000_000, vec![], &page.render)
-            .expect("big-step renders");
-        assert_eq!(small.root.as_ref(), Some(&big.root));
+        let (big, _) = bigstep::transition_render(
+            &p,
+            &store2,
+            0,
+            10_000_000,
+            vec![],
+            &page.render,
+            None,
+            None,
+            None,
+        );
+        let big = big.expect("big-step renders");
+        assert_eq!(small.root.as_ref(), Some(&big));
         assert!(small.steps.render >= 3, "boxed/post/attr steps counted");
         assert_eq!(small.steps.state, 0, "render takes no state steps");
     }

@@ -139,6 +139,35 @@ impl FromIterator<(Name, Value)> for Store {
     }
 }
 
+/// The store as one evaluator run sees it: mutable in state mode,
+/// shared otherwise. Render and pure code hold only a shared reference,
+/// so the borrow checker enforces that they leave the model alone, on
+/// top of both engines' dynamic mode checks.
+pub(crate) enum StoreView<'a> {
+    Mut(&'a mut Store),
+    Ref(&'a Store),
+}
+
+impl StoreView<'_> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Value> {
+        match self {
+            StoreView::Mut(s) => s.get(name),
+            StoreView::Ref(s) => s.get(name),
+        }
+    }
+
+    /// Write a global; `Err` on a shared view.
+    pub(crate) fn set(&mut self, name: &str, value: Value) -> Result<(), ()> {
+        match self {
+            StoreView::Mut(s) => {
+                s.set(name, value);
+                Ok(())
+            }
+            StoreView::Ref(_) => Err(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

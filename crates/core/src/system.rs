@@ -88,7 +88,10 @@ pub enum EvalEngine {
     /// The register-based bytecode VM ([`crate::vm`]) — the production
     /// engine and the default. It is the only engine such a system runs:
     /// a program beyond the VM's limits faults every transition with
-    /// [`RuntimeError::VmLimit`] instead of switching engines.
+    /// [`RuntimeError::VmLimit`] instead of switching engines, and an
+    /// entry the compiled program lacks (a handler closure from another
+    /// program version) faults its transition with
+    /// [`RuntimeError::Internal`].
     #[default]
     Vm,
     /// The bigstep tree walker only ([`crate::bigstep`]) — the
@@ -295,21 +298,10 @@ impl System {
         Some(Ok(vmp))
     }
 
-    /// Book one VM transition and unpack its outcome. `None` — an entry
-    /// the compiled program lacks, which checked programs never produce
-    /// — is refused as a runtime error, to be contained like any other.
-    fn book_vm_run<T>(
-        &mut self,
-        run: Option<crate::vm::VmRun<T>>,
-    ) -> (Result<T, RuntimeError>, Cost) {
-        let Some(run) = run else {
-            return (
-                Err(RuntimeError::Internal(
-                    "vm: entry outside the compiled program",
-                )),
-                Cost::default(),
-            );
-        };
+    /// Book one VM transition and unpack its outcome. An entry the
+    /// compiled program lacks, which checked programs never produce,
+    /// comes back as a runtime error, contained like any other.
+    fn book_vm_run<T>(&mut self, run: crate::vm::VmRun<T>) -> (Result<T, RuntimeError>, Cost) {
         let stats = run.stats;
         self.vm_stats.runs += 1;
         self.vm_stats.instructions += stats.instructions;
@@ -638,8 +630,8 @@ impl System {
         Ok(StepKind::Stable)
     }
 
-    /// The RENDER transition body, shared by [`System::step`] and
-    /// [`System::render_with_hook`]. On success the display is valid
+    /// The RENDER transition body of [`System::step`] (and so of
+    /// [`System::render_with_hook`]). On success the display is valid
     /// and `last_good` updated; on error the `remember` slots are
     /// rolled back and the error returned with the cost it burned (the
     /// display is left untouched for the caller to degrade).
@@ -1030,23 +1022,14 @@ impl System {
         &mut self,
         hook: &mut dyn crate::bigstep::RenderHook,
     ) -> Result<bool, Fault> {
-        if !matches!(self.display, Display::Invalid) || !self.queue.is_empty() {
+        if !matches!(self.display, Display::Invalid)
+            || !self.queue.is_empty()
+            || self.page_stack.is_empty()
+        {
             return Ok(false);
         }
-        let Some((page_name, _)) = self.page_stack.last() else {
-            return Ok(false);
-        };
-        let page_name = page_name.clone();
-        match self.render_transition(Some(hook)) {
-            Ok(()) => {
-                self.record_transition(StepKind::Render);
-                Ok(true)
-            }
-            Err((error, cost, fuel)) => {
-                self.degrade_display();
-                Err(self.fault(FaultKind::Render, Some(page_name), error, cost, fuel))
-            }
-        }
+        // RENDER is the enabled transition, so this step is that RENDER.
+        Ok(self.step_with(Some(hook))? == StepKind::Render)
     }
 
     /// Mutable access to the store, for tests that need to corrupt or

@@ -10,11 +10,14 @@
 //! injection for differential testing uses `before_prim`, never fuel
 //! throttling.
 //!
-//! The entry points return `Option`: `None` means "this entry does not
-//! exist in the compiled program" (an unknown page, a closure from
-//! another program version) and is decided *before any state is
-//! touched*. Checked programs never produce it; the system contains it
-//! as a fault like any other runtime error.
+//! Every entry point returns a [`VmRun`]. An entry the compiled program
+//! does not have (an unknown page, bindings that do not match its
+//! parameters, a closure from another program version) ends the run
+//! with [`RuntimeError::Internal`] before any state is touched; checked
+//! programs never produce one, and a system contains it as a fault like
+//! any other runtime error. Each entry point builds its run with
+//! `Vm::new`, and every frame, the entry's own included, begins in
+//! `Vm::enter`.
 
 use std::sync::Arc;
 
@@ -24,7 +27,7 @@ use crate::error::RuntimeError;
 use crate::event::{Event, EventQueue};
 use crate::expr::{BoxSourceId, RememberId};
 use crate::fault::FaultInjector;
-use crate::store::Store;
+use crate::store::{Store, StoreView};
 use crate::types::{Effect, Name};
 use crate::value::{collect_env, CapturedEnv, Closure, Value};
 use crate::widget::WidgetStore;
@@ -32,7 +35,7 @@ use crate::widget::WidgetStore;
 use crate::provenance::Provenance;
 
 use super::arena::Scratch;
-use super::{GuardOp, Instr, ProvSpec, Reg, VmProgram};
+use super::{GuardOp, Instr, PageEntry, ProvSpec, Reg, VmProgram};
 
 /// Execution statistics for one VM run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,33 +55,6 @@ pub struct VmRun<T> {
     pub cost: Cost,
     /// VM-only execution statistics.
     pub stats: RunStats,
-}
-
-/// Store access for one run: mutable in state mode, shared otherwise —
-/// the same borrow-level immutability guarantee bigstep's `StoreAccess`
-/// provides.
-enum StoreView<'a> {
-    Mut(&'a mut Store),
-    Ref(&'a Store),
-}
-
-impl StoreView<'_> {
-    fn get(&self, name: &str) -> Option<&Value> {
-        match self {
-            StoreView::Mut(s) => s.get(name),
-            StoreView::Ref(s) => s.get(name),
-        }
-    }
-
-    fn set(&mut self, name: &str, value: Value) -> Result<(), ()> {
-        match self {
-            StoreView::Mut(s) => {
-                s.set(name, value);
-                Ok(())
-            }
-            StoreView::Ref(_) => Err(()),
-        }
-    }
 }
 
 /// One in-flight VM run. Field shapes mirror `bigstep::Evaluator` so
@@ -102,7 +78,57 @@ struct Vm<'a> {
 
 const BAD_CODE: RuntimeError = RuntimeError::Internal("vm: malformed bytecode");
 
+/// The fault of an entry the compiled program does not have.
+const FOREIGN_ENTRY: RuntimeError =
+    RuntimeError::Internal("vm: entry outside the compiled program");
+
 impl<'a> Vm<'a> {
+    /// Start a run over `store` in `mode`: a fresh scratch epoch, the
+    /// pooled render spine (empty) and no queue, hook, widget store or
+    /// fault injector. Each entry point adds the ones its transition
+    /// uses.
+    fn new(
+        vmp: &'a VmProgram,
+        scratch: &'a mut Scratch,
+        store: StoreView<'a>,
+        mode: Effect,
+        fuel: u64,
+        version: u64,
+    ) -> Self {
+        scratch.begin();
+        let boxes = scratch.take_box_spine();
+        Vm {
+            vmp,
+            scratch,
+            store,
+            queue: None,
+            mode,
+            boxes,
+            fuel,
+            version,
+            cost: Cost::default(),
+            instructions: 0,
+            hook: None,
+            widgets: None,
+            faults: None,
+        }
+    }
+
+    /// End the run: return the render spine to the pool and report the
+    /// outcome with its cost and VM statistics.
+    fn finish<T>(self, result: Result<T, RuntimeError>) -> VmRun<T> {
+        let stats = RunStats {
+            instructions: self.instructions,
+            arena_bytes: self.scratch.hiwater_bytes(),
+        };
+        self.scratch.return_box_spine(self.boxes);
+        VmRun {
+            result,
+            cost: self.cost,
+            stats,
+        }
+    }
+
     fn tick(&mut self) -> Result<(), RuntimeError> {
         self.cost.steps += 1;
         if self.fuel == 0 {
@@ -603,12 +629,7 @@ impl<'a> Vm<'a> {
 
     /// Run a global's initializer chunk in an empty scope.
     fn run_init(&mut self, init_chunk: u32) -> Result<Value, RuntimeError> {
-        let chunk = self.vmp.chunks.get(init_chunk as usize).ok_or(BAD_CODE)?;
-        let regs = chunk.regs;
-        let b = self.scratch.push_window(regs);
-        let r = self.exec(init_chunk, b);
-        self.scratch.pop_window(b);
-        r
+        self.enter(init_chunk, |_, _| Ok(()))
     }
 
     /// Apply a first-class callable to `argc` arguments already
@@ -648,7 +669,7 @@ impl<'a> Vm<'a> {
         }
     }
 
-    /// Invoke compiled lambda `l`: new window, env then args, run, pop.
+    /// Invoke compiled lambda `l`: a frame seeded with env then args.
     fn call_lambda(
         &mut self,
         l: u32,
@@ -658,66 +679,91 @@ impl<'a> Vm<'a> {
     ) -> Result<Value, RuntimeError> {
         let vmp = self.vmp;
         let info = vmp.lambdas.get(l as usize).ok_or(BAD_CODE)?;
-        let chunk_idx = info.chunk;
-        let chunk = vmp.chunks.get(chunk_idx as usize).ok_or(BAD_CODE)?;
-        let (regs, env_len, params) = (chunk.regs, chunk.env_len as usize, chunk.params);
-        let got_env = env.map(|e| e.len()).unwrap_or(0);
-        if got_env != env_len || argc != params {
+        let chunk = vmp.chunks.get(info.chunk as usize).ok_or(BAD_CODE)?;
+        let env_len = chunk.env_len as usize;
+        let env = env.unwrap_or_default();
+        if env.len() != env_len || argc != chunk.params {
             // The chunk's frame layout disagrees with the closure —
             // only possible for a foreign (cross-version) closure whose
             // captured environment has a different shape.
             return Err(RuntimeError::Internal("vm: foreign closure"));
         }
-        let nbase = self.scratch.push_window(regs);
-        if let Some(env) = env {
+        self.enter(info.chunk, |scratch, base| {
             for (i, (_, v)) in env.iter().enumerate() {
-                self.scratch.set(nbase + i, v.clone())?;
+                scratch.set(base + i, v.clone())?;
             }
-        }
-        for i in 0..argc as usize {
-            let v = self.scratch.get(args_at + i)?.clone();
-            self.scratch.set(nbase + env_len + i, v)?;
-        }
-        let r = self.exec(chunk_idx, nbase);
-        self.scratch.pop_window(nbase);
-        r
+            for i in 0..argc as usize {
+                let v = scratch.get(args_at + i)?.clone();
+                scratch.set(base + env_len + i, v)?;
+            }
+            Ok(())
+        })
     }
 
-    /// Seed a window with entry bindings and run a root chunk — the VM
-    /// half of `transition_state`/`transition_render` (no extra tick:
-    /// the first instruction's tick mirrors the root node's).
-    fn run_entry(
+    /// Begin a frame: push a window of `chunk_idx`'s registers, let
+    /// `seed` fill its leading registers (given the window's base), run
+    /// the chunk until its `Ret`, and pop the window. Every call, global
+    /// initializer and entry body runs through here.
+    fn enter(
         &mut self,
         chunk_idx: u32,
-        bindings: &[(Name, Value)],
+        seed: impl FnOnce(&mut Scratch, usize) -> Result<(), RuntimeError>,
     ) -> Result<Value, RuntimeError> {
         let chunk = self.vmp.chunks.get(chunk_idx as usize).ok_or(BAD_CODE)?;
-        let regs = chunk.regs;
-        let base = self.scratch.push_window(regs);
-        for (i, (_, v)) in bindings.iter().enumerate() {
-            self.scratch.set(base + i, v.clone())?;
-        }
-        let r = self.exec(chunk_idx, base);
+        let base = self.scratch.push_window(chunk.regs);
+        let result = seed(self.scratch, base).and_then(|()| self.exec(chunk_idx, base));
         self.scratch.pop_window(base);
-        r
+        result
+    }
+
+    /// Run the entry body `pick` selects from `page`, seeded with the
+    /// page's bindings — the VM half of `transition_state`/
+    /// `transition_render` (no extra tick: the first instruction's tick
+    /// mirrors the root node's). Bindings that do not line up with the
+    /// compiled parameter slots (same names, same order) are a foreign
+    /// entry.
+    fn run_page(
+        &mut self,
+        page: &str,
+        bindings: &[(Name, Value)],
+        pick: fn(&PageEntry) -> u32,
+    ) -> Result<Value, RuntimeError> {
+        let entry = self.vmp.pages.get(page).ok_or(FOREIGN_ENTRY)?;
+        let matches = entry.params.len() == bindings.len()
+            && entry
+                .params
+                .iter()
+                .zip(bindings)
+                .all(|(p, (n, _))| Arc::ptr_eq(&p.name, n) || *p.name == **n);
+        if !matches {
+            return Err(FOREIGN_ENTRY);
+        }
+        self.enter(pick(entry), |scratch, base| {
+            for (i, (_, v)) in bindings.iter().enumerate() {
+                scratch.set(base + i, v.clone())?;
+            }
+            Ok(())
+        })
     }
 
     /// Apply a handler thunk — bigstep's `apply` at the THUNK boundary.
+    /// A closure from another program version, or more arguments than a
+    /// frame holds, is a foreign entry, refused before the first tick.
     fn run_thunk(&mut self, thunk: &Value, args: &[Value]) -> Result<Value, RuntimeError> {
+        let argc = u16::try_from(args.len()).map_err(|_| FOREIGN_ENTRY)?;
+        let closure = match thunk {
+            Value::Closure(c) => Some((c, self.own_lambda(c).ok_or(FOREIGN_ENTRY)?)),
+            _ => None,
+        };
         self.tick()?;
-        match thunk {
-            Value::Closure(c) => {
+        match (thunk, closure) {
+            (_, Some((c, l))) => {
                 if c.params.len() != args.len() {
                     return Err(RuntimeError::ArityMismatch {
                         expected: c.params.len(),
                         found: args.len(),
                     });
                 }
-                let l = self
-                    .vmp
-                    .lambda_for(&c.body)
-                    .ok_or(RuntimeError::Internal("vm: foreign closure"))?;
-                let argc = args.len() as u16;
                 let sbase = self.scratch.push_window(argc);
                 for (i, v) in args.iter().enumerate() {
                     self.scratch.set(sbase + i, v.clone())?;
@@ -726,7 +772,7 @@ impl<'a> Vm<'a> {
                 self.scratch.pop_window(sbase);
                 r
             }
-            Value::Prim(p) => {
+            (Value::Prim(p), None) => {
                 if let Some(injector) = self.faults.as_deref_mut() {
                     if let Some(err) = injector.before_prim(*p) {
                         return Err(err.into());
@@ -734,50 +780,22 @@ impl<'a> Vm<'a> {
                 }
                 Ok(p.apply(args, &mut self.cost.prim)?)
             }
-            other => Err(RuntimeError::NotAFunction(other.display_text())),
+            (other, None) => Err(RuntimeError::NotAFunction(other.display_text())),
         }
     }
 
-    fn stats(&self) -> RunStats {
-        RunStats {
-            instructions: self.instructions,
-            arena_bytes: self.scratch.hiwater_bytes(),
-        }
+    /// The compiled lambda behind closure `c`, if this program version
+    /// made it: its body is registered and its environment has the
+    /// shape the lambda's frame expects.
+    fn own_lambda(&self, c: &Closure) -> Option<u32> {
+        let l = self.vmp.lambda_for(&c.body)?;
+        let info = self.vmp.lambdas.get(l as usize)?;
+        let chunk = self.vmp.chunks.get(info.chunk as usize)?;
+        (c.env.len() == chunk.env_len as usize).then_some(l)
     }
 }
 
-/// Can the VM run this thunk? `None` when it cannot — decided before
-/// any state is touched so bigstep can take over cleanly.
-fn thunk_entry(vmp: &VmProgram, thunk: &Value, args: &[Value]) -> Option<()> {
-    if args.len() > u16::MAX as usize {
-        return None;
-    }
-    if let Value::Closure(c) = thunk {
-        let l = vmp.lambda_for(&c.body)?;
-        let info = vmp.lambdas.get(l as usize)?;
-        let chunk = vmp.chunks.get(info.chunk as usize)?;
-        if c.env.len() != chunk.env_len as usize {
-            return None;
-        }
-    }
-    // Prims and non-callables are fully handled by the VM (the latter
-    // report `NotAFunction` exactly like bigstep).
-    Some(())
-}
-
-/// Do the entry bindings line up with the compiled page's parameter
-/// slots (same names, same order)?
-fn bindings_match(params: &[crate::expr::ParamSig], bindings: &[(Name, Value)]) -> bool {
-    params.len() == bindings.len()
-        && params
-            .iter()
-            .zip(bindings)
-            .all(|(p, (n, _))| Arc::ptr_eq(&p.name, n) || *p.name == **n)
-}
-
-/// VM counterpart of [`crate::bigstep::transition_thunk`]. Returns
-/// `None` — with no state touched — when the thunk is outside the VM
-/// subset (e.g. a closure from another program version).
+/// VM counterpart of [`crate::bigstep::transition_thunk`].
 #[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
 pub fn transition_thunk(
     vmp: &VmProgram,
@@ -790,37 +808,24 @@ pub fn transition_thunk(
     args: &[Value],
     widgets: Option<&mut WidgetStore>,
     faults: Option<&mut (dyn FaultInjector + '_)>,
-) -> Option<VmRun<Value>> {
-    thunk_entry(vmp, thunk, args)?;
-    scratch.begin();
-    let mut faults = faults.map(crate::bigstep::ReborrowFaults);
-    let mut vm = Vm {
+) -> VmRun<Value> {
+    let mut vm = Vm::new(
         vmp,
         scratch,
-        store: StoreView::Mut(store),
-        queue: Some(queue),
-        mode: Effect::State,
-        boxes: Vec::new(),
+        StoreView::Mut(store),
+        Effect::State,
         fuel,
         version,
-        cost: Cost::default(),
-        instructions: 0,
-        hook: None,
-        widgets,
-        faults: faults.as_mut().map(|f| f as &mut dyn FaultInjector),
-    };
+    );
+    vm.queue = Some(queue);
+    vm.widgets = widgets;
+    vm.faults = faults.map(|f| f as &mut dyn FaultInjector);
     let result = vm.run_thunk(thunk, args);
-    let (cost, stats) = (vm.cost, vm.stats());
-    Some(VmRun {
-        result,
-        cost,
-        stats,
-    })
+    vm.finish(result)
 }
 
 /// VM counterpart of [`crate::bigstep::transition_state`] for a page
-/// `init` body. Returns `None` — with no state touched — when the page
-/// or its bindings don't match the compiled program.
+/// `init` body.
 #[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
 pub fn transition_page_init(
     vmp: &VmProgram,
@@ -833,36 +838,20 @@ pub fn transition_page_init(
     bindings: &[(Name, Value)],
     widgets: Option<&mut WidgetStore>,
     faults: Option<&mut (dyn FaultInjector + '_)>,
-) -> Option<VmRun<Value>> {
-    let entry = vmp.pages.get(page)?;
-    if !bindings_match(&entry.params, bindings) {
-        return None;
-    }
-    let init_chunk = entry.init_chunk;
-    scratch.begin();
-    let mut faults = faults.map(crate::bigstep::ReborrowFaults);
-    let mut vm = Vm {
+) -> VmRun<Value> {
+    let mut vm = Vm::new(
         vmp,
         scratch,
-        store: StoreView::Mut(store),
-        queue: Some(queue),
-        mode: Effect::State,
-        boxes: Vec::new(),
+        StoreView::Mut(store),
+        Effect::State,
         fuel,
         version,
-        cost: Cost::default(),
-        instructions: 0,
-        hook: None,
-        widgets,
-        faults: faults.as_mut().map(|f| f as &mut dyn FaultInjector),
-    };
-    let result = vm.run_entry(init_chunk, bindings);
-    let (cost, stats) = (vm.cost, vm.stats());
-    Some(VmRun {
-        result,
-        cost,
-        stats,
-    })
+    );
+    vm.queue = Some(queue);
+    vm.widgets = widgets;
+    vm.faults = faults.map(|f| f as &mut dyn FaultInjector);
+    let result = vm.run_page(page, bindings, |entry| entry.init_chunk);
+    vm.finish(result)
 }
 
 /// VM counterpart of [`crate::bigstep::run_pure`] for a live example
@@ -885,35 +874,21 @@ pub fn run_example(
     } else {
         slot.body_chunk
     };
-    scratch.begin();
-    let mut vm = Vm {
+    let mut vm = Vm::new(
         vmp,
         scratch,
-        store: StoreView::Ref(store),
-        queue: None,
-        mode: Effect::Pure,
-        boxes: Vec::new(),
+        StoreView::Ref(store),
+        Effect::Pure,
         fuel,
         version,
-        cost: Cost::default(),
-        instructions: 0,
-        hook: None,
-        widgets: None,
-        faults: None,
-    };
-    let result = vm.run_entry(chunk, &[]);
-    let (cost, stats) = (vm.cost, vm.stats());
-    Some(VmRun {
-        result,
-        cost,
-        stats,
-    })
+    );
+    let result = vm.enter(chunk, |_, _| Ok(()));
+    Some(vm.finish(result))
 }
 
-/// VM counterpart of [`crate::bigstep::transition_render`]. Returns
-/// `None` — with no state touched — when the page or its bindings don't
-/// match the compiled program. The widget store's occurrence counters
-/// must be reset (`begin_render`) by the caller, as with bigstep.
+/// VM counterpart of [`crate::bigstep::transition_render`]. The widget
+/// store's occurrence counters must be reset (`begin_render`) by the
+/// caller, as with bigstep.
 #[allow(clippy::too_many_arguments)] // mirrors the σ components + extras
 pub fn transition_page_render(
     vmp: &VmProgram,
@@ -926,47 +901,25 @@ pub fn transition_page_render(
     hook: Option<&mut (dyn RenderHook + '_)>,
     widgets: Option<&mut WidgetStore>,
     faults: Option<&mut (dyn FaultInjector + '_)>,
-) -> Option<VmRun<BoxNode>> {
-    let entry = vmp.pages.get(page)?;
-    if !bindings_match(&entry.params, bindings) {
-        return None;
-    }
-    let render_chunk = entry.render_chunk;
-    scratch.begin();
-    let mut spine = scratch.take_box_spine();
-    spine.push(BoxNode::new(None));
-    let mut hook = hook.map(crate::bigstep::ReborrowHook);
-    let mut faults = faults.map(crate::bigstep::ReborrowFaults);
-    let run = {
-        let mut vm = Vm {
-            vmp,
-            scratch,
-            store: StoreView::Ref(store),
-            queue: None,
-            mode: Effect::Render,
-            boxes: spine,
-            fuel,
-            version,
-            cost: Cost::default(),
-            instructions: 0,
-            hook: hook.as_mut().map(|h| h as &mut dyn RenderHook),
-            widgets,
-            faults: faults.as_mut().map(|f| f as &mut dyn FaultInjector),
-        };
-        let result = vm.run_entry(render_chunk, bindings).and_then(|_| {
+) -> VmRun<BoxNode> {
+    let mut vm = Vm::new(
+        vmp,
+        scratch,
+        StoreView::Ref(store),
+        Effect::Render,
+        fuel,
+        version,
+    );
+    vm.boxes.push(BoxNode::new(None));
+    vm.hook = hook.map(|h| h as &mut dyn RenderHook);
+    vm.widgets = widgets;
+    vm.faults = faults.map(|f| f as &mut dyn FaultInjector);
+    let result = vm
+        .run_page(page, bindings, |entry| entry.render_chunk)
+        .and_then(|_| {
             vm.boxes
                 .pop()
                 .ok_or(RuntimeError::Internal("top-level box frame missing"))
         });
-        let (cost, stats) = (vm.cost, vm.stats());
-        let spine = std::mem::take(&mut vm.boxes);
-        (result, cost, stats, spine)
-    };
-    let (result, cost, stats, spine) = run;
-    scratch.return_box_spine(spine);
-    Some(VmRun {
-        result,
-        cost,
-        stats,
-    })
+    vm.finish(result)
 }

@@ -31,9 +31,13 @@
 //! `tests/vm_differential.rs` holds the three-way differential walk. A
 //! system on the VM engine runs nothing else: a program beyond the
 //! compiler's limits faults each transition with
-//! [`crate::error::RuntimeError::VmLimit`], and a closure from another
-//! program version faults the call that meets it (see
-//! [`crate::system::EvalEngine`]).
+//! [`crate::error::RuntimeError::VmLimit`], and an entry the compiled
+//! program does not have (an unknown page, mismatched page bindings, a
+//! handler closure from another program version) ends its run with
+//! [`crate::error::RuntimeError::Internal`] before any state is touched
+//! (see [`crate::system::EvalEngine`]). Each entry point returns a
+//! [`VmRun`]; only [`run_example`] returns an `Option`, whose `None`
+//! means the program has no such example.
 
 mod arena;
 mod compile;

@@ -236,7 +236,7 @@ fn vm_bigstep_smallstep_agree_on_generated_bodies() {
                     .expect("small-step init");
             let mut bs_store = Store::new();
             let mut bs_queue = EventQueue::new();
-            let (bs, bs_cost) = bigstep::run_state(
+            let (bs, bs_cost) = bigstep::transition_state(
                 &program,
                 &mut bs_store,
                 &mut bs_queue,
@@ -244,8 +244,10 @@ fn vm_bigstep_smallstep_agree_on_generated_bodies() {
                 FUEL,
                 vec![],
                 &page.init,
-            )
-            .expect("big-step init");
+                None,
+                None,
+            );
+            let bs = bs.expect("big-step init");
             let mut vm_store = Store::new();
             let mut vm_queue = EventQueue::new();
             let mut vm_widgets = WidgetStore::new();
@@ -260,8 +262,7 @@ fn vm_bigstep_smallstep_agree_on_generated_bodies() {
                 &[],
                 Some(&mut vm_widgets),
                 None,
-            )
-            .expect("start page is compiled");
+            );
             let vm_value = run.result.expect("vm init");
 
             prop_assert_eq!(&ss.value, &bs, "smallstep/bigstep init values");
@@ -278,8 +279,18 @@ fn vm_bigstep_smallstep_agree_on_generated_bodies() {
             // render under all three, from the agreed store.
             let ss_render = smallstep::eval_render(&program, &mut ss_store, FUEL, &page.render)
                 .expect("small-step render");
-            let bs_render = bigstep::run_render(&program, &bs_store, 0, FUEL, vec![], &page.render)
-                .expect("big-step render");
+            let (bs_root, bs_render_cost) = bigstep::transition_render(
+                &program,
+                &bs_store,
+                0,
+                FUEL,
+                vec![],
+                &page.render,
+                None,
+                None,
+                None,
+            );
+            let bs_root = bs_root.expect("big-step render");
             let render_run = vm::transition_page_render(
                 &vmp,
                 &mut scratch,
@@ -291,27 +302,26 @@ fn vm_bigstep_smallstep_agree_on_generated_bodies() {
                 None,
                 Some(&mut vm_widgets),
                 None,
-            )
-            .expect("start page is compiled");
+            );
             let vm_root = render_run.result.expect("vm render");
 
             let ss_root = ss_render.root.expect("box content");
-            prop_assert_eq!(&ss_root, &bs_render.root, "smallstep/bigstep box trees");
-            prop_assert_eq!(&vm_root, &bs_render.root, "vm/bigstep box trees");
+            prop_assert_eq!(&ss_root, &bs_root, "smallstep/bigstep box trees");
+            prop_assert_eq!(&vm_root, &bs_root, "vm/bigstep box trees");
             // Byte-identity, not just structural equality.
             prop_assert_eq!(
                 format!("{vm_root:?}"),
-                format!("{:?}", bs_render.root),
+                format!("{bs_root:?}"),
                 "vm/bigstep frame bytes"
             );
             prop_assert_eq!(
                 render_run.cost.boxes_created,
-                bs_render.cost.boxes_created,
+                bs_render_cost.boxes_created,
                 "vm/bigstep boxes created"
             );
             prop_assert_eq!(
                 render_run.cost.posts,
-                bs_render.cost.posts,
+                bs_render_cost.posts,
                 "vm/bigstep posts"
             );
             Ok(())
@@ -662,7 +672,7 @@ fn assert_start_page_agrees(
 
     let mut bs_store = Store::new();
     let mut bs_queue = EventQueue::new();
-    let (bs_value, _) = bigstep::run_state(
+    let (bs_value, _) = bigstep::transition_state(
         &program,
         &mut bs_store,
         &mut bs_queue,
@@ -670,11 +680,22 @@ fn assert_start_page_agrees(
         FUEL,
         vec![],
         &page.init,
-    )
-    .expect("big-step init");
-    let bs_root = bigstep::run_render(&program, &bs_store, 0, FUEL, vec![], &page.render)
-        .expect("big-step render")
-        .root;
+        None,
+        None,
+    );
+    let bs_value = bs_value.expect("big-step init");
+    let (bs_root, _) = bigstep::transition_render(
+        &program,
+        &bs_store,
+        0,
+        FUEL,
+        vec![],
+        &page.render,
+        None,
+        None,
+        None,
+    );
+    let bs_root = bs_root.expect("big-step render");
 
     let mut vm_store = Store::new();
     let mut vm_queue = EventQueue::new();
@@ -690,8 +711,7 @@ fn assert_start_page_agrees(
         &[],
         Some(&mut widgets),
         None,
-    )
-    .expect("start page is compiled");
+    );
     assert_eq!(dbg(init.result.expect("vm init")), dbg(&bs_value));
     assert_eq!(dbg(&vm_store), dbg(&bs_store), "vm/bigstep stores");
     assert_eq!(dbg(&vm_queue), dbg(&bs_queue), "vm/bigstep queues");
@@ -706,8 +726,7 @@ fn assert_start_page_agrees(
         None,
         Some(&mut widgets),
         None,
-    )
-    .expect("start page is compiled");
+    );
     let vm_root = render.result.expect("vm render");
     assert_eq!(dbg(&vm_root), dbg(&bs_root), "vm/bigstep frame bytes");
 
@@ -831,8 +850,7 @@ fn concat_chains_agree_on_all_three_machines() {
         &[],
         None,
         None,
-    )
-    .expect("the handler is compiled");
+    );
     run.result.expect("vm handler");
     let mut bs_store = store.clone();
     let mut bs_queue = EventQueue::new();

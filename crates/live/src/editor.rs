@@ -12,7 +12,7 @@ use crate::session::LiveSession;
 use alive_core::boxtree::BoxNode;
 use alive_syntax::token::TokenKind;
 use alive_syntax::{Diagnostics, Span};
-use alive_ui::{layout, render_with_options, RenderOptions};
+use alive_ui::{layout, render_to_text};
 use std::sync::Arc;
 
 /// What is currently selected in the split view.
@@ -56,7 +56,7 @@ impl Default for SplitViewOptions {
 /// Render the Figure 2 split screen for a session with a selection.
 ///
 /// The selected box (or the boxes created by the statement under the
-/// cursor) are outlined in the live pane with `●` gutter markers; the
+/// cursor) are marked in the live pane with `●` gutter markers; the
 /// corresponding statement lines get `▶` markers in the code pane.
 ///
 /// Total, like [`LiveSession::live_view`]: a session whose renders
@@ -88,19 +88,13 @@ pub fn split_view(
         },
     };
 
-    // Left pane: the live view with all boxes outlined (inspection
-    // mode), selected boxes marked in the gutter.
+    // Left pane: the live view as the session paints it (only boxes
+    // with a `border` are framed), selected boxes marked in the gutter.
     let tree = layout(&display);
     let live_text = if options.zoom > 1 {
         alive_ui::render_zoomed_out(&tree, options.zoom)
     } else {
-        render_with_options(
-            &tree,
-            RenderOptions {
-                outline_all_boxes: false,
-                ..RenderOptions::default()
-            },
-        )
+        render_to_text(&tree)
     };
     let zoom = options.zoom.max(1) as i32;
     let selected_rows: Vec<(i32, i32)> = selected_boxes

@@ -79,7 +79,7 @@ pub mod trace;
 pub use editor::{highlight_line, split_view, Selection, SplitViewOptions};
 pub use examples::{ExampleProbe, ProbeStatus};
 pub use fault_log::{FaultLog, FAULT_LOG_CAPACITY};
-pub use memo::{MemoCache, MemoStats, RenderDeps};
+pub use memo::{MemoCache, MemoStats};
 pub use navigation::{box_source_at, boxes_for_cursor, boxes_for_source, span_for_box};
 pub use protocol::{
     format_metrics_snapshot, parse_commands, FrameSnapshot, ProtocolParseError, SessionCommand,

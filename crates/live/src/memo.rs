@@ -36,28 +36,28 @@ use std::sync::Arc;
 
 /// What a `boxed` statement's body may depend on, besides its locals.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReadSet {
+pub(crate) struct ReadSet {
     /// Globals the body may read (transitively through function calls).
-    pub globals: BTreeSet<Name>,
+    pub(crate) globals: BTreeSet<Name>,
     /// The body performs a call whose target is not statically known
     /// (e.g. through a function-typed local) — assume it reads anything.
-    pub reads_everything: bool,
+    pub(crate) reads_everything: bool,
     /// The body assigns a local bound outside the `boxed` statement;
     /// re-playing a cached subtree would skip that effect, so the
     /// statement must never be cached.
-    pub cacheable: bool,
+    pub(crate) cacheable: bool,
 }
 
 /// Per-statement dependency analysis for a program.
 #[derive(Debug, Clone, Default)]
-pub struct RenderDeps {
+pub(crate) struct RenderDeps {
     by_box: HashMap<BoxSourceId, ReadSet>,
 }
 
 impl RenderDeps {
     /// Analyze a program: compute the read set of every `boxed`
     /// statement in every render body (and render helper function).
-    pub fn analyze(program: &Program) -> Self {
+    pub(crate) fn analyze(program: &Program) -> Self {
         // Fixpoint over functions:
         // name -> (globals read, dynamic call?, touches view state?).
         let mut fun_reads: HashMap<Name, (BTreeSet<Name>, bool, bool)> = HashMap::new();
@@ -98,11 +98,6 @@ impl RenderDeps {
             collect_boxed(root, &fun_reads, &mut by_box);
         }
         RenderDeps { by_box }
-    }
-
-    /// The read set of a `boxed` statement, if it exists in the program.
-    pub fn read_set(&self, id: BoxSourceId) -> Option<&ReadSet> {
-        self.by_box.get(&id)
     }
 }
 
@@ -231,7 +226,7 @@ fn assigns_outer_local(body: &Expr) -> bool {
 
 /// Structural hash of a value (closures hash by code identity and
 /// captured environment).
-pub fn hash_value(value: &Value, state: &mut impl Hasher) {
+pub(crate) fn hash_value(value: &Value, state: &mut impl Hasher) {
     match value {
         Value::Number(n) => {
             1u8.hash(state);
@@ -331,16 +326,6 @@ impl MemoCache {
     /// Cache statistics so far.
     pub fn stats(&self) -> MemoStats {
         self.stats
-    }
-
-    /// Number of cached subtrees.
-    pub fn len(&self) -> usize {
-        self.current.len() + self.previous.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty() && self.previous.is_empty()
     }
 
     /// Reset after a code update: new code means new statement
@@ -468,7 +453,7 @@ mod tests {
         .expect("compiles");
         let deps = RenderDeps::analyze(&p);
         let id = BoxSourceId(0);
-        let rs = deps.read_set(id).expect("analyzed");
+        let rs = deps.by_box.get(&id).expect("analyzed");
         let names: Vec<&str> = rs.globals.iter().map(|n| &**n).collect();
         assert_eq!(names, vec!["a", "b"]);
         assert!(rs.cacheable);
@@ -491,7 +476,7 @@ mod tests {
         )
         .expect("compiles");
         let deps = RenderDeps::analyze(&p);
-        let rs = deps.read_set(BoxSourceId(0)).expect("analyzed");
+        let rs = deps.by_box.get(&BoxSourceId(0)).expect("analyzed");
         assert!(rs.globals.iter().any(|n| &**n == "g"));
     }
 
@@ -510,7 +495,7 @@ mod tests {
         )
         .expect("compiles");
         let deps = RenderDeps::analyze(&p);
-        let rs = deps.read_set(BoxSourceId(0)).expect("analyzed");
+        let rs = deps.by_box.get(&BoxSourceId(0)).expect("analyzed");
         assert!(rs.reads_everything);
         assert!(!rs.cacheable);
     }
@@ -538,7 +523,7 @@ mod tests {
         // Every boxed statement here is uncacheable: the inner one holds
         // the remember, the outer one reaches it through `widgety`.
         for id in [BoxSourceId(0), BoxSourceId(1)] {
-            let rs = deps.read_set(id).expect("analyzed");
+            let rs = deps.by_box.get(&id).expect("analyzed");
             assert!(!rs.cacheable, "{id:?} must not cache");
         }
     }
@@ -555,7 +540,7 @@ mod tests {
         )
         .expect("compiles");
         let deps = RenderDeps::analyze(&p);
-        let rs = deps.read_set(BoxSourceId(0)).expect("analyzed");
+        let rs = deps.by_box.get(&BoxSourceId(0)).expect("analyzed");
         assert!(!rs.cacheable, "outer-local assignment must not be cached");
     }
 
@@ -574,7 +559,7 @@ mod tests {
         )
         .expect("compiles");
         let deps = RenderDeps::analyze(&p);
-        let rs = deps.read_set(BoxSourceId(0)).expect("analyzed");
+        let rs = deps.by_box.get(&BoxSourceId(0)).expect("analyzed");
         assert!(rs.cacheable, "locals bound inside the body are fine");
     }
 
@@ -651,9 +636,19 @@ mod tests {
         assert_eq!(cost.boxes_reused, 3);
 
         // The reused tree is identical to an uncached render.
-        let plain =
-            bigstep::run_render(&p, &store, 0, 1_000_000, vec![], &page.render).expect("renders");
-        assert_eq!(second, plain.root);
+        let (plain, _) = bigstep::transition_render(
+            &p,
+            &store,
+            0,
+            1_000_000,
+            vec![],
+            &page.render,
+            None,
+            None,
+            None,
+        );
+        let plain = plain.expect("renders");
+        assert_eq!(second, plain);
         assert_ne!(first, second);
     }
 }

@@ -32,7 +32,9 @@ pub mod names {
     pub const HISTORY_NOOP: &str = "session.history.noop";
     /// Frames actually rendered (view-memo misses).
     pub const FRAMES_RENDERED: &str = "session.frames_rendered";
-    /// Protocol commands applied via [`crate::LiveSession::apply`].
+    /// Protocol commands applied via [`crate::LiveSession::apply`]. A
+    /// fleet revert's journal replay is not counted: each client
+    /// command counts once.
     pub const COMMANDS: &str = "session.commands";
     /// µs settling the system (evaluation) before each rendered frame.
     pub const FRAME_EVAL_US: &str = "frame.eval_us";
@@ -133,11 +135,13 @@ impl SessionMetrics {
         self.fleet_updates.inc();
     }
 
-    /// Count one fleet UPDATE reverted by canary auto-rollback. Note the
-    /// monotone-counter hazard: counters recorded by journal replay
-    /// during the revert are *not* rolled back — they count what
-    /// happened, not what persisted (same semantics as fault rollbacks
-    /// in the system's metrics, [`alive_core::metrics`]).
+    /// Count one fleet UPDATE reverted by canary auto-rollback. The
+    /// revert replays its journal of client commands without counting
+    /// them in `session.commands` again, but the replayed work still
+    /// counts in the frame and edit metrics, and nothing the rolled-back
+    /// run recorded is taken back: they count what happened, not what
+    /// persisted (same semantics as fault rollbacks in the system's
+    /// metrics, [`alive_core::metrics`]).
     pub(crate) fn record_fleet_revert(&self) {
         self.fleet_reverts.inc();
     }

@@ -280,6 +280,13 @@ impl LiveSession {
         // promote/revert decision, journal it so a revert can replay it
         // against the restored program.
         self.admit(&command);
+        self.execute(command)
+    }
+
+    /// Run one command [`LiveSession::apply`] admitted. A fleet revert
+    /// replays its journal through here, so a replayed command is
+    /// neither counted nor journaled a second time.
+    pub(crate) fn execute(&mut self, command: SessionCommand) -> Vec<SessionEffect> {
         match command {
             SessionCommand::Frame => vec![SessionEffect::Frame(self.frame_snapshot())],
             SessionCommand::TapAt { x, y } => {

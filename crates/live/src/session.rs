@@ -587,10 +587,11 @@ impl LiveSession {
 
     /// Stage one batch of span-addressed edits on an open transaction.
     /// Spans address the *staged* text (the result of every batch staged
-    /// so far — see [`alive_syntax::apply_edit_batches`]); the running
-    /// program is untouched until commit. Returns the total number of
-    /// edits staged on the transaction, or the refusal; the staged text
-    /// is unchanged on refusal.
+    /// so far), and the batch applies to it with
+    /// [`alive_syntax::apply_edits`]; the running program is untouched
+    /// until commit. Returns the total number of edits staged on the
+    /// transaction, or the refusal; the staged text is unchanged on
+    /// refusal.
     pub(crate) fn tx_edit(&mut self, tx: u64, edits: &[TextEdit]) -> Result<usize, String> {
         let pending = self
             .state
@@ -698,11 +699,12 @@ impl LiveSession {
         self.state = checkpoint.state;
         self.forget_derived();
         self.refresh();
-        // Replay the mid-canary traffic against the restored program.
-        // The checkpoint is `None` now, so nothing re-journals.
+        // Replay the mid-canary traffic against the restored program,
+        // through `execute`: `apply` counted these commands when the
+        // client sent them.
         if !checkpoint.journal_overflow {
             for command in checkpoint.journal {
-                let _ = self.apply(command);
+                let _ = self.execute(command);
             }
         }
         self.metrics.record_fleet_revert();
@@ -1373,6 +1375,21 @@ page broken() {
         assert_eq!(fleet.undo_depth(), solo.undo_depth());
         assert_eq!(fleet.update_counts(), solo.update_counts());
         assert_eq!(fleet.fault_log().total(), solo.fault_log().total());
+    }
+
+    #[test]
+    fn fleet_revert_counts_each_client_command_once() {
+        let mut fleet = under_fleet_update(1);
+        tap(&mut fleet, &[0]);
+        tap(&mut fleet, &[0]);
+        assert!(fleet.fleet_revert(1));
+        // The journal replay is not new client traffic.
+        assert_eq!(
+            fleet
+                .metrics_snapshot()
+                .counter(crate::metrics::names::COMMANDS),
+            2
+        );
     }
 
     #[test]

@@ -328,6 +328,16 @@ fn observation_window_defers_the_decision_to_a_status_poll() {
         panic!("fault spike inside the window must roll back, got {phase:?}");
     };
     assert_eq!(reverted, 1);
+    // The replay is not new traffic: the canary counts each of the
+    // three commands it was sent once.
+    let canary_metrics = host.session_metrics(canary).expect("live");
+    assert_eq!(
+        canary_metrics.counter("session.commands"),
+        canary_metrics
+            .histogram("host.cmd_latency_us")
+            .expect("recorded")
+            .count
+    );
 
     // The canary replayed its journaled taps against the restored
     // program: byte-identical to a solo session that ran all three

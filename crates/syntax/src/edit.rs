@@ -127,25 +127,6 @@ pub fn apply_edits(src: &str, edits: &[TextEdit]) -> Result<String, EditError> {
     Ok(out)
 }
 
-/// Apply a *sequence* of edit batches — the shape an edit transaction
-/// accumulates: each call to "stage more edits" is one batch whose spans
-/// address the text produced by the batches before it, while the edits
-/// *within* a batch address the same text simultaneously (the
-/// [`apply_edits`] contract). The whole sequence is atomic: any
-/// malformed batch fails the call and `src` is reported unchanged.
-///
-/// # Errors
-///
-/// The first batch's [`EditError`], if any batch overlaps, runs out of
-/// bounds, or splits a UTF-8 character against its base text.
-pub fn apply_edit_batches(src: &str, batches: &[Vec<TextEdit>]) -> Result<String, EditError> {
-    let mut text = src.to_string();
-    for batch in batches {
-        text = apply_edits(&text, batch)?;
-    }
-    Ok(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,35 +197,6 @@ mod tests {
             apply_edits("ab", &[TextEdit::delete(Span::new(1, 5))]),
             Err(EditError::OutOfBounds(..))
         ));
-    }
-
-    #[test]
-    fn batches_apply_sequentially_and_atomically() {
-        // Batch 2's span addresses the text *after* batch 1 ran: "ABC"
-        // has replaced "abc", so span 0..3 hits the new text.
-        let out = apply_edit_batches(
-            "abc def",
-            &[
-                vec![TextEdit::replace(Span::new(0, 3), "ABC")],
-                vec![TextEdit::replace(Span::new(4, 7), "DEF")],
-                vec![TextEdit::insert(7, "!")],
-            ],
-        )
-        .expect("applies");
-        assert_eq!(out, "ABC DEF!");
-        // A bad later batch fails the whole sequence.
-        assert!(matches!(
-            apply_edit_batches(
-                "ab",
-                &[
-                    vec![TextEdit::insert(0, "x")],
-                    vec![TextEdit::delete(Span::new(0, 99))],
-                ],
-            ),
-            Err(EditError::OutOfBounds(..))
-        ));
-        // No batches is the identity.
-        assert_eq!(apply_edit_batches("ab", &[]).expect("applies"), "ab");
     }
 
     #[test]

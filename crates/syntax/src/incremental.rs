@@ -100,24 +100,16 @@ impl IncrementalParser {
     }
 
     /// Parse `src` incrementally and return a fresh [`ParseResult`]
-    /// equal to `parse_program(src)`. Prefer [`IncrementalParser::parse_ref`]
-    /// when a borrow suffices — it avoids cloning the unchanged items.
+    /// equal to `parse_program(src)`. The result owns its program, so
+    /// every item is cloned into it, the unchanged ones included; the
+    /// clone-free path is [`IncrementalParser::update`] followed by
+    /// [`IncrementalParser::with_program`].
     pub fn parse(&mut self, src: &str) -> ParseResult {
         self.reparse(src);
         ParseResult {
             program: self.assemble_program(src),
             diagnostics: self.assemble_diags(),
         }
-    }
-
-    /// Parse `src` incrementally; the returned references borrow the
-    /// parser-owned document (zero clones for unchanged items).
-    pub fn parse_ref(&mut self, src: &str) -> (Program, Diagnostics) {
-        // `Program` holds items by value, so "borrowing" means handing
-        // out the assembled program; the per-chunk storage keeps
-        // ownership across calls via take/put-back in `reparse`.
-        self.reparse(src);
-        (self.assemble_program(src), self.assemble_diags())
     }
 
     /// Re-synchronize the owned document with `src` (parsing only the

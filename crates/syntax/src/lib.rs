@@ -61,7 +61,7 @@ pub mod token;
 
 pub use ast::Program;
 pub use diag::{Diagnostic, Diagnostics, Severity};
-pub use edit::{apply_edit_batches, apply_edits, EditError, TextEdit};
+pub use edit::{apply_edits, EditError, TextEdit};
 pub use incremental::{chunk_items, IncrementalParser};
 pub use parser::{parse_expr, parse_program, ParseResult};
 pub use pretty::{pretty_expr, pretty_program, pretty_stmt, pretty_type};

@@ -82,11 +82,6 @@ impl Bench {
         self
     }
 
-    /// Whether the harness is doing full measurement (vs smoke mode).
-    pub fn is_full(&self) -> bool {
-        self.full
-    }
-
     /// Time `f`, recording a result under `group/name`. In smoke mode
     /// the closure runs exactly once.
     pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {

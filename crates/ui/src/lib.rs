@@ -57,9 +57,7 @@ pub use layout::{
     layout, layout_incremental, LayoutBox, LayoutCache, LayoutItem, LayoutStats, LayoutTree, Style,
 };
 pub use render_ansi::{render_to_ansi, strip_ansi, AnsiCanvas, AnsiFramebuffer};
-pub use render_text::{
-    render_to_text, render_with_options, render_zoomed_out, Canvas, RenderOptions, TextFrame,
-};
+pub use render_text::{render_to_text, render_zoomed_out, Canvas, TextFrame};
 
 use alive_core::system::{ActionError, System};
 

@@ -10,24 +10,8 @@
 use crate::geom::{Point, Rect};
 use crate::layout::{LayoutBox, LayoutItem, LayoutTree};
 
-/// Rendering options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RenderOptions {
-    /// Draw an outline around *every* box (the live view's box
-    /// inspection mode), not just boxes with a `border` attribute.
-    pub outline_all_boxes: bool,
-    /// Character used to shade boxes with a background color.
-    pub shade: char,
-}
-
-impl Default for RenderOptions {
-    fn default() -> Self {
-        RenderOptions {
-            outline_all_boxes: false,
-            shade: '░',
-        }
-    }
-}
+/// Character used to shade boxes with a background color.
+const SHADE: char = '░';
 
 /// A character canvas.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,9 +75,12 @@ impl Canvas {
     }
 }
 
-/// Render a layout tree to text with default options.
+/// Render a layout tree to text.
 pub fn render_to_text(tree: &LayoutTree) -> String {
-    render_with_options(tree, RenderOptions::default())
+    let size = tree.size();
+    let mut canvas = Canvas::new(size.w.max(0) as usize, size.h.max(0) as usize);
+    draw_box(&mut canvas, &tree.root, None);
+    canvas.to_text()
 }
 
 /// A retained character frame for damage-driven repaint.
@@ -128,7 +115,7 @@ impl TextFrame {
         let size = tree.size();
         let (w, h) = (size.w.max(0) as usize, size.h.max(0) as usize);
         let mut canvas = Canvas::new(w, h);
-        draw_box(&mut canvas, &tree.root, RenderOptions::default(), None);
+        draw_box(&mut canvas, &tree.root, None);
         self.cells_repainted = (w * h) as u64;
         self.stamp = vec![0; w * h];
         self.generation = 0;
@@ -172,7 +159,7 @@ impl TextFrame {
         // Redraw everything that intersects the damage, clipped to it:
         // cells outside the damage are unchanged by construction, and
         // cells inside see every overlapping draw in z-order.
-        draw_box(canvas, &tree.root, RenderOptions::default(), Some(damage));
+        draw_box(canvas, &tree.root, Some(damage));
         Some(canvas.to_text())
     }
 
@@ -187,19 +174,11 @@ impl TextFrame {
     }
 }
 
-/// Render a layout tree to text.
-pub fn render_with_options(tree: &LayoutTree, options: RenderOptions) -> String {
-    let size = tree.size();
-    let mut canvas = Canvas::new(size.w.max(0) as usize, size.h.max(0) as usize);
-    draw_box(&mut canvas, &tree.root, options, None);
-    canvas.to_text()
-}
-
-/// Paint `node` and its descendants in z-order: shading, then frame,
-/// then text and children. With `clip`, only cells inside one of the
+/// Paint `node` and its descendants in z-order: shading, then the frame
+/// of a box with a `border`, then text and children. With `clip`, only cells inside one of the
 /// damage rectangles are written and draws that miss them all are
 /// skipped; `None` paints every cell.
-fn draw_box(canvas: &mut Canvas, node: &LayoutBox, options: RenderOptions, clip: Option<&[Rect]>) {
+fn draw_box(canvas: &mut Canvas, node: &LayoutBox, clip: Option<&[Rect]>) {
     let touches = |area: Rect| {
         clip.is_none_or(|damage| {
             damage.iter().any(|d| {
@@ -220,11 +199,11 @@ fn draw_box(canvas: &mut Canvas, node: &LayoutBox, options: RenderOptions, clip:
         if node.style.background.is_some() {
             for y in rect.top()..rect.bottom() {
                 for x in rect.left()..rect.right() {
-                    put(canvas, x, y, options.shade);
+                    put(canvas, x, y, SHADE);
                 }
             }
         }
-        if (node.style.border > 0 || options.outline_all_boxes) && !rect.size.is_empty() {
+        if node.style.border > 0 && !rect.size.is_empty() {
             let (l, t, r, b) = (rect.left(), rect.top(), rect.right() - 1, rect.bottom() - 1);
             for x in l..=r {
                 put(canvas, x, t, '-');
@@ -266,7 +245,7 @@ fn draw_box(canvas: &mut Canvas, node: &LayoutBox, options: RenderOptions, clip:
             }
             // Always recurse: children can overflow a parent whose rect
             // was clamped by a width/height override.
-            LayoutItem::Child(child) => draw_box(canvas, child, options, clip),
+            LayoutItem::Child(child) => draw_box(canvas, child, clip),
         }
     }
 }
@@ -285,7 +264,7 @@ pub fn render_zoomed_out(tree: &LayoutTree, zoom: usize) -> String {
     let full = {
         let size = tree.size();
         let mut canvas = Canvas::new(size.w.max(0) as usize, size.h.max(0) as usize);
-        draw_box(&mut canvas, &tree.root, RenderOptions::default(), None);
+        draw_box(&mut canvas, &tree.root, None);
         canvas
     };
     let out_w = full.width().div_ceil(zoom);
@@ -378,28 +357,6 @@ mod tests {
             .push(BoxItem::attr(Attr::FontSize, Value::Number(2.0)));
         root.items.push(BoxItem::leaf(Value::str("a")));
         assert_eq!(render(&root), "aa\naa\n");
-    }
-
-    #[test]
-    fn outline_all_boxes_mode() {
-        let mut inner = BoxNode::new(None);
-        inner
-            .items
-            .push(BoxItem::attr(Attr::Padding, Value::Number(1.0)));
-        inner.items.push(BoxItem::leaf(Value::str("x")));
-        let mut root = BoxNode::new(None);
-        root.push_child(inner);
-        let tree = layout(&root);
-        let plain = render_with_options(&tree, RenderOptions::default());
-        let outlined = render_with_options(
-            &tree,
-            RenderOptions {
-                outline_all_boxes: true,
-                ..RenderOptions::default()
-            },
-        );
-        assert!(!plain.contains('+'), "no frames by default: {plain}");
-        assert_eq!(outlined, "+-+\n|x|\n+-+\n");
     }
 
     #[test]

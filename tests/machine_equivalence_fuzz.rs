@@ -105,7 +105,7 @@ fn machines_agree_on_generated_programs() {
                     .expect("small-step init");
             let mut bs_store = Store::new();
             let mut bs_queue = EventQueue::new();
-            let (bs, _) = bigstep::run_state(
+            let (bs, _) = bigstep::transition_state(
                 &program,
                 &mut bs_store,
                 &mut bs_queue,
@@ -113,8 +113,10 @@ fn machines_agree_on_generated_programs() {
                 FUEL,
                 vec![],
                 &page.init,
-            )
-            .expect("big-step init");
+                None,
+                None,
+            );
+            let bs = bs.expect("big-step init");
 
             prop_assert_eq!(ss.value, bs, "init values agree");
             prop_assert_eq!(&ss_store, &bs_store, "stores agree");
@@ -123,11 +125,21 @@ fn machines_agree_on_generated_programs() {
             // render under both machines, from the shared store.
             let ss_render = smallstep::eval_render(&program, &mut ss_store, FUEL, &page.render)
                 .expect("small-step render");
-            let bs_render = bigstep::run_render(&program, &bs_store, 0, FUEL, vec![], &page.render)
-                .expect("big-step render");
+            let (bs_root, _) = bigstep::transition_render(
+                &program,
+                &bs_store,
+                0,
+                FUEL,
+                vec![],
+                &page.render,
+                None,
+                None,
+                None,
+            );
+            let bs_root = bs_root.expect("big-step render");
             prop_assert_eq!(
                 ss_render.root.expect("box content"),
-                bs_render.root,
+                bs_root,
                 "box trees agree"
             );
             Ok(())

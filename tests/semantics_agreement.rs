@@ -32,7 +32,7 @@ fn assert_machines_agree(src: &str) {
     // Big-step.
     let mut bs_store = Store::new();
     let mut bs_queue = EventQueue::new();
-    let (bs_init, _) = bigstep::run_state(
+    let (bs_init, _) = bigstep::transition_state(
         &p,
         &mut bs_store,
         &mut bs_queue,
@@ -40,17 +40,29 @@ fn assert_machines_agree(src: &str) {
         FUEL,
         vec![],
         &page.init,
-    )
-    .expect("big-step init");
-    let bs_render =
-        bigstep::run_render(&p, &bs_store, 0, FUEL, vec![], &page.render).expect("big-step render");
+        None,
+        None,
+    );
+    let bs_init = bs_init.expect("big-step init");
+    let (bs_root, _) = bigstep::transition_render(
+        &p,
+        &bs_store,
+        0,
+        FUEL,
+        vec![],
+        &page.render,
+        None,
+        None,
+        None,
+    );
+    let bs_root = bs_root.expect("big-step render");
 
     assert_eq!(ss_init.value, bs_init, "init values agree");
     assert_eq!(ss_store, bs_store, "stores agree");
     assert_eq!(ss_queue, bs_queue, "queues agree");
     assert_eq!(
         ss_render.root.expect("render produces content"),
-        bs_render.root,
+        bs_root,
         "box trees agree"
     );
 }
