@@ -67,7 +67,7 @@ type Frame = Vec<(Name, Value)>;
 
 /// The evaluator. Construct one per run via the `run_pure` and
 /// `transition_*` entry points.
-pub struct Evaluator<'a> {
+pub(crate) struct Evaluator<'a> {
     program: &'a Program,
     store: StoreView<'a>,
     queue: Option<&'a mut EventQueue>,

@@ -655,15 +655,29 @@ impl<'a> Vm<'a> {
                     .ok_or(RuntimeError::Internal("vm: foreign closure"))?;
                 self.call_lambda(l, args_at, argc, Some(&c.env))
             }
+            other => self.apply_non_closure(&other, args_at, argc),
+        }
+    }
+
+    /// Apply a callable that is not a closure to `argc` arguments in
+    /// registers `args_at..`: a primitive, once the fault injector lets
+    /// it run, or a `NotAFunction` refusal. `call_value` and
+    /// `run_thunk` share it.
+    fn apply_non_closure(
+        &mut self,
+        f: &Value,
+        args_at: usize,
+        argc: u16,
+    ) -> Result<Value, RuntimeError> {
+        match f {
             Value::Prim(p) => {
                 if let Some(injector) = self.faults.as_deref_mut() {
-                    if let Some(err) = injector.before_prim(p) {
+                    if let Some(err) = injector.before_prim(*p) {
                         return Err(err.into());
                     }
                 }
                 let args = self.scratch.slice(args_at, argc as usize)?;
-                let v = p.apply(args, &mut self.cost.prim)?;
-                Ok(v)
+                Ok(p.apply(args, &mut self.cost.prim)?)
             }
             other => Err(RuntimeError::NotAFunction(other.display_text())),
         }
@@ -756,32 +770,25 @@ impl<'a> Vm<'a> {
             _ => None,
         };
         self.tick()?;
-        match (thunk, closure) {
-            (_, Some((c, l))) => {
-                if c.params.len() != args.len() {
-                    return Err(RuntimeError::ArityMismatch {
-                        expected: c.params.len(),
-                        found: args.len(),
-                    });
-                }
-                let sbase = self.scratch.push_window(argc);
-                for (i, v) in args.iter().enumerate() {
-                    self.scratch.set(sbase + i, v.clone())?;
-                }
-                let r = self.call_lambda(l, sbase, argc, Some(&c.env));
-                self.scratch.pop_window(sbase);
-                r
+        if let Some((c, _)) = closure {
+            if c.params.len() != args.len() {
+                return Err(RuntimeError::ArityMismatch {
+                    expected: c.params.len(),
+                    found: args.len(),
+                });
             }
-            (Value::Prim(p), None) => {
-                if let Some(injector) = self.faults.as_deref_mut() {
-                    if let Some(err) = injector.before_prim(*p) {
-                        return Err(err.into());
-                    }
-                }
-                Ok(p.apply(args, &mut self.cost.prim)?)
-            }
-            (other, None) => Err(RuntimeError::NotAFunction(other.display_text())),
         }
+        let sbase = self.scratch.push_window(argc);
+        let result = args
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, v)| self.scratch.set(sbase + i, v.clone()))
+            .and_then(|()| match closure {
+                Some((c, l)) => self.call_lambda(l, sbase, argc, Some(&c.env)),
+                None => self.apply_non_closure(thunk, sbase, argc),
+            });
+        self.scratch.pop_window(sbase);
+        result
     }
 
     /// The compiled lambda behind closure `c`, if this program version

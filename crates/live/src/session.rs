@@ -1232,6 +1232,40 @@ page start() {
     }
 
     #[test]
+    fn hostile_sizes_paint_inside_the_clip() {
+        use alive_ui::{MAX_CANVAS_COLS, MAX_CANVAS_ROWS};
+        // Before the clip, the first asked for a 40 GB canvas, the
+        // second for 20 GB and 2.5·10⁹ cell writes, and the third
+        // overflowed `i32` while measuring.
+        for attrs in [
+            "box.width := 100000; box.height := 100000;",
+            "box.font_size := 50000;",
+            "box.margin := 2000000000;",
+        ] {
+            let source = format!("page start() {{ render {{ boxed {{ {attrs} post \"x\"; }} }} }}");
+            let mut s = LiveSession::new(&source).expect("starts");
+            let started = std::time::Instant::now();
+            let effects = s.apply(SessionCommand::Frame);
+            let elapsed = started.elapsed();
+            let [SessionEffect::Frame(frame)] = &effects[..] else {
+                panic!("{attrs}: expected one frame, got {effects:?}");
+            };
+            assert!(frame.view.lines().count() <= MAX_CANVAS_ROWS, "{attrs}");
+            assert!(
+                frame
+                    .view
+                    .lines()
+                    .all(|line| line.chars().count() <= MAX_CANVAS_COLS),
+                "{attrs}"
+            );
+            assert!(
+                elapsed < std::time::Duration::from_secs(20),
+                "{attrs}: the frame took {elapsed:?}"
+            );
+        }
+    }
+
+    #[test]
     fn overflow_tail_renders_memo_or_not() {
         // The init cascade pushes forever; containment must drop the
         // queue and the *tail* render must still land, memo on or off —

@@ -48,38 +48,36 @@ pub fn diff_displays(old: &BoxNode, new: &BoxNode) -> Vec<BoxChange> {
     out
 }
 
-fn own_items(node: &BoxNode) -> Vec<&BoxItem> {
+/// A box's own content: its leaves and attribute settings, in order.
+fn own_items(node: &BoxNode) -> impl Iterator<Item = &BoxItem> {
     node.items
         .iter()
         .filter(|i| !matches!(i, BoxItem::Child(_)))
-        .collect()
 }
 
 fn diff_nodes(old: &BoxNode, new: &BoxNode, path: &mut Vec<usize>, out: &mut Vec<BoxChange>) {
-    if old.source != new.source || own_items(old) != own_items(new) {
+    if old.source != new.source || !own_items(old).eq(own_items(new)) {
         out.push(BoxChange::Changed(path.clone()));
     }
-    let old_children: Vec<&Arc<BoxNode>> = old.children_shared().collect();
-    let new_children: Vec<&Arc<BoxNode>> = new.children_shared().collect();
-    let shared = old_children.len().min(new_children.len());
-    for i in 0..shared {
-        // Pointer-identical subtrees (memo splices) cannot differ.
-        if Arc::ptr_eq(old_children[i], new_children[i]) {
-            continue;
-        }
-        path.push(i);
-        diff_nodes(old_children[i], new_children[i], path, out);
-        path.pop();
-    }
-    for i in shared..old_children.len() {
+    let mut old_children = old.children_shared();
+    let mut new_children = new.children_shared();
+    for i in 0.. {
+        let change: fn(Vec<usize>) -> BoxChange = match (old_children.next(), new_children.next()) {
+            // Pointer-identical subtrees (memo splices) cannot differ.
+            (Some(o), Some(n)) if Arc::ptr_eq(o, n) => continue,
+            (Some(o), Some(n)) => {
+                path.push(i);
+                diff_nodes(o, n, path, out);
+                path.pop();
+                continue;
+            }
+            (Some(_), None) => BoxChange::Removed,
+            (None, Some(_)) => BoxChange::Added,
+            (None, None) => break,
+        };
         let mut p = path.clone();
         p.push(i);
-        out.push(BoxChange::Removed(p));
-    }
-    for i in shared..new_children.len() {
-        let mut p = path.clone();
-        p.push(i);
-        out.push(BoxChange::Added(p));
+        out.push(change(p));
     }
 }
 
@@ -98,32 +96,20 @@ pub fn damage_rects(
     // A changed box damages its own content; its children are diffed
     // and damaged separately. A box entering or leaving the display
     // damages its whole subtree at once.
-    fn push_own(rects: &mut Vec<Rect>, b: Option<&LayoutBox>) {
-        if let Some(r) = b.and_then(own_bounds) {
-            rects.push(r);
-        }
-    }
     for change in changes {
         match change {
-            BoxChange::Added(p) => {
-                if let Some(r) = new_tree.by_path(p).and_then(subtree_bounds) {
-                    rects.push(r);
-                }
-            }
-            BoxChange::Removed(p) => {
-                if let Some(r) = old_tree.by_path(p).and_then(subtree_bounds) {
-                    rects.push(r);
-                }
-            }
+            BoxChange::Added(p) => rects.extend(subtree_bounds(new_tree, p)),
+            BoxChange::Removed(p) => rects.extend(subtree_bounds(old_tree, p)),
             BoxChange::Changed(p) => {
-                push_own(&mut rects, old_tree.by_path(p));
-                push_own(&mut rects, new_tree.by_path(p));
+                for tree in [old_tree, new_tree] {
+                    rects.extend(tree.by_path(p).and_then(|b| own_bounds(tree, b)));
+                }
             }
         }
     }
     // Also repaint anything whose rectangle moved even if its content
     // did not (relayout shifts siblings below a grown box).
-    collect_moved(&old_tree.root, new_tree, &mut rects);
+    collect_moved(old_tree, 0, new_tree, 0, &mut rects);
     dedup_rects(rects)
 }
 
@@ -136,78 +122,68 @@ fn union(a: Rect, b: Rect) -> Rect {
     Rect::new(left, top, right - left, bottom - top)
 }
 
+/// Union of the non-empty rects, if any.
+fn bounds(rects: impl Iterator<Item = Rect>) -> Option<Rect> {
+    rects.filter(|r| !r.size.is_empty()).reduce(union)
+}
+
+/// The rectangles of a box's text items, in item order.
+fn text_rects<'t>(tree: &'t LayoutTree, b: &'t LayoutBox) -> impl Iterator<Item = Rect> + 't {
+    tree.items(b).iter().filter_map(|item| match item {
+        LayoutItem::Text { rect, .. } => Some(*rect),
+        LayoutItem::Child(_) => None,
+    })
+}
+
 /// The cells a box's *own* drawing can touch: its rect plus its text
 /// blocks (which may overflow the rect under size overrides). `None`
 /// if it draws nothing.
-fn own_bounds(b: &LayoutBox) -> Option<Rect> {
-    let mut out = (!b.rect.size.is_empty()).then_some(b.rect);
-    for item in &b.items {
-        if let LayoutItem::Text { rect, .. } = item {
-            if !rect.size.is_empty() {
-                out = Some(match out {
-                    Some(acc) => union(acc, *rect),
-                    None => *rect,
-                });
-            }
-        }
-    }
-    out
+fn own_bounds(tree: &LayoutTree, b: &LayoutBox) -> Option<Rect> {
+    bounds(std::iter::once(b.rect).chain(text_rects(tree, b)))
 }
 
-/// The cells a box's whole subtree can touch.
-fn subtree_bounds(b: &LayoutBox) -> Option<Rect> {
-    let mut out = own_bounds(b);
-    for item in &b.items {
-        if let LayoutItem::Child(c) = item {
-            if let Some(r) = subtree_bounds(c) {
-                out = Some(match out {
-                    Some(acc) => union(acc, r),
-                    None => r,
-                });
-            }
-        }
-    }
-    out
+/// The cells the whole subtree at `path` can touch: its boxes are
+/// contiguous in pre-order.
+fn subtree_bounds(tree: &LayoutTree, path: &[usize]) -> Option<Rect> {
+    let subtree = tree.subtree(tree.index_by_path(path)?);
+    bounds(subtree.iter().filter_map(|b| own_bounds(tree, b)))
 }
 
-fn collect_moved(old: &LayoutBox, new_tree: &LayoutTree, rects: &mut Vec<Rect>) {
-    if let Some(new_box) = new_tree.by_path(&old.path) {
-        if new_box.rect != old.rect {
-            if let Some(r) = own_bounds(old) {
-                rects.push(r);
-            }
-            if let Some(r) = own_bounds(new_box) {
-                rects.push(r);
-            }
-        } else {
-            // Even with an unmoved box rect, a text block after a
-            // resized child shifts within the box. Content changes are
-            // caught by the diff; here only positions can differ.
-            let text_rects = |b: &LayoutBox| -> Vec<Rect> {
-                b.items
-                    .iter()
-                    .filter_map(|i| match i {
-                        LayoutItem::Text { rect, .. } => Some(*rect),
-                        LayoutItem::Child(_) => None,
-                    })
-                    .collect()
-            };
-            for (o, n) in text_rects(old).iter().zip(text_rects(new_box).iter()) {
-                if o != n {
-                    if !o.size.is_empty() {
-                        rects.push(*o);
-                    }
-                    if !n.size.is_empty() {
-                        rects.push(*n);
-                    }
+/// Damage every box that sits at the same path in both layouts but
+/// moved: the old and new bounds of a box whose rect changed, and the
+/// old and new rects of a text block that shifted within an unmoved
+/// box. Boxes pair up by child ordinal, as paths do.
+fn collect_moved(
+    old_tree: &LayoutTree,
+    old: usize,
+    new_tree: &LayoutTree,
+    new: usize,
+    rects: &mut Vec<Rect>,
+) {
+    let (Some(old_box), Some(new_box)) = (old_tree.boxes().get(old), new_tree.boxes().get(new))
+    else {
+        return;
+    };
+    if new_box.rect != old_box.rect {
+        rects.extend(own_bounds(old_tree, old_box));
+        rects.extend(own_bounds(new_tree, new_box));
+    } else {
+        // Even with an unmoved box rect, a text block after a
+        // resized child shifts within the box. Content changes are
+        // caught by the diff; here only positions can differ.
+        for (o, n) in text_rects(old_tree, old_box).zip(text_rects(new_tree, new_box)) {
+            if o != n {
+                if !o.size.is_empty() {
+                    rects.push(o);
+                }
+                if !n.size.is_empty() {
+                    rects.push(n);
                 }
             }
         }
     }
-    for item in &old.items {
-        if let LayoutItem::Child(c) = item {
-            collect_moved(c, new_tree, rects);
-        }
+    for (o, n) in old_tree.children(old_box).zip(new_tree.children(new_box)) {
+        collect_moved(old_tree, o, new_tree, n, rects);
     }
 }
 

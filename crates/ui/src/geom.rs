@@ -90,14 +90,14 @@ impl Rect {
         self.origin.y
     }
 
-    /// One past the right edge.
+    /// One past the right edge (saturating: sizes are client-controlled).
     pub fn right(&self) -> i32 {
-        self.origin.x + self.size.w
+        self.origin.x.saturating_add(self.size.w)
     }
 
-    /// One past the bottom edge.
+    /// One past the bottom edge (saturating).
     pub fn bottom(&self) -> i32 {
-        self.origin.y + self.size.h
+        self.origin.y.saturating_add(self.size.h)
     }
 
     /// Whether the point is inside the rectangle.

@@ -8,7 +8,7 @@
 //! chain from root to the deepest box.
 
 use crate::geom::Point;
-use crate::layout::{LayoutBox, LayoutItem, LayoutTree};
+use crate::layout::{LayoutItem, LayoutTree};
 
 /// The deepest box containing `point`, as a box-tree path.
 pub fn hit_test(tree: &LayoutTree, point: Point) -> Option<Vec<usize>> {
@@ -20,27 +20,25 @@ pub fn hit_test(tree: &LayoutTree, point: Point) -> Option<Vec<usize>> {
 pub fn hit_stack(tree: &LayoutTree, point: Point) -> Vec<Vec<usize>> {
     hit_boxes(tree, point)
         .into_iter()
-        .map(|node| node.path.clone())
+        .map(|index| tree.path_of(index))
         .collect()
 }
 
-/// All boxes containing `point`, outermost first.
-fn hit_boxes(tree: &LayoutTree, point: Point) -> Vec<&LayoutBox> {
+/// Indices of all boxes containing `point`, outermost first: a pre-order
+/// walk that skips the subtree of every box missing the point.
+fn hit_boxes(tree: &LayoutTree, point: Point) -> Vec<usize> {
+    let boxes = tree.boxes();
     let mut stack = Vec::new();
-    collect_hits(&tree.root, point, &mut stack);
-    stack
-}
-
-fn collect_hits<'t>(node: &'t LayoutBox, point: Point, out: &mut Vec<&'t LayoutBox>) {
-    if !node.rect.contains(point) {
-        return;
-    }
-    out.push(node);
-    for item in &node.items {
-        if let LayoutItem::Child(child) = item {
-            collect_hits(child, point, out);
+    let mut index = 0;
+    while let Some(node) = boxes.get(index) {
+        if node.rect.contains(point) {
+            stack.push(index);
+            index += 1;
+        } else {
+            index = node.end;
         }
     }
+    stack
 }
 
 /// The deepest box under `point` that has a tap handler — where a user
@@ -50,8 +48,8 @@ pub fn hit_test_tappable(tree: &LayoutTree, point: Point) -> Option<Vec<usize>> 
     hit_boxes(tree, point)
         .into_iter()
         .rev()
-        .find(|node| node.style.tappable)
-        .map(|node| node.path.clone())
+        .find(|&index| tree.boxes()[index].style.tappable)
+        .map(|index| tree.path_of(index))
 }
 
 /// The text cell under `point`: the deepest box containing the point
@@ -63,18 +61,21 @@ pub fn hit_test_tappable(tree: &LayoutTree, point: Point) -> Option<Vec<usize>> 
 /// manipulation (select a rendered value, recover where it came from).
 pub fn hit_test_leaf(tree: &LayoutTree, point: Point) -> Option<(Vec<usize>, usize)> {
     let mut found = None;
-    for node in hit_boxes(tree, point) {
-        let mut ordinal = 0usize;
-        for item in &node.items {
-            if let LayoutItem::Text { rect, .. } = item {
-                if rect.contains(point) {
-                    found = Some((node.path.clone(), ordinal));
-                }
-                ordinal += 1;
+    for index in hit_boxes(tree, point) {
+        let texts = tree
+            .items(&tree.boxes()[index])
+            .iter()
+            .filter_map(|item| match item {
+                LayoutItem::Text { rect, .. } => Some(rect),
+                LayoutItem::Child(_) => None,
+            });
+        for (ordinal, rect) in texts.enumerate() {
+            if rect.contains(point) {
+                found = Some((index, ordinal));
             }
         }
     }
-    found
+    found.map(|(index, ordinal)| (tree.path_of(index), ordinal))
 }
 
 #[cfg(test)]

@@ -10,6 +10,17 @@
 //! and the mapping from user taps to `ontap` handlers — while being
 //! fully deterministic and dependency-free.
 //!
+//! There is one layout representation, the flat [`LayoutTree`]: boxes
+//! in pre-order with parent indices, each box's items contiguous in
+//! paint order, and every text item a byte range into one text arena.
+//! [`layout()`] fills those three growing buffers, so a frame's
+//! allocations grow with the logarithm of its box count, not with the
+//! count itself, and every reader walks that same tree: the text
+//! and ANSI painters, hit-testing, damage rectangles, the retained
+//! [`TextFrame`] and [`layout_incremental`]. Painters clip to
+//! [`MAX_CANVAS_COLS`] × [`MAX_CANVAS_ROWS`] cells, so client-chosen
+//! sizes cannot make a frame's memory or time unbounded.
+//!
 //! # Example
 //!
 //! ```
@@ -57,7 +68,9 @@ pub use layout::{
     layout, layout_incremental, LayoutBox, LayoutCache, LayoutItem, LayoutStats, LayoutTree, Style,
 };
 pub use render_ansi::{render_to_ansi, strip_ansi, AnsiCanvas, AnsiFramebuffer};
-pub use render_text::{render_to_text, render_zoomed_out, Canvas, TextFrame};
+pub use render_text::{
+    render_to_text, render_zoomed_out, Canvas, TextFrame, MAX_CANVAS_COLS, MAX_CANVAS_ROWS,
+};
 
 use alive_core::system::{ActionError, System};
 

@@ -5,6 +5,9 @@
 
 use crate::geom::Rect;
 use crate::layout::{LayoutBox, LayoutItem, LayoutTree};
+use crate::render_text::{
+    canvas_dims, fill_cells, frame_cells, text_cells, MAX_CANVAS_COLS, MAX_CANVAS_ROWS,
+};
 use alive_core::value::Color;
 
 /// One styled cell of the ANSI canvas.
@@ -32,8 +35,10 @@ pub struct AnsiCanvas {
 }
 
 impl AnsiCanvas {
-    /// A blank canvas.
+    /// A blank canvas, clipped to [`MAX_CANVAS_COLS`] ×
+    /// [`MAX_CANVAS_ROWS`].
     pub fn new(width: usize, height: usize) -> Self {
+        let (width, height) = (width.min(MAX_CANVAS_COLS), height.min(MAX_CANVAS_ROWS));
         AnsiCanvas {
             width,
             height,
@@ -59,13 +64,11 @@ impl AnsiCanvas {
     }
 
     fn fill_bg(&mut self, rect: Rect, bg: Color) {
-        for y in rect.top()..rect.bottom() {
-            for x in rect.left()..rect.right() {
-                if let Some(i) = self.idx(x, y) {
-                    self.cells[i].bg = Some(bg);
-                }
+        fill_cells(rect, self.width, self.height, |x, y| {
+            if let Some(i) = self.idx(x, y) {
+                self.cells[i].bg = Some(bg);
             }
-        }
+        });
     }
 
     /// Serialize to a string with ANSI 24-bit color escapes. Runs of
@@ -118,9 +121,9 @@ impl AnsiCanvas {
 
 /// Render a layout tree with ANSI colors.
 pub fn render_to_ansi(tree: &LayoutTree) -> String {
-    let size = tree.size();
-    let mut canvas = AnsiCanvas::new(size.w.max(0) as usize, size.h.max(0) as usize);
-    draw(&mut canvas, &tree.root, None);
+    let (w, h) = canvas_dims(tree.size());
+    let mut canvas = AnsiCanvas::new(w, h);
+    draw(&mut canvas, tree, tree.root(), None);
     canvas.to_ansi()
 }
 
@@ -168,10 +171,9 @@ impl AnsiFramebuffer {
 
     /// Render the next frame, returning the terminal update string.
     pub fn render(&mut self, tree: &LayoutTree) -> String {
-        let size = tree.size();
-        let (w, h) = (size.w.max(0) as usize, size.h.max(0) as usize);
+        let (w, h) = canvas_dims(tree.size());
         let mut canvas = AnsiCanvas::new(w, h);
-        draw(&mut canvas, &tree.root, None);
+        draw(&mut canvas, tree, tree.root(), None);
 
         let out = match &self.previous {
             Some(prev) if prev.width == w && prev.height == h => {
@@ -209,59 +211,37 @@ impl AnsiFramebuffer {
     }
 }
 
-fn draw(canvas: &mut AnsiCanvas, node: &LayoutBox, inherited_fg: Option<Color>) {
+fn draw(canvas: &mut AnsiCanvas, tree: &LayoutTree, node: &LayoutBox, inherited_fg: Option<Color>) {
     if let Some(bg) = node.style.background {
         canvas.fill_bg(node.rect, bg);
     }
     let fg = node.style.foreground.or(inherited_fg);
+    let (width, height) = (canvas.width, canvas.height);
     if node.style.border > 0 {
-        frame(canvas, node.rect, fg);
+        let glyphs = ['─', '│', '┌', '┐', '└', '┘'];
+        frame_cells(node.rect, glyphs, width, height, |x, y, ch| {
+            canvas.put(x, y, ch, fg)
+        });
     }
-    for item in &node.items {
+    for item in tree.items(node) {
         match item {
             LayoutItem::Text {
                 rect,
-                lines,
+                text,
                 font_size,
             } => {
-                let scale = (*font_size).max(1);
-                for (row, line) in lines.iter().enumerate() {
-                    for (col, ch) in line.chars().enumerate() {
-                        for dy in 0..scale {
-                            for dx in 0..scale {
-                                canvas.put(
-                                    rect.left() + (col as i32) * scale + dx,
-                                    rect.top() + (row as i32) * scale + dy,
-                                    ch,
-                                    fg,
-                                );
-                            }
-                        }
-                    }
+                let text = tree.text(text);
+                text_cells(*rect, text, *font_size, width, height, |x, y, ch| {
+                    canvas.put(x, y, ch, fg)
+                });
+            }
+            LayoutItem::Child(child) => {
+                if let Some(child) = tree.boxes().get(*child) {
+                    draw(canvas, tree, child, fg);
                 }
             }
-            LayoutItem::Child(child) => draw(canvas, child, fg),
         }
     }
-}
-
-fn frame(canvas: &mut AnsiCanvas, rect: Rect, fg: Option<Color>) {
-    if rect.size.is_empty() {
-        return;
-    }
-    let (l, t, r, b) = (rect.left(), rect.top(), rect.right() - 1, rect.bottom() - 1);
-    for x in l..=r {
-        canvas.put(x, t, '─', fg);
-        canvas.put(x, b, '─', fg);
-    }
-    for y in t..=b {
-        canvas.put(l, y, '│', fg);
-        canvas.put(r, y, '│', fg);
-    }
-    canvas.put(l, t, '┌', fg);
-    canvas.put(r, t, '┐', fg);
-    canvas.put(l, b, '└', fg);
-    canvas.put(r, b, '┘', fg);
 }
 
 /// Strip ANSI escape sequences — useful for asserting on colored output.

@@ -6,12 +6,114 @@
 //! screen-substitute for the paper's browser view — deterministic, so
 //! tests can assert on it, and human-readable, so the examples can show
 //! the mortgage calculator actually rendering.
+//!
+//! A frame paints into one [`Canvas`], clipped to [`MAX_CANVAS_COLS`] ×
+//! [`MAX_CANVAS_ROWS`], and every paint loop walks only the cells inside
+//! that clip, so a hostile `box.width := 100000` or
+//! `box.font_size := 50000` costs no more than a full clip.
 
-use crate::geom::{Point, Rect};
+use crate::geom::{Point, Rect, Size};
 use crate::layout::{LayoutBox, LayoutItem, LayoutTree};
 
 /// Character used to shade boxes with a background color.
 const SHADE: char = '░';
+
+/// Widest canvas a frame paints, in cells. Layout sizes come from
+/// client code and may be far larger; a painted frame shows the
+/// top-left `MAX_CANVAS_COLS × MAX_CANVAS_ROWS` cells of its layout, so
+/// one canvas holds at most 16 MiB of cells. (The largest first frame
+/// of the scenario corpus is 44 × 367.)
+pub const MAX_CANVAS_COLS: usize = 2048;
+
+/// Tallest canvas a frame paints, in cells (see [`MAX_CANVAS_COLS`]).
+pub const MAX_CANVAS_ROWS: usize = 2048;
+
+/// The canvas a layout of `size` paints: its size, clipped.
+pub(crate) fn canvas_dims(size: Size) -> (usize, usize) {
+    (
+        (size.w.max(0) as usize).min(MAX_CANVAS_COLS),
+        (size.h.max(0) as usize).min(MAX_CANVAS_ROWS),
+    )
+}
+
+/// Columns (or rows) `from..to` that fall inside `0..limit`.
+fn clip(from: i32, to: i32, limit: usize) -> std::ops::Range<i32> {
+    from.max(0)..to.min(limit as i32)
+}
+
+/// Visit the cells of a `rect` fill inside a `width × height` canvas.
+pub(crate) fn fill_cells(rect: Rect, width: usize, height: usize, mut put: impl FnMut(i32, i32)) {
+    for y in clip(rect.top(), rect.bottom(), height) {
+        for x in clip(rect.left(), rect.right(), width) {
+            put(x, y);
+        }
+    }
+}
+
+/// Frame glyphs: horizontal edge, vertical edge, then the top-left,
+/// top-right, bottom-left and bottom-right corners.
+pub(crate) type FrameGlyphs = [char; 6];
+
+/// Visit the cells of `rect`'s one-cell frame inside a `width × height`
+/// canvas: edges first, then corners, so corners win.
+pub(crate) fn frame_cells(
+    rect: Rect,
+    glyphs: FrameGlyphs,
+    width: usize,
+    height: usize,
+    mut put: impl FnMut(i32, i32, char),
+) {
+    if rect.size.is_empty() {
+        return;
+    }
+    let [h_edge, v_edge, tl, tr, bl, br] = glyphs;
+    let (l, t, r, b) = (rect.left(), rect.top(), rect.right() - 1, rect.bottom() - 1);
+    for x in clip(l, rect.right(), width) {
+        put(x, t, h_edge);
+        put(x, b, h_edge);
+    }
+    for y in clip(t, rect.bottom(), height) {
+        put(l, y, v_edge);
+        put(r, y, v_edge);
+    }
+    for (x, y, ch) in [(l, t, tl), (r, t, tr), (l, b, bl), (r, b, br)] {
+        put(x, y, ch);
+    }
+}
+
+/// Visit the cells of a text block inside a `width × height` canvas.
+/// Scaled text repeats each character into a `scale × scale` block, a
+/// cheap stand-in for larger fonts; lines stack downwards.
+pub(crate) fn text_cells(
+    rect: Rect,
+    text: &str,
+    scale: i32,
+    width: usize,
+    height: usize,
+    mut put: impl FnMut(i32, i32, char),
+) {
+    let scale = scale.max(1);
+    let step = |origin: i32, n: usize| {
+        origin.saturating_add(i32::try_from(n).unwrap_or(i32::MAX).saturating_mul(scale))
+    };
+    for (row, line) in text.split('\n').enumerate() {
+        let top = step(rect.top(), row);
+        if top >= height as i32 {
+            break;
+        }
+        for (col, ch) in line.chars().enumerate() {
+            let left = step(rect.left(), col);
+            if left >= width as i32 {
+                break;
+            }
+            for y in clip(top, top.saturating_add(scale), height) {
+                for x in clip(left, left.saturating_add(scale), width) {
+                    put(x, y, ch);
+                }
+            }
+        }
+    }
+}
 
 /// A character canvas.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,13 +124,21 @@ pub struct Canvas {
 }
 
 impl Canvas {
-    /// A blank canvas of the given size.
+    /// A blank canvas of the given size, clipped to [`MAX_CANVAS_COLS`]
+    /// × [`MAX_CANVAS_ROWS`].
     pub fn new(width: usize, height: usize) -> Self {
+        let (width, height) = (width.min(MAX_CANVAS_COLS), height.min(MAX_CANVAS_ROWS));
         Canvas {
             width,
             height,
             cells: vec![' '; width * height],
         }
+    }
+
+    /// The canvas a layout paints into: its size, clipped.
+    fn for_tree(tree: &LayoutTree) -> Self {
+        let (width, height) = canvas_dims(tree.size());
+        Canvas::new(width, height)
     }
 
     /// Canvas width in cells.
@@ -57,19 +167,32 @@ impl Canvas {
         }
     }
 
-    /// The canvas as newline-joined rows, right-trimmed.
+    /// The canvas as newline-joined rows, right-trimmed (as
+    /// `str::trim_end` trims), with fully blank trailing rows dropped —
+    /// written straight into one exactly sized `String`.
     pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(self.cells.len() + self.height);
-        for row in 0..self.height {
-            let line: String = self.cells[row * self.width..(row + 1) * self.width]
+        let rows = (0..self.height).map(|row| {
+            let cells = &self.cells[row * self.width..(row + 1) * self.width];
+            let end = cells
                 .iter()
-                .collect();
-            out.push_str(line.trim_end());
+                .rposition(|c| !c.is_whitespace())
+                .map_or(0, |i| i + 1);
+            &cells[..end]
+        });
+        // A blank canvas still shows one (empty) row.
+        let shown = rows
+            .clone()
+            .rposition(|row| !row.is_empty())
+            .map_or(self.height.min(1), |last| last + 1);
+        let bytes: usize = rows
+            .clone()
+            .take(shown)
+            .map(|row| row.iter().map(|c| c.len_utf8()).sum::<usize>() + 1)
+            .sum();
+        let mut out = String::with_capacity(bytes);
+        for row in rows.take(shown) {
+            out.extend(row);
             out.push('\n');
-        }
-        // Trim fully blank trailing rows.
-        while out.ends_with("\n\n") {
-            out.pop();
         }
         out
     }
@@ -77,9 +200,8 @@ impl Canvas {
 
 /// Render a layout tree to text.
 pub fn render_to_text(tree: &LayoutTree) -> String {
-    let size = tree.size();
-    let mut canvas = Canvas::new(size.w.max(0) as usize, size.h.max(0) as usize);
-    draw_box(&mut canvas, &tree.root, None);
+    let mut canvas = Canvas::for_tree(tree);
+    paint(&mut canvas, tree, tree.root(), None);
     canvas.to_text()
 }
 
@@ -112,12 +234,11 @@ impl TextFrame {
 
     /// Repaint the whole frame from scratch and retain it.
     pub fn render_full(&mut self, tree: &LayoutTree) -> String {
-        let size = tree.size();
-        let (w, h) = (size.w.max(0) as usize, size.h.max(0) as usize);
-        let mut canvas = Canvas::new(w, h);
-        draw_box(&mut canvas, &tree.root, None);
-        self.cells_repainted = (w * h) as u64;
-        self.stamp = vec![0; w * h];
+        let mut canvas = Canvas::for_tree(tree);
+        paint(&mut canvas, tree, tree.root(), None);
+        let cells = canvas.width() * canvas.height();
+        self.cells_repainted = cells as u64;
+        self.stamp = vec![0; cells];
         self.generation = 0;
         let text = canvas.to_text();
         self.canvas = Some(canvas);
@@ -131,9 +252,8 @@ impl TextFrame {
     /// [`TextFrame::render_full`]. (A size change moves every cell's
     /// screen position, so a full repaint is the honest cost.)
     pub fn render_damaged(&mut self, tree: &LayoutTree, damage: &[Rect]) -> Option<String> {
-        let size = tree.size();
         let canvas = self.canvas.as_mut()?;
-        if canvas.width() != size.w.max(0) as usize || canvas.height() != size.h.max(0) as usize {
+        if (canvas.width(), canvas.height()) != canvas_dims(tree.size()) {
             return None;
         }
         // Clear the damaged cells, counting each distinct cell once.
@@ -143,23 +263,22 @@ impl TextFrame {
             self.generation = 1;
         }
         let mut repainted = 0u64;
+        let (width, height) = (canvas.width(), canvas.height());
         for rect in damage {
-            for y in rect.top().max(0)..rect.bottom().min(canvas.height() as i32) {
-                for x in rect.left().max(0)..rect.right().min(canvas.width() as i32) {
-                    canvas.put(x, y, ' ');
-                    let i = y as usize * canvas.width() + x as usize;
-                    if self.stamp[i] != self.generation {
-                        self.stamp[i] = self.generation;
-                        repainted += 1;
-                    }
+            fill_cells(*rect, width, height, |x, y| {
+                canvas.put(x, y, ' ');
+                let i = y as usize * width + x as usize;
+                if self.stamp[i] != self.generation {
+                    self.stamp[i] = self.generation;
+                    repainted += 1;
                 }
-            }
+            });
         }
         self.cells_repainted = repainted;
         // Redraw everything that intersects the damage, clipped to it:
         // cells outside the damage are unchanged by construction, and
         // cells inside see every overlapping draw in z-order.
-        draw_box(canvas, &tree.root, Some(damage));
+        paint(canvas, tree, tree.root(), Some(damage));
         Some(canvas.to_text())
     }
 
@@ -175,12 +294,12 @@ impl TextFrame {
 }
 
 /// Paint `node` and its descendants in z-order: shading, then the frame
-/// of a box with a `border`, then text and children. With `clip`, only cells inside one of the
-/// damage rectangles are written and draws that miss them all are
-/// skipped; `None` paints every cell.
-fn draw_box(canvas: &mut Canvas, node: &LayoutBox, clip: Option<&[Rect]>) {
+/// of a box with a `border`, then text and children in item order. With
+/// `damage`, only cells inside one of the damage rectangles are written
+/// and draws that miss them all are skipped; `None` paints every cell.
+fn paint(canvas: &mut Canvas, tree: &LayoutTree, node: &LayoutBox, damage: Option<&[Rect]>) {
     let touches = |area: Rect| {
-        clip.is_none_or(|damage| {
+        damage.is_none_or(|damage| {
             damage.iter().any(|d| {
                 area.left() < d.right()
                     && d.left() < area.right()
@@ -190,62 +309,44 @@ fn draw_box(canvas: &mut Canvas, node: &LayoutBox, clip: Option<&[Rect]>) {
         })
     };
     let put = |canvas: &mut Canvas, x: i32, y: i32, ch: char| {
-        if clip.is_none_or(|damage| damage.iter().any(|d| d.contains(Point::new(x, y)))) {
+        if damage.is_none_or(|damage| damage.iter().any(|d| d.contains(Point::new(x, y)))) {
             canvas.put(x, y, ch);
         }
     };
+    let (width, height) = (canvas.width(), canvas.height());
     let rect = node.rect;
     if touches(rect) {
         if node.style.background.is_some() {
-            for y in rect.top()..rect.bottom() {
-                for x in rect.left()..rect.right() {
-                    put(canvas, x, y, SHADE);
-                }
-            }
+            fill_cells(rect, width, height, |x, y| put(canvas, x, y, SHADE));
         }
-        if node.style.border > 0 && !rect.size.is_empty() {
-            let (l, t, r, b) = (rect.left(), rect.top(), rect.right() - 1, rect.bottom() - 1);
-            for x in l..=r {
-                put(canvas, x, t, '-');
-                put(canvas, x, b, '-');
-            }
-            for y in t..=b {
-                put(canvas, l, y, '|');
-                put(canvas, r, y, '|');
-            }
-            for (x, y) in [(l, t), (r, t), (l, b), (r, b)] {
-                put(canvas, x, y, '+');
-            }
+        if node.style.border > 0 {
+            let glyphs = ['-', '|', '+', '+', '+', '+'];
+            frame_cells(rect, glyphs, width, height, |x, y, ch| {
+                put(canvas, x, y, ch)
+            });
         }
     }
-    for item in &node.items {
+    for item in tree.items(node) {
         match item {
             LayoutItem::Text {
                 rect,
-                lines,
+                text,
                 font_size,
             } => {
-                if !touches(*rect) {
-                    continue;
-                }
-                // Scaled text repeats each character into a scale×scale
-                // block, a cheap stand-in for larger fonts.
-                let scale = (*font_size).max(1);
-                for (row, line) in lines.iter().enumerate() {
-                    for (col, ch) in line.chars().enumerate() {
-                        for dy in 0..scale {
-                            for dx in 0..scale {
-                                let x = rect.left() + (col as i32) * scale + dx;
-                                let y = rect.top() + (row as i32) * scale + dy;
-                                put(canvas, x, y, ch);
-                            }
-                        }
-                    }
+                if touches(*rect) {
+                    let text = tree.text(text);
+                    text_cells(*rect, text, *font_size, width, height, |x, y, ch| {
+                        put(canvas, x, y, ch)
+                    });
                 }
             }
             // Always recurse: children can overflow a parent whose rect
             // was clamped by a width/height override.
-            LayoutItem::Child(child) => draw_box(canvas, child, clip),
+            LayoutItem::Child(child) => {
+                if let Some(child) = tree.boxes().get(*child) {
+                    paint(canvas, tree, child, damage);
+                }
+            }
         }
     }
 }
@@ -261,12 +362,8 @@ fn draw_box(canvas: &mut Canvas, node: &LayoutBox, clip: Option<&[Rect]>) {
 /// glance even when the text does not.
 pub fn render_zoomed_out(tree: &LayoutTree, zoom: usize) -> String {
     let zoom = zoom.max(1);
-    let full = {
-        let size = tree.size();
-        let mut canvas = Canvas::new(size.w.max(0) as usize, size.h.max(0) as usize);
-        draw_box(&mut canvas, &tree.root, None);
-        canvas
-    };
+    let mut full = Canvas::for_tree(tree);
+    paint(&mut full, tree, tree.root(), None);
     let out_w = full.width().div_ceil(zoom);
     let out_h = full.height().div_ceil(zoom);
     let mut out = Canvas::new(out_w, out_h);

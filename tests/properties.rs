@@ -16,7 +16,7 @@ use its_alive::core::store::Store;
 use its_alive::core::{compile, Attr, Value};
 use its_alive::live::{LiveSession, SessionCommand, SessionEffect};
 use its_alive::syntax::{apply_edits, parse_expr, pretty_expr, Span, TextEdit};
-use its_alive::ui::{hit_test, layout, LayoutItem, Point};
+use its_alive::ui::{hit_test, layout, Point};
 
 /// Tap the box at `path`, asserting the session did not refuse it.
 fn tap(session: &mut LiveSession, path: &[usize]) {
@@ -226,19 +226,17 @@ fn layout_geometry_is_sane() {
         |rng| NoShrink(arb_box_tree(rng, 3)),
         |root: &NoShrink<BoxNode>| {
             let tree = layout(&root.0);
-            tree.root.walk(&mut |node| {
+            for node in tree.boxes() {
                 // Children (including their margins) stay inside the parent.
                 let mut child_rects = Vec::new();
-                for item in &node.items {
-                    if let LayoutItem::Child(c) = item {
-                        let m = c.style.margin;
-                        let outer = c.rect;
-                        assert!(outer.left() - m >= node.rect.left(), "left overflow");
-                        assert!(outer.top() - m >= node.rect.top(), "top overflow");
-                        assert!(outer.right() + m <= node.rect.right(), "right overflow");
-                        assert!(outer.bottom() + m <= node.rect.bottom(), "bottom overflow");
-                        child_rects.push(outer);
-                    }
+                for c in tree.children(node).map(|c| &tree.boxes()[c]) {
+                    let m = c.style.margin;
+                    let outer = c.rect;
+                    assert!(outer.left() - m >= node.rect.left(), "left overflow");
+                    assert!(outer.top() - m >= node.rect.top(), "top overflow");
+                    assert!(outer.right() + m <= node.rect.right(), "right overflow");
+                    assert!(outer.bottom() + m <= node.rect.bottom(), "bottom overflow");
+                    child_rects.push(outer);
                 }
                 // Siblings never overlap.
                 for (i, a) in child_rects.iter().enumerate() {
@@ -252,22 +250,23 @@ fn layout_geometry_is_sane() {
                         assert!(disjoint, "siblings overlap: {a} vs {b}");
                     }
                 }
-            });
+            }
 
             // Hit-testing agrees with rectangles: hitting a box's top-left
             // cell finds that box or one of its descendants.
-            tree.root.walk(&mut |node| {
+            for (index, node) in tree.boxes().iter().enumerate() {
                 if node.rect.size.is_empty() {
-                    return;
+                    continue;
                 }
                 let p = Point::new(node.rect.left(), node.rect.top());
                 let hit = hit_test(&tree, p).expect("inside the root");
+                let path = tree.path_of(index);
                 assert!(
-                    hit.starts_with(&node.path[..]) || node.path.starts_with(&hit[..]),
+                    hit.starts_with(&path[..]) || path.starts_with(&hit[..]),
                     "hit {hit:?} unrelated to box {:?}",
-                    node.path
+                    path
                 );
-            });
+            }
             Ok(())
         },
     );
