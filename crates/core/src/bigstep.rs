@@ -92,11 +92,14 @@ pub(crate) struct Evaluator<'a> {
 /// not changed").
 pub trait RenderHook {
     /// Called by [`crate::system::System`] before each RENDER it
-    /// evaluates through this hook, with the store and code version the
-    /// frame renders against. Does nothing by default, so a wrapper
-    /// around a cache that its owner already prepared adds no second
-    /// preparation.
-    fn begin_render(&mut self, _store: &Store, _version: u64) {}
+    /// evaluates through this hook, with the program, store and code
+    /// version the frame renders against. On the `Vm` engine the system
+    /// has compiled the program by then, so a cache keyed on the
+    /// compiled program ([`crate::vm::VmProgram::box_reads`]) reads it
+    /// and never compiles it first. Does nothing by default, so a
+    /// wrapper around a cache that its owner already prepared adds no
+    /// second preparation.
+    fn begin_render(&mut self, _program: &Program, _store: &Store, _version: u64) {}
 
     /// Called when entering `boxed e`. Returning `Some((node, value))`
     /// skips evaluating the body and splices the cached subtree in —

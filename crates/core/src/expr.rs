@@ -203,8 +203,8 @@ impl Expr {
 
     /// Visit the direct sub-expressions of this expression in
     /// evaluation order, lambda bodies included. Every traversal of the
-    /// core tree ([`Expr::walk`], free-local and read-set analyses)
-    /// builds on this one enumeration.
+    /// core tree ([`Expr::walk`], the free-local analysis) builds on
+    /// this one enumeration.
     pub fn for_each_child<'a>(&'a self, visit: &mut dyn FnMut(&'a Expr)) {
         match &self.kind {
             ExprKind::Num(_)

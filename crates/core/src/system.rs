@@ -646,9 +646,6 @@ impl System {
                 0,
             ));
         };
-        if let Some(hook) = hook.as_deref_mut() {
-            hook.begin_render(&self.store, self.version);
-        }
         let fuel = self.transition_fuel(TransitionKind::Render);
         let Some(page) = self.program.page(&page_name) else {
             return Err((RuntimeError::UnknownPage(page_name), Cost::default(), fuel));
@@ -663,7 +660,14 @@ impl System {
         let injector = self.injector.clone();
         let mut guard = injector.as_deref().map(lock_injector);
         let faults = guard.as_deref_mut().map(|g| g as &mut dyn FaultInjector);
-        let (result, cost) = match self.vm_program() {
+        // Compile (and book the compile) before the hook hears of the
+        // render, so a hook keyed on the compiled program never
+        // compiles it first.
+        let vm = self.vm_program();
+        if let Some(hook) = hook.as_deref_mut() {
+            hook.begin_render(&self.program, &self.store, self.version);
+        }
+        let (result, cost) = match vm {
             Some(Ok(vmp)) => {
                 let run = crate::vm::transition_page_render(
                     &vmp,
@@ -1138,7 +1142,8 @@ mod tests {
             boxes: usize,
         }
         impl bigstep::RenderHook for Counting {
-            fn begin_render(&mut self, _store: &Store, version: u64) {
+            fn begin_render(&mut self, program: &Program, _store: &Store, version: u64) {
+                assert!(program.vm_ready(), "the system compiles before it begins");
                 self.begins.push(version);
             }
             fn enter_boxed(

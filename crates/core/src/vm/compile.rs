@@ -20,15 +20,16 @@
 //! contained [`crate::error::RuntimeError::VmLimit`] fault; it never
 //! approximates and never switches engines.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use alive_syntax::ast::{BinOp, UnOp};
 
 use crate::expr::{Expr, ExprKind, LambdaExpr, ParamSig};
 use crate::program::Program;
-use crate::types::Name;
+use crate::types::{Effect, Name};
 use crate::value::Value;
 
 use super::{
@@ -186,17 +187,27 @@ fn compile_chunk(
         binds,
         next: first,
         max: first,
+        dynamic_calls: Vec::new(),
+        local_assigns: Vec::new(),
     };
     let res = f.alloc()?;
     f.emit(body, Some(res))?;
     f.code.push(Instr::Ret { src: res });
-    let FnCompiler { code, max, .. } = f;
+    let FnCompiler {
+        code,
+        max,
+        dynamic_calls,
+        local_assigns,
+        ..
+    } = f;
     let idx = u32::try_from(b.chunks.len()).map_err(|_| CompileError::plain("chunk overflow"))?;
     b.chunks.push(Chunk {
         code,
         regs: max,
         env_len: env_len as u16,
         params: params as u16,
+        dynamic_calls,
+        local_assigns,
     });
     Ok(idx)
 }
@@ -284,6 +295,9 @@ struct FnCompiler<'b, 'p> {
     next: u16,
     /// Frame size: high-water mark of `next`.
     max: u16,
+    /// [`Chunk::dynamic_calls`] and [`Chunk::local_assigns`] so far.
+    dynamic_calls: Vec<u32>,
+    local_assigns: Vec<(u32, u32)>,
 }
 
 impl FnCompiler<'_, '_> {
@@ -344,14 +358,20 @@ impl FnCompiler<'_, '_> {
         }
     }
 
-    /// Innermost-last slot lookup — the compile-time mirror of
-    /// bigstep's `lookup_local`.
-    fn resolve(&self, name: &Name) -> Option<Reg> {
+    /// Innermost-last binding lookup — the compile-time mirror of
+    /// bigstep's `lookup_local`: the binding's depth on the stack and
+    /// its register.
+    fn binding(&self, name: &Name) -> Option<(usize, Reg)> {
         self.binds
             .iter()
+            .enumerate()
             .rev()
-            .find(|(n, _)| Arc::ptr_eq(n, name) || **n == **name)
-            .map(|(_, r)| *r)
+            .find(|(_, (n, _))| Arc::ptr_eq(n, name) || **n == **name)
+            .map(|(depth, (_, r))| (depth, *r))
+    }
+
+    fn resolve(&self, name: &Name) -> Option<Reg> {
+        self.binding(name).map(|(_, r)| r)
     }
 
     fn emit_const(&mut self, dst: Option<Reg>, v: Value) -> Result<(), CompileError> {
@@ -607,9 +627,10 @@ impl FnCompiler<'_, '_> {
                 self.emit_unit(dst)
             }
             ExprKind::LocalAssign(name, value) => {
-                let r = self
-                    .resolve(name)
+                let (depth, r) = self
+                    .binding(name)
                     .ok_or_else(|| CompileError::named("unresolved local", name))?;
+                self.local_assigns.push((self.here(), depth as u32));
                 if writes_only_at_end(value) {
                     self.emit(value, Some(r))?;
                 } else {
@@ -942,6 +963,12 @@ impl FnCompiler<'_, '_> {
             self.emit(a, Some(base + i as u16))?;
         }
         let d = self.sink(dst)?;
+        if !matches!(
+            callee.kind,
+            ExprKind::FunRef(_) | ExprKind::PrimRef(_) | ExprKind::Lambda(_)
+        ) {
+            self.dynamic_calls.push(self.here());
+        }
         self.push(Instr::Call {
             dst: d,
             callee: creg,
@@ -1150,4 +1177,256 @@ pub(crate) fn compile_program(p: &Program) -> Result<VmProgram, CompileError> {
     vmp.pages = pages;
     vmp.by_body = b.by_body;
     Ok(vmp)
+}
+
+/// What a stretch of bytecode reads directly: global slots, the chunks
+/// it reaches, and whether a render cache must treat it as opaque.
+#[derive(Default)]
+struct Reads {
+    slots: BTreeSet<u32>,
+    callees: Vec<u32>,
+    opaque: bool,
+}
+
+/// The direct [`Reads`] of `range` in `chunk`. It reaches the
+/// initializer of each global it reads, each function it calls, and
+/// each closure it makes but a state-effect one, which render code
+/// cannot call (T-APP). A call the compiler could not resolve or
+/// `remember` or widget state makes it opaque.
+fn scan(vmp: &VmProgram, chunk: &Chunk, range: Range<usize>) -> Reads {
+    let calls = &chunk.dynamic_calls;
+    let mut reads = Reads {
+        opaque: calls.iter().any(|&pc| range.contains(&(pc as usize))),
+        ..Reads::default()
+    };
+    let chunk_of = |l: u32, state_too: bool| {
+        let f = vmp.lambdas.get(l as usize)?;
+        (state_too || f.effect != Effect::State).then_some(f.chunk)
+    };
+    for instr in chunk.code.get(range).unwrap_or_default() {
+        match *instr {
+            Instr::Global { g, .. } => {
+                reads.slots.insert(g);
+                reads
+                    .callees
+                    .extend(vmp.globals.get(g as usize).map(|s| s.init_chunk));
+            }
+            Instr::CallFun { l, .. } => reads.callees.extend(chunk_of(l, true)),
+            Instr::MakeClosure { l, .. } => reads.callees.extend(chunk_of(l, false)),
+            Instr::RememberBind { .. }
+            | Instr::RememberInit { .. }
+            | Instr::WidgetGet { .. }
+            | Instr::WidgetSet { .. }
+            | Instr::GuardWidget { .. } => reads.opaque = true,
+            _ => {}
+        }
+    }
+    reads
+}
+
+/// [`VmProgram::box_reads`]: each `boxed` body's direct reads, closed
+/// over every chunk it reaches.
+pub(crate) fn box_reads(vmp: &VmProgram) -> Vec<Option<Box<[u32]>>> {
+    let whole: Vec<Reads> = vmp
+        .chunks
+        .iter()
+        .map(|c| scan(vmp, c, 0..c.code.len()))
+        .collect();
+    let mut table = Vec::new();
+    for chunk in &vmp.chunks {
+        for (pc, instr) in chunk.code.iter().enumerate() {
+            let Instr::BoxEnter { id, cap, skip, .. } = *instr else {
+                continue;
+            };
+            let body = pc + 1..skip as usize;
+            let mark = vmp.captures.get(cap as usize).map_or(0, |c| c.len() as u32);
+            let mut reads = scan(vmp, chunk, body.clone());
+            reads.opaque |= chunk
+                .local_assigns
+                .iter()
+                .any(|&(at, depth)| body.contains(&(at as usize)) && depth < mark);
+            let mut visited = vec![false; whole.len()];
+            while let Some(c) = reads.callees.pop() {
+                let (Some(done @ false), Some(callee)) =
+                    (visited.get_mut(c as usize), whole.get(c as usize))
+                else {
+                    continue;
+                };
+                *done = true;
+                reads.slots.extend(&callee.slots);
+                reads.opaque |= callee.opaque;
+                reads.callees.extend(&callee.callees);
+            }
+            table.resize(table.len().max(id as usize + 1), None);
+            table[id as usize] = (!reads.opaque).then(|| reads.slots.into_iter().collect());
+        }
+    }
+    table
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::compile;
+
+    /// The compiled read set of statement `id` by global name, or
+    /// `None` if it is never cached.
+    fn reads(source: &str, id: usize) -> Option<Vec<String>> {
+        let program = compile(source).expect("compiles");
+        let vm = program.vm().expect("the VM compiles it");
+        let slots = vm
+            .box_reads()
+            .get(id)
+            .expect("a boxed statement")
+            .as_deref()?;
+        Some(
+            slots
+                .iter()
+                .map(|&g| program.globals()[g as usize].name.to_string())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn read_sets_follow_function_calls() {
+        let src = "global a : number = 1
+             global b : number = 2
+             fun helper(): number pure { b }
+             page start() {
+                 render {
+                     boxed { post a + helper(); }
+                 }
+             }";
+        assert_eq!(reads(src, 0), Some(vec!["a".into(), "b".into()]));
+    }
+
+    #[test]
+    fn recursive_functions_reach_fixpoint() {
+        let src = "global g : number = 1
+             fun even(n: number): bool pure {
+                 if n == 0 { true } else { odd(n - 1) }
+             }
+             fun odd(n: number): bool pure {
+                 if n == 0 { g > 0 } else { even(n - 1) }
+             }
+             page start() {
+                 render { boxed { post even(4); } }
+             }";
+        assert_eq!(reads(src, 0), Some(vec!["g".into()]));
+    }
+
+    #[test]
+    fn dynamic_calls_poison_cacheability() {
+        let src = "page start() {
+                 render {
+                     boxed {
+                         let f = fn(x: number) -> x;
+                         let g = f;
+                         post g(1);
+                     }
+                 }
+             }";
+        assert_eq!(reads(src, 0), None);
+    }
+
+    #[test]
+    fn view_state_reached_through_function_calls_is_uncacheable() {
+        // A `remember` hidden behind a render helper must still poison
+        // the calling box's cacheability, or a cached copy would freeze
+        // the slot and corrupt occurrence counters.
+        let src = "fun widgety() : () render {
+                 boxed {
+                     remember n : number = 0;
+                     post n;
+                 }
+             }
+             page start() {
+                 render {
+                     boxed { widgety(); }
+                 }
+             }";
+        // Every boxed statement here is uncacheable: the inner one holds
+        // the remember, the outer one reaches it through `widgety`.
+        assert_eq!(reads(src, 0), None);
+        assert_eq!(reads(src, 1), None);
+    }
+
+    #[test]
+    fn outer_local_assignment_is_uncacheable() {
+        let src = "fun f(): number render {
+                 let total = 0;
+                 boxed { total := total + 1; post total; }
+                 total
+             }
+             page start() { render { post f(); } }";
+        assert_eq!(
+            reads(src, 0),
+            None,
+            "outer-local assignment must not be cached"
+        );
+    }
+
+    #[test]
+    fn inner_local_assignment_is_fine() {
+        let src = "page start() {
+                 render {
+                     boxed {
+                         let cents = \"5\";
+                         cents := \"0\" ++ cents;
+                         post cents;
+                     }
+                 }
+             }";
+        assert_eq!(
+            reads(src, 0),
+            Some(vec![]),
+            "locals bound inside the body are fine"
+        );
+    }
+
+    #[test]
+    fn primitive_calls_and_applied_lambdas_are_static() {
+        // Both compile to a register plus `Call`, yet their targets are
+        // known: the box caches, and reads what the lambda reads.
+        let src = "global xs : list number = [1, 2]
+             global k : number = 3
+             page start() {
+                 render {
+                     boxed { post math.min(list.length(xs), (fn(x: number) -> x + k)(1)); }
+                 }
+             }";
+        assert_eq!(reads(src, 0), Some(vec!["xs".into(), "k".into()]));
+    }
+
+    #[test]
+    fn handler_reads_are_not_counted() {
+        // A handler runs against the store of its own tap.
+        let src = "global clicks : number = 0
+             global step : number = 1
+             page start() {
+                 render {
+                     boxed { post \"tap\"; on tap { clicks := clicks + step; } }
+                 }
+             }";
+        assert_eq!(reads(src, 0), Some(vec![]));
+    }
+
+    #[test]
+    fn initializer_reads_are_counted() {
+        // A render that reads `label` before any handler wrote it runs
+        // its initializer (EP-GLOBAL-2), so the box depends on `count`
+        // too, directly or through the helper the initializer calls.
+        for init in ["\"n=\" ++ count", "describe()"] {
+            let src = format!(
+                "global count : number = 0
+                 global label : string = {init}
+                 fun describe(): string pure {{ \"n=\" ++ count }}
+                 page start() {{ render {{ boxed {{ post label; }} }} }}"
+            );
+            assert_eq!(
+                reads(&src, 0),
+                Some(vec!["count".into(), "label".into()]),
+                "{init}"
+            );
+        }
+    }
 }

@@ -50,7 +50,7 @@ pub use exec::{
 };
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use alive_syntax::ast::BinOp;
 use alive_syntax::Span;
@@ -223,6 +223,11 @@ pub(crate) struct Chunk {
     pub env_len: u16,
     /// Registers after the environment filled from call arguments.
     pub params: u16,
+    /// Pcs of the `Call`s whose target the compiler could not resolve.
+    pub dynamic_calls: Vec<u32>,
+    /// Each local assignment's first pc and the stack depth of the
+    /// binding it assigns (see [`VmProgram::box_reads`]).
+    pub local_assigns: Vec<(u32, u32)>,
 }
 
 /// Compile-time metadata for one lambda or named function.
@@ -287,6 +292,8 @@ pub struct VmProgram {
     /// `Arc::as_ptr` of a lambda/function body → lambda index, for
     /// dispatching closure calls without comparing expressions.
     pub(crate) by_body: HashMap<usize, u32>,
+    /// [`VmProgram::box_reads`], built on first use.
+    box_reads: OnceLock<Vec<Option<Box<[u32]>>>>,
 }
 
 impl VmProgram {
@@ -315,12 +322,26 @@ impl VmProgram {
             syms: Vec::new(),
             pages: HashMap::new(),
             by_body: HashMap::new(),
+            box_reads: OnceLock::new(),
         }
     }
 
     /// Number of interned symbols (names).
     pub fn symbol_count(&self) -> usize {
         self.syms.len()
+    }
+
+    /// What each `boxed` statement may read besides its locals, for a
+    /// render cache: by [`crate::expr::BoxSourceId`], the global slots
+    /// (in `Program::globals()` order) its body, the functions and
+    /// non-state closures it reaches, and the initializers of the
+    /// globals it reads (EP-GLOBAL-2 runs one on a store miss) may
+    /// read; `None` if it must never be cached: it reaches a call the
+    /// compiler could not resolve or `remember` or widget state, or it
+    /// assigns a local bound outside it (a local whose stack depth is
+    /// below the box's capture count). Built once per program version.
+    pub fn box_reads(&self) -> &[Option<Box<[u32]>>] {
+        self.box_reads.get_or_init(|| compile::box_reads(self))
     }
 
     /// The lambda index for a closure body created by this program (or

@@ -16,213 +16,37 @@
 //! does not hold (rewriting an equal value misses), which costs a
 //! re-render, never a wrong frame.
 //!
+//! What a body can read is decided in one place, the bytecode compiler,
+//! which resolves every global read, call target and binding anyway:
+//! [`VmProgram::box_reads`] gives each statement the global slots its
+//! body may read (through the functions and non-state closures it
+//! reaches, and through the initializers of the globals it reads, which
+//! a render runs on a store miss). It marks a statement never cacheable
+//! if it reaches a call whose target the compiler could not resolve or
+//! `remember` or widget state, or if it assigns a local bound outside
+//! the body, an effect a spliced subtree would skip. The table is built
+//! once per program version and shared by every session running it.
+//! The cache never compiles a program, so the system books every
+//! compile: it takes the table from a compiled program, which RENDER
+//! guarantees before [`RenderHook::begin_render`]. Until then, and on
+//! the bigstep engine, which compiles nothing, nothing is cached.
+//!
 //! Soundness relies on the paper's own discipline: render code cannot
-//! write globals, so a `boxed` body is a *function* of its inputs. The
-//! one extension that could break this — assignment to a local declared
-//! *outside* the `boxed` body — is detected statically and such
-//! statements are never cached.
+//! write globals, so a cacheable `boxed` body is a *function* of its
+//! inputs.
 
 use alive_core::bigstep::RenderHook;
 use alive_core::boxtree::BoxNode;
-use alive_core::expr::{BoxSourceId, Expr, ExprKind};
+use alive_core::expr::BoxSourceId;
 use alive_core::store::Store;
 use alive_core::types::Name;
 use alive_core::value::Value;
+use alive_core::vm::VmProgram;
 use alive_core::Program;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// What a `boxed` statement's body may depend on, besides its locals.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct ReadSet {
-    /// Globals the body may read (transitively through function calls).
-    pub(crate) globals: BTreeSet<Name>,
-    /// The body performs a call whose target is not statically known
-    /// (e.g. through a function-typed local) — assume it reads anything.
-    pub(crate) reads_everything: bool,
-    /// The body assigns a local bound outside the `boxed` statement;
-    /// re-playing a cached subtree would skip that effect, so the
-    /// statement must never be cached.
-    pub(crate) cacheable: bool,
-}
-
-/// Per-statement dependency analysis for a program.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RenderDeps {
-    by_box: HashMap<BoxSourceId, ReadSet>,
-}
-
-impl RenderDeps {
-    /// Analyze a program: compute the read set of every `boxed`
-    /// statement in every render body (and render helper function).
-    pub(crate) fn analyze(program: &Program) -> Self {
-        // Fixpoint over functions:
-        // name -> (globals read, dynamic call?, touches view state?).
-        let mut fun_reads: HashMap<Name, (BTreeSet<Name>, bool, bool)> = HashMap::new();
-        loop {
-            let mut changed = false;
-            for f in program.funs() {
-                let mut globals = BTreeSet::new();
-                let mut dynamic = false;
-                let mut widgets = false;
-                collect_reads(
-                    &f.body,
-                    &fun_reads,
-                    &mut globals,
-                    &mut dynamic,
-                    &mut widgets,
-                );
-                let entry = fun_reads.entry(f.name.clone()).or_default();
-                if entry.0 != globals || entry.1 != dynamic || entry.2 != widgets {
-                    *entry = (globals, dynamic, widgets);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        let mut by_box = HashMap::new();
-        let mut roots: Vec<&Expr> = Vec::new();
-        for f in program.funs() {
-            roots.push(&f.body);
-        }
-        for p in program.pages() {
-            roots.push(&p.render);
-            roots.push(&p.init);
-        }
-        for root in roots {
-            collect_boxed(root, &fun_reads, &mut by_box);
-        }
-        RenderDeps { by_box }
-    }
-}
-
-/// Collect globals read and dynamic-call flags in an expression,
-/// following statically-known function references.
-///
-/// Bodies of *state-effect* lambdas (event handlers) are skipped: a
-/// handler reads globals when the user taps, against the then-current
-/// store — not during rendering — and render code cannot call it
-/// (T-APP). Its global reads therefore do not invalidate the cache.
-fn collect_reads(
-    expr: &Expr,
-    fun_reads: &HashMap<Name, (BTreeSet<Name>, bool, bool)>,
-    globals: &mut BTreeSet<Name>,
-    dynamic: &mut bool,
-    widgets: &mut bool,
-) {
-    match &expr.kind {
-        ExprKind::Global(g) => {
-            globals.insert(g.clone());
-        }
-        ExprKind::FunRef(f) => {
-            if let Some((g, d, w)) = fun_reads.get(f) {
-                globals.extend(g.iter().cloned());
-                *dynamic |= *d;
-                *widgets |= *w;
-            }
-        }
-        ExprKind::Remember { .. } | ExprKind::WidgetRead(_) | ExprKind::WidgetWrite(..) => {
-            // View state makes the surrounding box uncacheable — both
-            // directly and through any function that reaches here.
-            *widgets = true;
-        }
-        ExprKind::Lambda(lam) => {
-            if lam.effect != alive_core::Effect::State {
-                collect_reads(&lam.body, fun_reads, globals, dynamic, widgets);
-            }
-            return;
-        }
-        ExprKind::Call(callee, _)
-            if !matches!(
-                callee.kind,
-                ExprKind::FunRef(_) | ExprKind::PrimRef(_) | ExprKind::Lambda(_)
-            ) =>
-        {
-            // Target unknown at this site (e.g. function-typed local).
-            *dynamic = true;
-        }
-        _ => {}
-    }
-    expr.for_each_child(&mut |child| {
-        collect_reads(child, fun_reads, globals, dynamic, widgets);
-    });
-}
-
-/// Find all `boxed` statements and compute their read sets, tracking
-/// which locals are bound inside each body (for the cacheability check).
-fn collect_boxed(
-    root: &Expr,
-    fun_reads: &HashMap<Name, (BTreeSet<Name>, bool, bool)>,
-    out: &mut HashMap<BoxSourceId, ReadSet>,
-) {
-    root.walk(&mut |e| {
-        if let ExprKind::Boxed(id, body) = &e.kind {
-            let mut globals = BTreeSet::new();
-            let mut dynamic = false;
-            let mut widgets = false;
-            collect_reads(body, fun_reads, &mut globals, &mut dynamic, &mut widgets);
-            let cacheable = !assigns_outer_local(body) && !dynamic && !widgets;
-            out.insert(
-                *id,
-                ReadSet {
-                    globals,
-                    reads_everything: dynamic,
-                    cacheable,
-                },
-            );
-        }
-    });
-}
-
-/// Does the expression assign a local that it does not itself bind?
-fn assigns_outer_local(body: &Expr) -> bool {
-    fn go(expr: &Expr, bound: &mut HashSet<Name>) -> bool {
-        match &expr.kind {
-            ExprKind::LocalAssign(name, value) => !bound.contains(name) || go(value, bound),
-            ExprKind::Let {
-                name,
-                value: first,
-                body,
-                ..
-            }
-            | ExprKind::Foreach {
-                var: name,
-                list: first,
-                body,
-            } => go(first, bound) || scoped(name, body, bound),
-            ExprKind::ForRange { var, lo, hi, body } => {
-                go(lo, bound) || go(hi, bound) || scoped(var, body, bound)
-            }
-            ExprKind::Lambda(lam) => {
-                let mut inner = bound.clone();
-                inner.extend(lam.params.iter().map(|p| p.name.clone()));
-                go(&lam.body, &mut inner)
-            }
-            _ => {
-                let mut hit = false;
-                expr.for_each_child(&mut |child| hit = hit || go(child, bound));
-                hit
-            }
-        }
-    }
-
-    /// `go` over `body` with `name` bound for its duration only.
-    fn scoped(name: &Name, body: &Expr, bound: &mut HashSet<Name>) -> bool {
-        let fresh = bound.insert(name.clone());
-        let hit = go(body, bound);
-        if fresh {
-            bound.remove(name);
-        }
-        hit
-    }
-
-    go(body, &mut HashSet::new())
-}
 
 /// Structural hash of a value (closures hash by code identity and
 /// captured environment).
@@ -295,11 +119,16 @@ pub struct MemoStats {
 /// reused for one whole render is dropped).
 #[derive(Debug, Default)]
 pub struct MemoCache {
-    deps: RenderDeps,
+    /// The compiled program whose [`VmProgram::box_reads`] key the
+    /// cache, with its globals' names by slot; `None` until the cache
+    /// has seen the program compiled.
+    reads: Option<(Arc<VmProgram>, Vec<Name>)>,
     // Entries hold `Arc<BoxNode>` so a hit splices the cached subtree by
     // pointer copy — O(1) instead of a deep clone.
     current: HashMap<u64, (Arc<BoxNode>, Value)>,
     previous: HashMap<u64, (Arc<BoxNode>, Value)>,
+    /// Each global slot's write stamp as of this render.
+    stamps: Vec<u64>,
     /// Indexed by statement id: for cacheable statements, a digest of
     /// the read set's write stamps as of this render. Render code cannot
     /// write globals, so one digest per statement holds for the whole
@@ -315,12 +144,12 @@ pub struct MemoCache {
 }
 
 impl MemoCache {
-    /// Build a cache for a program (runs the dependency analysis).
+    /// Build a cache for a program, keyed on its read sets once it is
+    /// compiled.
     pub fn new(program: &Program) -> Self {
-        MemoCache {
-            deps: RenderDeps::analyze(program),
-            ..Default::default()
-        }
+        let mut memo = MemoCache::default();
+        memo.take_reads(program);
+        memo
     }
 
     /// Cache statistics so far.
@@ -329,17 +158,35 @@ impl MemoCache {
     }
 
     /// Reset after a code update: new code means new statement
-    /// identities and a new dependency analysis.
+    /// identities and new read sets.
     pub fn on_update(&mut self, program: &Program, version: u64) {
-        self.deps = RenderDeps::analyze(program);
+        self.take_reads(program);
         self.current.clear();
         self.previous.clear();
         self.version = version;
         self.stats = MemoStats::default();
     }
 
-    /// Start a render pass: rotate generations and digest each cacheable
-    /// statement's read set from the store's write stamps.
+    /// Key on `program`'s compiled read sets if it is compiled, else on
+    /// none: the cache never compiles a program itself.
+    fn take_reads(&mut self, program: &Program) {
+        let vm = program.vm_ready().then(|| program.vm()).flatten();
+        if let (Some((held, _)), Some(vm)) = (&self.reads, &vm) {
+            if Arc::ptr_eq(held, vm) {
+                return;
+            }
+        }
+        self.reads = vm.map(|vm| {
+            (
+                vm,
+                program.globals().iter().map(|g| g.name.clone()).collect(),
+            )
+        });
+    }
+
+    /// Start a render pass: rotate generations, read each global slot's
+    /// write stamp once, and digest each cacheable statement's read set
+    /// from them.
     pub fn begin_render(&mut self, store: &Store, version: u64) {
         if version != self.version {
             self.current.clear();
@@ -353,24 +200,23 @@ impl MemoCache {
         }
         self.open_keys.clear();
         self.read_digests.clear();
-        for (id, read_set) in &self.deps.by_box {
-            if !read_set.cacheable {
-                continue;
-            }
+        let Some((vm, globals)) = &self.reads else {
+            return;
+        };
+        self.stamps.clear();
+        self.stamps.extend(globals.iter().map(|g| store.stamp(g)));
+        let stamps = &self.stamps;
+        self.read_digests.extend(vm.box_reads().iter().map(|slots| {
             let mut hasher = DefaultHasher::new();
-            for g in &read_set.globals {
-                store.stamp(g).hash(&mut hasher);
+            for &g in slots.as_deref()? {
+                stamps.get(g as usize).hash(&mut hasher);
             }
-            let slot = id.0 as usize;
-            if self.read_digests.len() <= slot {
-                self.read_digests.resize(slot + 1, None);
-            }
-            self.read_digests[slot] = Some(hasher.finish());
-        }
+            Some(hasher.finish())
+        }));
     }
 
-    /// `None` for statements that are uncacheable (or unknown to the
-    /// analysis).
+    /// `None` for statements that are uncacheable (or absent from the
+    /// compiled program's table).
     fn key(&self, id: BoxSourceId, locals: &[(Name, Value)]) -> Option<u64> {
         let digest = (*self.read_digests.get(id.0 as usize)?)?;
         let mut hasher = DefaultHasher::new();
@@ -387,7 +233,8 @@ impl MemoCache {
 }
 
 impl RenderHook for MemoCache {
-    fn begin_render(&mut self, store: &Store, version: u64) {
+    fn begin_render(&mut self, program: &Program, store: &Store, version: u64) {
+        self.take_reads(program);
         MemoCache::begin_render(self, store, version);
     }
 
@@ -439,131 +286,6 @@ mod tests {
     use alive_core::compile;
 
     #[test]
-    fn read_sets_follow_function_calls() {
-        let p = compile(
-            "global a : number = 1
-             global b : number = 2
-             fun helper(): number pure { b }
-             page start() {
-                 render {
-                     boxed { post a + helper(); }
-                 }
-             }",
-        )
-        .expect("compiles");
-        let deps = RenderDeps::analyze(&p);
-        let id = BoxSourceId(0);
-        let rs = deps.by_box.get(&id).expect("analyzed");
-        let names: Vec<&str> = rs.globals.iter().map(|n| &**n).collect();
-        assert_eq!(names, vec!["a", "b"]);
-        assert!(rs.cacheable);
-        assert!(!rs.reads_everything);
-    }
-
-    #[test]
-    fn recursive_functions_reach_fixpoint() {
-        let p = compile(
-            "global g : number = 1
-             fun even(n: number): bool pure {
-                 if n == 0 { true } else { odd(n - 1) }
-             }
-             fun odd(n: number): bool pure {
-                 if n == 0 { g > 0 } else { even(n - 1) }
-             }
-             page start() {
-                 render { boxed { post even(4); } }
-             }",
-        )
-        .expect("compiles");
-        let deps = RenderDeps::analyze(&p);
-        let rs = deps.by_box.get(&BoxSourceId(0)).expect("analyzed");
-        assert!(rs.globals.iter().any(|n| &**n == "g"));
-    }
-
-    #[test]
-    fn dynamic_calls_poison_cacheability() {
-        let p = compile(
-            "page start() {
-                 render {
-                     boxed {
-                         let f = fn(x: number) -> x;
-                         let g = f;
-                         post g(1);
-                     }
-                 }
-             }",
-        )
-        .expect("compiles");
-        let deps = RenderDeps::analyze(&p);
-        let rs = deps.by_box.get(&BoxSourceId(0)).expect("analyzed");
-        assert!(rs.reads_everything);
-        assert!(!rs.cacheable);
-    }
-
-    #[test]
-    fn view_state_reached_through_function_calls_is_uncacheable() {
-        // A `remember` hidden behind a render helper must still poison
-        // the calling box's cacheability, or a cached copy would freeze
-        // the slot and corrupt occurrence counters.
-        let p = compile(
-            "fun widgety() : () render {
-                 boxed {
-                     remember n : number = 0;
-                     post n;
-                 }
-             }
-             page start() {
-                 render {
-                     boxed { widgety(); }
-                 }
-             }",
-        )
-        .expect("compiles");
-        let deps = RenderDeps::analyze(&p);
-        // Every boxed statement here is uncacheable: the inner one holds
-        // the remember, the outer one reaches it through `widgety`.
-        for id in [BoxSourceId(0), BoxSourceId(1)] {
-            let rs = deps.by_box.get(&id).expect("analyzed");
-            assert!(!rs.cacheable, "{id:?} must not cache");
-        }
-    }
-
-    #[test]
-    fn outer_local_assignment_is_uncacheable() {
-        let p = compile(
-            "fun f(): number render {
-                 let total = 0;
-                 boxed { total := total + 1; post total; }
-                 total
-             }
-             page start() { render { post f(); } }",
-        )
-        .expect("compiles");
-        let deps = RenderDeps::analyze(&p);
-        let rs = deps.by_box.get(&BoxSourceId(0)).expect("analyzed");
-        assert!(!rs.cacheable, "outer-local assignment must not be cached");
-    }
-
-    #[test]
-    fn inner_local_assignment_is_fine() {
-        let p = compile(
-            "page start() {
-                 render {
-                     boxed {
-                         let cents = \"5\";
-                         cents := \"0\" ++ cents;
-                         post cents;
-                     }
-                 }
-             }",
-        )
-        .expect("compiles");
-        let deps = RenderDeps::analyze(&p);
-        let rs = deps.by_box.get(&BoxSourceId(0)).expect("analyzed");
-        assert!(rs.cacheable, "locals bound inside the body are fine");
-    }
-
-    #[test]
     fn hash_value_distinguishes_and_agrees() {
         let h = |v: &Value| {
             let mut hasher = DefaultHasher::new();
@@ -606,6 +328,9 @@ mod tests {
         );
         store.set("sel", Value::Number(0.0));
 
+        // The cache keys on the compiled program, which a system
+        // compiles before its first render.
+        p.vm().expect("the VM compiles it");
         let mut cache = MemoCache::new(&p);
         cache.begin_render(&store, 0);
         let render = |store: &Store, cache: &mut MemoCache| {

@@ -646,6 +646,8 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
             line: line_no,
             message,
         };
+        // A CRLF line ending is one line ending: the wire escapes `\r`.
+        let line = line.strip_suffix('\r').unwrap_or(line);
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             rest = after;
@@ -681,6 +683,15 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
                 Err(err(format!("`{keyword}` takes no arguments, got `{args}`")))
             }
         };
+        // `<keyword> <head> -- <payload>`: the head is trimmed, the
+        // payload runs verbatim to the end of the line.
+        let separated = |what: &str| {
+            let (head, payload) = line
+                .split_once(" -- ")
+                .ok_or_else(|| err(format!("{what} needs ` -- ` separator")))?;
+            let head = head.trim_start().get(keyword.len()..).unwrap_or_default();
+            Ok::<_, ProtocolParseError>((head, unescape(payload)))
+        };
         let mut consumed_payload = 0usize;
         let command = match keyword {
             "frame" => bare(SessionCommand::Frame)?,
@@ -700,12 +711,10 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
             "tap" => SessionCommand::TapPath(parse_usize_path(args).map_err(&err)?),
             "back" => bare(SessionCommand::Back)?,
             "editbox" => {
-                let (path_part, text) = args
-                    .split_once(" -- ")
-                    .ok_or_else(|| err("editbox needs ` -- ` separator".to_string()))?;
+                let (head, text) = separated("editbox")?;
                 SessionCommand::EditBox {
-                    path: parse_usize_path(path_part).map_err(&err)?,
-                    text: unescape(text),
+                    path: parse_usize_path(head).map_err(&err)?,
+                    text,
                 }
             }
             "editsource" => {
@@ -740,9 +749,10 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
                 let mut body = after;
                 let mut consumed = 0usize;
                 for _ in 0..count {
-                    let (edit_line, rest_body) = body.split_once('\n').ok_or_else(|| {
+                    let (raw_line, rest_body) = body.split_once('\n').ok_or_else(|| {
                         err(format!("txedit payload truncated: want {count} edits"))
                     })?;
+                    let edit_line = raw_line.strip_suffix('\r').unwrap_or(raw_line);
                     let (span_part, text) = edit_line.split_once(" -- ").ok_or_else(|| {
                         err(format!("txedit edit line needs ` -- `: `{edit_line}`"))
                     })?;
@@ -759,7 +769,7 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
                         span: Span::new(start, end),
                         replacement: unescape(text),
                     });
-                    consumed += edit_line.len() + 1;
+                    consumed += raw_line.len() + 1;
                     body = rest_body;
                 }
                 // Leave the final newline for the generic strip below.
@@ -769,9 +779,7 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
             "poke" => {
                 // `poke <path...> <leaf> -- <value>`: the last number
                 // before the separator is the leaf ordinal.
-                let (head, value) = args
-                    .split_once(" -- ")
-                    .ok_or_else(|| err("poke needs ` -- ` separator".to_string()))?;
+                let (head, value) = separated("poke")?;
                 let mut nums = parse_usize_path(head).map_err(&err)?;
                 let leaf = nums
                     .pop()
@@ -779,7 +787,7 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
                 SessionCommand::ManipulateAt {
                     path: nums,
                     leaf,
-                    value: unescape(value),
+                    value,
                 }
             }
             "repair" => {
@@ -791,9 +799,7 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
             "attredit" => {
                 // `attredit <path...> <attr> -- <value>`: the last token
                 // before the separator is the attribute name.
-                let (head, value) = args
-                    .split_once(" -- ")
-                    .ok_or_else(|| err("attredit needs ` -- ` separator".to_string()))?;
+                let (head, value) = separated("attredit")?;
                 let mut tokens: Vec<&str> = head.split_whitespace().collect();
                 let attr = tokens
                     .pop()
@@ -802,7 +808,7 @@ pub fn parse_commands(text: &str) -> Result<Vec<SessionCommand>, ProtocolParseEr
                 SessionCommand::AttrEdit {
                     path,
                     attr: attr.to_string(),
-                    value: unescape(value),
+                    value,
                 }
             }
             "txcommit" | "txabort" | "txstatus" => {
@@ -846,7 +852,9 @@ fn parse_usize_path(args: &str) -> Result<Vec<usize>, String> {
 }
 
 fn escape(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('\n', "\\n")
+    text.replace('\\', "\\\\")
+        .replace('\n', "\\n")
+        .replace('\r', "\\r")
 }
 
 fn unescape(text: &str) -> String {
@@ -856,6 +864,7 @@ fn unescape(text: &str) -> String {
         if c == '\\' {
             match chars.next() {
                 Some('n') => out.push('\n'),
+                Some('r') => out.push('\r'),
                 Some('\\') => out.push('\\'),
                 Some(other) => {
                     out.push('\\');
@@ -1196,10 +1205,63 @@ page start() {
                 attr: "background".to_string(),
                 value: "colors.light_blue".to_string(),
             },
+            // Payloads run verbatim to the end of the line: trailing
+            // blanks, an empty text, a root path, a `\r`, a separator.
+            SessionCommand::EditBox {
+                path: vec![2],
+                text: "hi ".to_string(),
+            },
+            SessionCommand::EditBox {
+                path: vec![2],
+                text: String::new(),
+            },
+            SessionCommand::EditBox {
+                path: vec![],
+                text: "x".to_string(),
+            },
+            SessionCommand::EditBox {
+                path: vec![],
+                text: String::new(),
+            },
+            SessionCommand::EditBox {
+                path: vec![1],
+                text: "\ttab -- cr\r\n\t".to_string(),
+            },
+            SessionCommand::ManipulateAt {
+                path: vec![0],
+                leaf: 1,
+                value: "x ".to_string(),
+            },
+            SessionCommand::AttrEdit {
+                path: vec![1],
+                attr: "margin".to_string(),
+                value: " 2\t".to_string(),
+            },
+            SessionCommand::TxEdit {
+                tx: 5,
+                edits: vec![TextEdit::replace(Span::new(0, 1), "crlf\r\n ")],
+            },
         ];
         let wire: String = commands.iter().map(SessionCommand::serialize).collect();
         let parsed = parse_commands(&wire).expect("parses");
         assert_eq!(parsed, commands);
+        // CRLF line endings read as LF ones.
+        let crlf = "tap 1 0\r\neditbox 2 -- hi \r\ntxedit 1 1\r\n0 0 -- a \r\nback\r\n";
+        assert_eq!(
+            parse_commands(crlf).expect("parses"),
+            vec![
+                SessionCommand::TapPath(vec![1, 0]),
+                SessionCommand::EditBox {
+                    path: vec![2],
+                    text: "hi ".to_string(),
+                },
+                SessionCommand::TxEdit {
+                    tx: 1,
+                    edits: vec![TextEdit::insert(0, "a ")],
+                },
+                SessionCommand::Back,
+            ]
+        );
     }
 
     #[test]

@@ -187,6 +187,27 @@ page detail(n : number) { render { boxed { post "detail " ++ n; } } }
     }
 
     #[test]
+    fn an_emptied_box_replays() {
+        let mut live = LiveSession::new(APP).expect("starts");
+        let mut trace = SessionTrace::new(APP);
+        for text in ["", "a b ", ""] {
+            let command = SessionCommand::EditBox {
+                path: vec![1],
+                text: text.to_string(),
+            };
+            let effects = trace.record(&mut live, command);
+            assert!(matches!(effects.last(), Some(E::Frame(_))), "{effects:?}");
+        }
+        let parsed = SessionTrace::parse(&trace.serialize()).expect("parses");
+        assert_eq!(parsed, trace);
+        let mut replayed = parsed.replay().expect("replays");
+        let note = replayed.system().store().get("note").cloned();
+        assert_eq!(note, Some(alive_core::Value::str("")), "the box ends empty");
+        assert_eq!(live.system().store(), replayed.system().store());
+        assert_eq!(live.live_view(), replayed.live_view());
+    }
+
+    #[test]
     fn parse_errors_carry_whole_trace_line_numbers() {
         assert!(SessionTrace::parse("").is_err());
         assert!(SessionTrace::parse("#alive-trace v1\nsource 1\nx\n").is_err());

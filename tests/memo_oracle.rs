@@ -243,3 +243,144 @@ page start() {
         assert!(memo.live_view().starts_with(want), "{}", memo.live_view());
     }
 }
+
+/// A render that reads a global the store lacks runs its initializer
+/// (EP-GLOBAL-2), so a box that shows `label` depends on what `label`'s
+/// initializer reads. Every tap on `count` must reach the memoized
+/// frame, whether the initializer reads `count` directly or through a
+/// helper function.
+#[test]
+fn memo_follows_the_reads_of_global_initializers() {
+    for init in [r#""n=" ++ count"#, "describe()"] {
+        let app = format!(
+            r#"
+global count : number = 0
+global label : string = {init}
+fun describe() : string pure {{ "n=" ++ count }}
+page start() {{
+    render {{
+        boxed {{ post label; }}
+        boxed {{ post "[ + ]"; on tap {{ count := count + 1; }} }}
+    }}
+}}
+"#
+        );
+        let mut plain = LiveSession::new(&app).expect("starts");
+        let mut memo = LiveSession::with_memo(&app).expect("starts");
+        assert_eq!(plain.live_view(), memo.live_view(), "{init}: first frame");
+        for n in 1..=3 {
+            for session in [&mut plain, &mut memo] {
+                session.apply(SessionCommand::TapPath(vec![1]));
+            }
+            let want = plain.live_view();
+            assert!(want.starts_with(&format!("n={n}\n")), "{init}: {want}");
+            assert_eq!(want, memo.live_view(), "{init}: after tap {n}");
+        }
+    }
+}
+
+/// Every `boxed` statement of every corpus program is cacheable, with
+/// these read sets (by statement id; the same at every size). The walk
+/// above would still pass if no box were cacheable, so this census is
+/// what keeps the memo's hit rate on the corpus.
+#[test]
+fn corpus_boxes_stay_cacheable_with_their_read_sets() {
+    const READS: [(&str, &[&[&str]]); 5] = [
+        (
+            "dashboard",
+            &[
+                &["metric_a", "metric_b"],
+                &["samples"],
+                &["metric_a", "metric_b"],
+                &["metric_a", "metric_b"],
+                &[],
+            ],
+        ),
+        (
+            "editor",
+            &[&["edits", "lines"], &["lines"], &[], &[], &[], &[]],
+        ),
+        ("feed", &[&["hot", "taps"], &["hot", "scores"]]),
+        (
+            "form",
+            &[
+                &["fields"],
+                &["fields"],
+                &[],
+                &["focus", "submitted"],
+                &[],
+                &[],
+            ],
+        ),
+        ("game", &[&["cells", "moves", "score"], &["cells"]]),
+    ];
+    for entry in alive_corpus::corpus() {
+        let name = entry.spec.name();
+        let program = its_alive::core::compile(&entry.source).expect("compiles");
+        let vm = program.vm().expect("the VM compiles it");
+        let got: Vec<Vec<&str>> = vm
+            .box_reads()
+            .iter()
+            .enumerate()
+            .map(|(id, slots)| {
+                let slots = slots
+                    .as_deref()
+                    .unwrap_or_else(|| panic!("{name}: statement {id} is not cacheable"));
+                let mut names: Vec<&str> = slots
+                    .iter()
+                    .map(|&g| &*program.globals()[g as usize].name)
+                    .collect();
+                names.sort_unstable();
+                names
+            })
+            .collect();
+        let (_, want) = READS
+            .iter()
+            .find(|(kind, _)| name.starts_with(kind))
+            .expect("a corpus kind");
+        assert_eq!(
+            got.len(),
+            program.box_spans.len(),
+            "{name}: every statement"
+        );
+        assert_eq!(&got, want, "{name}");
+    }
+}
+
+/// The memo never compiles a program itself, so a memo session books
+/// the same VM compiles as a plain one: at start, and after an edit,
+/// whose first render already keys on the new program's read sets.
+#[test]
+fn memo_sessions_book_the_same_compiles() {
+    let source = r#"
+global count : number = 0
+page start() {
+    render {
+        boxed { post "n=" ++ count; }
+        boxed { post "[ + ]"; on tap { count := count + 1; } }
+    }
+}
+"#;
+    let compiles = |s: &LiveSession| s.metrics_snapshot().counter("eval.vm.compiles");
+    let mut plain = LiveSession::new(source).expect("starts");
+    let mut memo = LiveSession::with_memo(source).expect("starts");
+    assert_eq!((compiles(&plain), compiles(&memo)), (1, 1), "at start");
+    let edited = source.replacen("[ + ]", "[ add ]", 1);
+    for session in [&mut plain, &mut memo] {
+        let effects = session.apply(SessionCommand::EditSource(edited.clone()));
+        assert!(
+            matches!(effects.first(), Some(SessionEffect::EditApplied(_))),
+            "{effects:?}"
+        );
+    }
+    assert_eq!((compiles(&plain), compiles(&memo)), (2, 2), "after an edit");
+    for session in [&mut plain, &mut memo] {
+        session.apply(SessionCommand::TapPath(vec![1]));
+    }
+    assert_eq!(plain.live_view(), memo.live_view());
+    // The tap changed `count`: the counter box recomputes, the button
+    // is spliced from the first render after the edit.
+    let stats = memo.memo_stats().expect("memo on");
+    assert_eq!((stats.hits, stats.misses), (1, 3), "{stats:?}");
+    assert_eq!(compiles(&memo), 2, "taps compile nothing");
+}
